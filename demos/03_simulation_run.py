@@ -9,7 +9,9 @@ bound, smoothing of the damped combination, and finite Lipschitz budgets.
 Run with: python3 demos/03_simulation_run.py
 """
 
+import atexit
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -36,6 +38,7 @@ for name, value in bq.initial_norms(state0).items():
     print(f"  {name:18s} = {value:.6f}")
 
 outdir = Path(tempfile.mkdtemp(prefix="bqsim_demo_"))
+atexit.register(shutil.rmtree, outdir, ignore_errors=True)
 result = bq.run(cfg, output_dir=str(outdir))
 print()
 print(f"=== run finished: {result.steps_taken} adaptive steps, {len(result.records)} records ===")

@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import initial_norms, parse_config
@@ -52,11 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one inequality ensemble suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--count", type=int, default=64)
-    p_verify.add_argument("--n", type=int, default=128)
-    p_verify.add_argument("--spectrum-gamma", type=float, default=2.5)
-    p_verify.add_argument("--amplitude", type=float, default=1.0)
+    for f in fields(EnsembleSpec):  # --seed, --count, --n, --spectrum-gamma, --amplitude
+        flag = "--" + f.name.replace("_", "-")
+        p_verify.add_argument(flag, type=type(f.default), default=f.default)
     p_verify.add_argument("--output-dir", default=None)
     p_verify.add_argument("--s", type=float, default=None, help="regularity index")
     p_verify.add_argument("--p", type=float, default=None, help="Lebesgue exponent")
@@ -131,13 +129,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ens = EnsembleSpec(
-        seed=args.seed,
-        count=args.count,
-        n=args.n,
-        spectrum_gamma=args.spectrum_gamma,
-        amplitude=args.amplitude,
-    )
+    ens = EnsembleSpec(**{f.name: getattr(args, f.name) for f in fields(EnsembleSpec)})
     suite_fn = SUITES[args.suite]
     accepted = set(inspect.signature(suite_fn).parameters) - {"ens"}
     kwargs = {}
@@ -152,11 +144,7 @@ def _cmd_verify(args) -> int:
         kwargs[name] = value
     report = suite_fn(ens, **kwargs)
 
-    out = Path(
-        args.output_dir
-        if args.output_dir is not None
-        else os.environ.get("BQ_OUTPUT_DIR") or "out"
-    )
+    out = resolve_output_dir("out", args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{args.suite}.csv"
     report.write_csv(csv_path, [f"seed = {ens.seed}", f"n = {ens.n}", f"count = {ens.count}"])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -94,28 +94,20 @@ def _parse_times(key, raw):
     return tuple(sorted(set(times)))
 
 
-_PARSERS = {
-    "n": _parse_int,
-    "t_end": _parse_float,
-    "preset": lambda key, raw: raw,
-    "alpha": _parse_float,
-    "cfl": _parse_float,
-    "dt": _parse_float,
-    "seed": _parse_int,
-    "diag_cadence": _parse_int,
-    "output_dir": lambda key, raw: raw,
-    "omega_lr": _parse_float,
-    "checkpoint_times": _parse_times,
-    "amplitude": _parse_float,
-    "tg_amplitude": _parse_float,
-    "blob_amplitude": _parse_float,
-    "blob_width": _parse_float,
-    "blob_mean_subtract": _parse_bool,
-    "random_gamma": _parse_float,
-    "random_amplitude": _parse_float,
+_PARSER_FOR_ANNOTATION = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_float,
+    "str": lambda key, raw: raw,
+    "bool": _parse_bool,
+    "tuple": _parse_times,
 }
 
-_REQUIRED = ("n", "t_end", "preset")
+# Every RunConfig field except source_text is a config key; a field whose
+# annotation has no parser fails here, at import.
+_PARSERS = {
+    f.name: _PARSER_FOR_ANNOTATION[f.type] for f in fields(RunConfig) if f.name != "source_text"
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -138,9 +130,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"duplicate config key '{key}' on line {lineno}")
         values[key] = _PARSERS[key](key, raw_value)
 
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigurationError(f"missing required config key '{key}'")
+    for f in fields(RunConfig):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+            raise ConfigurationError(f"missing required config key '{f.name}'")
 
     config = RunConfig(source_text=text, **values)
     _validate(config)
@@ -180,26 +172,17 @@ def _validate(config: RunConfig):
 
 def config_echo(config: RunConfig) -> list[str]:
     """Canonical one-line-per-key echo of the effective configuration."""
-    pairs = [
-        ("n", config.n),
-        ("t_end", config.t_end),
-        ("preset", config.preset),
-        ("alpha", config.alpha),
-        ("cfl", config.cfl),
-        ("dt", "adaptive" if config.dt is None else config.dt),
-        ("seed", config.seed),
-        ("diag_cadence", config.diag_cadence),
-        ("omega_lr", config.omega_lr),
-        ("checkpoint_times", ",".join(f"{t:g}" for t in config.checkpoint_times) or "none"),
-        ("amplitude", config.amplitude),
-        ("tg_amplitude", config.tg_amplitude),
-        ("blob_amplitude", config.blob_amplitude),
-        ("blob_width", config.blob_width),
-        ("blob_mean_subtract", config.blob_mean_subtract),
-        ("random_gamma", config.random_gamma),
-        ("random_amplitude", config.random_amplitude),
-    ]
-    return [f"{k} = {v}" for k, v in pairs]
+    lines = []
+    for f in fields(RunConfig):
+        if f.name in ("output_dir", "source_text"):
+            continue
+        value = getattr(config, f.name)
+        if f.name == "dt" and value is None:
+            value = "adaptive"
+        elif f.name == "checkpoint_times":
+            value = ",".join(f"{t:g}" for t in value) or "none"
+        lines.append(f"{f.name} = {value}")
+    return lines
 
 
 def make_initial_data(config: RunConfig) -> SimState:

@@ -62,6 +62,16 @@ class DiagnosticsRecord:
 
 RECORD_FIELDS = [f.name for f in dataclass_fields(DiagnosticsRecord)]
 
+#: Running-integral column -> the integrand it accumulates (trapezoid rule
+#: over the cadence points, starting from zero at the first record).
+_RUNNING_INTEGRALS = {
+    "hhalf_v_sq_cum": "hhalf_v_sq",
+    "hhalf_gamma_sq_cum": "hhalf_gamma_sq",
+    "hhalf_omega_sq_cum": "hhalf_omega_sq",
+    "besov_omega_cum": "besov_omega",
+    "V_t": "lip_v",
+}
+
 
 class DiagnosticsTracker:
     """Accumulates records from successive states handed in time order."""
@@ -70,7 +80,7 @@ class DiagnosticsTracker:
         if not omega_lr >= 1:
             raise ConfigurationError(f"omega_lr exponent must be >= 1, got {omega_lr}")
         self.omega_lr = omega_lr
-        self._prev = None  # (t, instantaneous integrands, record)
+        self._prev = None  # (t, integrands, running integrals)
 
     def record(self, state: SimState) -> DiagnosticsRecord:
         """Compute all tracked quantities for this state and append integrals."""
@@ -81,77 +91,56 @@ class DiagnosticsTracker:
         omega_phys = inverse_transform(state.omega_hat)
         gam = gamma(state)
         gamma_phys = inverse_transform(gam)
-
-        hhalf_v_sq = vector_sobolev_norm(v, 0.5, homogeneous=True) ** 2
-        hhalf_gamma_sq = sobolev_norm(gam, 0.5, homogeneous=True) ** 2
-        hhalf_omega_sq = sobolev_norm(state.omega_hat, 0.5, homogeneous=True) ** 2
-        besov_omega = besov_norm(state.omega_hat, BesovSpec(0.0, math.inf, 1.0), bank)
-        lip_v = max_gradient(v)
-
         l2_v = lp_norm(v_phys, 2)
-        energy = 0.5 * l2_v**2
-        dissipation = vector_sobolev_norm(v, 0.5 * state.alpha, homogeneous=True) ** 2
-        buoyancy_power = integrate(
-            PhysicalField(state.grid, theta_phys.samples * v_phys.x2.samples)
-        )
-        instantaneous = {
-            "hhalf_v_sq": hhalf_v_sq,
-            "hhalf_gamma_sq": hhalf_gamma_sq,
-            "hhalf_omega_sq": hhalf_omega_sq,
-            "besov_omega": besov_omega,
-            "lip_v": lip_v,
-            "energy": energy,
-            "dissipation": dissipation,
-            "buoyancy_power": buoyancy_power,
+
+        integrands = {
+            "hhalf_v_sq": vector_sobolev_norm(v, 0.5, homogeneous=True) ** 2,
+            "hhalf_gamma_sq": sobolev_norm(gam, 0.5, homogeneous=True) ** 2,
+            "hhalf_omega_sq": sobolev_norm(state.omega_hat, 0.5, homogeneous=True) ** 2,
+            "besov_omega": besov_norm(state.omega_hat, BesovSpec(0.0, math.inf, 1.0), bank),
+            "lip_v": max_gradient(v),
+            "energy": 0.5 * l2_v**2,
+            "dissipation": vector_sobolev_norm(v, 0.5 * state.alpha, homogeneous=True) ** 2,
+            "buoyancy_power": integrate(
+                PhysicalField(state.grid, theta_phys.samples * v_phys.x2.samples)
+            ),
         }
 
         if self._prev is None:
-            cums = {"hhalf_v_sq_cum": 0.0, "hhalf_gamma_sq_cum": 0.0,
-                    "hhalf_omega_sq_cum": 0.0, "besov_omega_cum": 0.0, "V_t": 0.0}
+            cums = dict.fromkeys(_RUNNING_INTEGRALS, 0.0)
             energy_residual = 0.0
         else:
-            t_prev, prev_inst, prev_rec = self._prev
+            t_prev, prev, prev_cums = self._prev
             dt = state.t - t_prev
             if dt <= 0:
                 raise ConfigurationError(
                     f"states must be recorded in increasing time order (got {t_prev} -> {state.t})"
                 )
-
-            def trap(key, prev_cum):
-                return prev_cum + 0.5 * dt * (prev_inst[key] + instantaneous[key])
-
             cums = {
-                "hhalf_v_sq_cum": trap("hhalf_v_sq", prev_rec.hhalf_v_sq_cum),
-                "hhalf_gamma_sq_cum": trap("hhalf_gamma_sq", prev_rec.hhalf_gamma_sq_cum),
-                "hhalf_omega_sq_cum": trap("hhalf_omega_sq", prev_rec.hhalf_omega_sq_cum),
-                "besov_omega_cum": trap("besov_omega", prev_rec.besov_omega_cum),
-                "V_t": trap("lip_v", prev_rec.V_t),
+                column: prev_cums[column] + 0.5 * dt * (prev[key] + integrands[key])
+                for column, key in _RUNNING_INTEGRALS.items()
             }
             # Discrete balance d/dt(kinetic energy) + dissipation = buoyancy
             # power, sampled midpoint-consistently between cadence points.
-            energy_residual = (instantaneous["energy"] - prev_inst["energy"]) / dt + 0.5 * (
-                instantaneous["dissipation"] + prev_inst["dissipation"]
-            ) - 0.5 * (instantaneous["buoyancy_power"] + prev_inst["buoyancy_power"])
+            energy_residual = (integrands["energy"] - prev["energy"]) / dt + 0.5 * (
+                integrands["dissipation"] + prev["dissipation"]
+            ) - 0.5 * (integrands["buoyancy_power"] + prev["buoyancy_power"])
 
         rec = DiagnosticsRecord(
             t=state.t,
             l2_v=l2_v,
-            hhalf_v_sq_cum=cums["hhalf_v_sq_cum"],
             l2_theta=lp_norm(theta_phys, 2),
             l4_theta=lp_norm(theta_phys, 4),
             linf_theta=lp_norm(theta_phys, math.inf),
             l2_omega=lp_norm(omega_phys, 2),
             lr_omega=lp_norm(omega_phys, self.omega_lr),
             l2_gamma=lp_norm(gamma_phys, 2),
-            hhalf_gamma_sq_cum=cums["hhalf_gamma_sq_cum"],
             besov_theta=besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0), bank),
-            besov_omega_cum=cums["besov_omega_cum"],
-            lip_v=lip_v,
-            V_t=cums["V_t"],
+            lip_v=integrands["lip_v"],
             energy_residual=energy_residual,
-            hhalf_omega_sq_cum=cums["hhalf_omega_sq_cum"],
+            **cums,
         )
-        self._prev = (state.t, instantaneous, rec)
+        self._prev = (state.t, integrands, cums)
         return rec
 
 

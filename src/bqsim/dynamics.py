@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError
+from .errors import BlowUpError, ConfigurationError, NonFiniteError
 from .littlewood_paley import commutator_riesz
 from .spectral import (
     SpectralField,
@@ -104,8 +104,8 @@ def step(state: SimState, dt: float) -> SimState:
 
     The vorticity is advanced in the frame of the exact dissipative
     semigroup exp(-|k|^alpha t); the temperature (no dissipation) sees a
-    plain RK4.  Raises BlowUpError, carrying the pre-step state, when the
-    update is non-finite or the velocity exceeds the blow-up threshold.
+    plain RK4.  Raises BlowUpError, carrying the pre-step state, when a stage
+    or the update is non-finite or the velocity exceeds the blow-up threshold.
     """
     if dt <= 0:
         raise ConfigurationError(f"step size dt must be positive, got {dt}")
@@ -116,16 +116,19 @@ def step(state: SimState, dt: float) -> SimState:
     e_full = e_half * e_half
     w0, th0 = state.omega_hat, state.theta_hat
 
-    n1w, n1t = _nonlinear(w0, th0, alpha)
-    wa = apply_multiplier(w0 + (0.5 * dt) * n1w, e_half)
-    ta = th0 + (0.5 * dt) * n1t
-    n2w, n2t = _nonlinear(wa, ta, alpha)
-    wb = apply_multiplier(w0, e_half) + (0.5 * dt) * n2w
-    tb = th0 + (0.5 * dt) * n2t
-    n3w, n3t = _nonlinear(wb, tb, alpha)
-    wc = apply_multiplier(w0, e_full) + dt * apply_multiplier(n3w, e_half)
-    tc = th0 + dt * n3t
-    n4w, n4t = _nonlinear(wc, tc, alpha)
+    try:
+        n1w, n1t = _nonlinear(w0, th0, alpha)
+        wa = apply_multiplier(w0 + (0.5 * dt) * n1w, e_half)
+        ta = th0 + (0.5 * dt) * n1t
+        n2w, n2t = _nonlinear(wa, ta, alpha)
+        wb = apply_multiplier(w0, e_half) + (0.5 * dt) * n2w
+        tb = th0 + (0.5 * dt) * n2t
+        n3w, n3t = _nonlinear(wb, tb, alpha)
+        wc = apply_multiplier(w0, e_full) + dt * apply_multiplier(n3w, e_half)
+        tc = th0 + dt * n3t
+        n4w, n4t = _nonlinear(wc, tc, alpha)
+    except NonFiniteError as err:
+        raise BlowUpError(f"non-finite RK stage in step from t={state.t:.6g}", state=state) from err
 
     w1 = apply_multiplier(w0, e_full) + (dt / 6.0) * (
         apply_multiplier(n1w, e_full)

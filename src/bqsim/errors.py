@@ -10,6 +10,10 @@ class InvalidInputError(ValueError):
     """
 
 
+class NonFiniteError(InvalidInputError):
+    """Physical samples contain NaN or inf; the time stepper reports a blow-up."""
+
+
 class ConfigurationError(ValueError):
     """A parameter or configuration file is malformed or out of range.
 

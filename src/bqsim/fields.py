@@ -32,17 +32,11 @@ def _half_lattice(kmax: int):
     is a prefix of the array for a larger one.  Returns integer arrays
     (k1, k2) and the Euclidean magnitudes.
     """
-    modes = []
-    for ring in range(1, kmax + 1):
-        ring_modes = [
-            (k1, k2)
-            for k1 in range(-ring, ring + 1)
-            for k2 in range(-ring, ring + 1)
-            if max(abs(k1), abs(k2)) == ring and (k1 > 0 or (k1 == 0 and k2 > 0))
-        ]
-        modes.extend(sorted(ring_modes))
-    k = np.array(modes, dtype=int)
-    return k[:, 0], k[:, 1], np.hypot(k[:, 0], k[:, 1])
+    k1, k2 = np.indices((2 * kmax + 1, 2 * kmax + 1)).reshape(2, -1) - kmax
+    half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
+    k1, k2 = k1[half], k2[half]
+    order = np.lexsort((k2, k1, np.maximum(np.abs(k1), np.abs(k2))))
+    return k1[order], k2[order], np.hypot(k1[order], k2[order])
 
 
 def random_scalar_field(

@@ -12,15 +12,13 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, config_echo, make_initial_data
 from .diagnostics import DiagnosticsTracker, state_difference
-from .dynamics import SimState, cfl_dt, step
+from .dynamics import VELOCITY_BLOWUP_THRESHOLD, SimState, cfl_dt, step
 from .errors import BlowUpError, ConfigurationError
 from .fields import random_scalar_field
 from .simio import write_checkpoint, write_diagnostics_csv
-from .spectral import dealias, inverse_transform, lp_norm
+from .spectral import dealias, grid_max_velocity, inverse_transform, lp_norm
 
 _TIME_EPS = 1e-12
 
@@ -53,14 +51,11 @@ class RunResult:
     steps_taken: int
 
 
-def resolve_output_dir(config: RunConfig, override=None) -> Path:
-    """Output directory precedence: explicit override, BQ_OUTPUT_DIR, config."""
+def resolve_output_dir(default, override=None) -> Path:
+    """Output directory precedence: explicit override, BQ_OUTPUT_DIR, default."""
     if override is not None:
         return Path(override)
-    env = os.environ.get("BQ_OUTPUT_DIR")
-    if env:
-        return Path(env)
-    return Path(config.output_dir)
+    return Path(os.environ.get("BQ_OUTPUT_DIR") or default)
 
 
 def _events(config: RunConfig, t_start: float) -> list[float]:
@@ -79,8 +74,8 @@ def run(
 
     Diagnostics are recorded every `diag_cadence` steps (plus the initial
     and final states); checkpoints are written at each configured time and
-    at the end.  On blow-up the last finite state is checkpointed for
-    forensics before the error propagates.
+    at the end.  On blow-up, initial velocity included, the last finite state
+    is checkpointed for forensics before the error propagates.
     """
     state = make_initial_data(config) if initial_state is None else initial_state
     if state.t > config.t_end + _TIME_EPS:
@@ -88,7 +83,7 @@ def run(
             f"initial state time {state.t} already beyond t_end {config.t_end}"
         )
 
-    out = resolve_output_dir(config, output_dir) if write_artifacts else None
+    out = resolve_output_dir(config.output_dir, output_dir) if write_artifacts else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
@@ -102,16 +97,16 @@ def run(
 
     events = _events(config, state.t)
     steps = 0
-    last_recorded_t = state.t
 
     def emit(current: SimState):
-        nonlocal last_recorded_t
         records.append(tracker.record(current))
-        last_recorded_t = current.t
         if states is not None:
             states.append(current.copy())
 
     try:
+        vmax = grid_max_velocity(state.velocity())
+        if not vmax <= VELOCITY_BLOWUP_THRESHOLD:
+            raise BlowUpError(f"initial velocity {vmax:.3e} exceeds blow-up threshold", state=state)
         for event in events:
             while state.t < event - _TIME_EPS:
                 dt = config.dt if config.dt is not None else adaptive_dt(state, config.cfl)
@@ -135,7 +130,7 @@ def run(
             )
         raise
 
-    if state.t > last_recorded_t + _TIME_EPS:
+    if state.t > records[-1].t + _TIME_EPS:
         emit(state)
 
     csv_path = None

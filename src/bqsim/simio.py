@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import RECORD_FIELDS, DiagnosticsRecord
 from .dynamics import SimState
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError
 from .spectral import Grid, SpectralField
 
 MAGIC = b"BQSF"
@@ -43,7 +43,8 @@ def write_checkpoint(path, state: SimState) -> None:
 
 
 def read_checkpoint(path) -> SimState:
-    """Load a checkpoint, validating magic, version, and payload size."""
+    """Load a checkpoint, validating magic, version, payload size, n, alpha,
+    and that t and every coefficient are finite."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes)")
@@ -58,10 +59,15 @@ def read_checkpoint(path) -> SimState:
             f"{path}: payload size mismatch, expected {expected} bytes, got {len(blob)}"
         )
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    grid = Grid(int(n))
+    if not (np.isfinite(t) and np.all(np.isfinite(flat))):
+        raise CheckpointError(f"{path}: non-finite time or coefficients")
     omega = flat[: n * n].reshape(n, n).astype(complex)
     theta = flat[n * n :].reshape(n, n).astype(complex)
-    return SimState(float(t), SpectralField(grid, omega), SpectralField(grid, theta), float(alpha))
+    try:
+        grid = Grid(int(n))
+        return SimState(t, SpectralField(grid, omega), SpectralField(grid, theta), alpha)
+    except ConfigurationError as err:
+        raise CheckpointError(f"{path}: {err}") from None
 
 
 def _format_float(x: float) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, NonFiniteError
 
 #: Relative tolerance on conjugate symmetry accepted by inverse_transform.
 HERMITIAN_TOL = 1e-12
@@ -148,7 +148,7 @@ def apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
 def forward_transform(f: PhysicalField) -> SpectralField:
     """FFT with the 1/n^2 normalization; rejects non-finite samples."""
     if not np.all(np.isfinite(f.samples)):
-        raise InvalidInputError("physical samples contain non-finite values")
+        raise NonFiniteError("physical samples contain non-finite values")
     n = f.grid.n
     return SpectralField(f.grid, np.fft.fft2(f.samples) / (n * n))
 

@@ -1,6 +1,7 @@
 """Configuration parsing, artifact formats, determinism, resume, CLI."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ class TestParseConfig:
         assert "seed = 7" in lines
         cfg2 = parse_config(BASE)
         assert "dt = adaptive" in config_echo(cfg2)
+
+    def test_echo_lists_every_key_in_order(self):
+        cfg = parse_config(
+            "n = 32\nt_end = 2\npreset = random\nalpha = 0.75\ncfl = 0.25\ndt = 0.01\n"
+            "seed = 3\ndiag_cadence = 4\noutput_dir = elsewhere\nomega_lr = 4\n"
+            "checkpoint_times = 1.5, 0.5\namplitude = 2\ntg_amplitude = 3\n"
+            "blob_amplitude = 4\nblob_width = 0.25\nblob_mean_subtract = yes\n"
+            "random_gamma = 3.5\nrandom_amplitude = 0.5\n"
+        )
+        assert config_echo(cfg) == [
+            "n = 32",
+            "t_end = 2.0",
+            "preset = random",
+            "alpha = 0.75",
+            "cfl = 0.25",
+            "dt = 0.01",
+            "seed = 3",
+            "diag_cadence = 4",
+            "omega_lr = 4.0",
+            "checkpoint_times = 0.5,1.5",
+            "amplitude = 2.0",
+            "tg_amplitude = 3.0",
+            "blob_amplitude = 4.0",
+            "blob_width = 0.25",
+            "blob_mean_subtract = True",
+            "random_gamma = 3.5",
+            "random_amplitude = 0.5",
+        ]
 
 
 class TestInitialData:
@@ -189,6 +218,25 @@ class TestCheckpointFormat:
         path.write_bytes(b"BQ")
         with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "n, alpha, t, coeff",
+        [
+            (16, 1.0, math.nan, 0.0),
+            (16, 1.0, 0.0, math.nan),
+            (16, math.inf, 0.0, 0.0),
+            (15, 1.0, 0.0, 0.0),
+        ],
+        ids=["nan-t", "nan-coefficient", "inf-alpha", "odd-n"],
+    )
+    def test_bad_values_are_rejected(self, tmp_path, capsys, n, alpha, t, coeff):
+        path = tmp_path / "bad.bqsf"
+        payload = np.zeros(2 * n * n, dtype="<c16")
+        payload[n * n + 1] = coeff
+        path.write_bytes(struct.pack("<4sIIdd", b"BQSF", 1, n, alpha, t) + payload.tobytes())
+        with pytest.raises(CheckpointError, match="bad.bqsf"):
+            read_checkpoint(path)
+        assert main(["norms", "--checkpoint", str(path)]) == 2
 
 
 class TestDiagnosticsCsv:
@@ -305,6 +353,21 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "resumed" / "final.bqsf").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["preset = random\namplitude = 1e150\n", "preset = blob\nblob_amplitude = 1e300\n"],
+        ids=["initial-velocity", "nonfinite-stage"],
+    )
+    def test_blowup_exits_one_with_forensic_artifacts(self, tmp_path, capsys, extra):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 32\nt_end = 0.1\ndt = 1e-3\noutput_dir = {out}\n" + extra)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg)]) == 1
+        assert read_checkpoint(out / "blowup.bqsf").t == 0.0
+        assert [r.t for r in records_from_csv(out / "diagnostics.csv")] == [0.0]
+        assert not (out / "final.bqsf").exists()
 
     def test_stability_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "stab.cfg"

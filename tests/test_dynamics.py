@@ -9,15 +9,18 @@ from bqsim import (
     BlowUpError,
     ConfigurationError,
     Grid,
+    InvalidInputError,
     PhysicalField,
     SimState,
     SpectralField,
     cfl_dt,
+    dealias,
     forward_transform,
     gamma,
     inverse_transform,
     linear_exact_solution,
     lp_norm,
+    random_scalar_field,
     rhs,
     riesz,
     step,
@@ -179,6 +182,23 @@ class TestStep:
         kept = excinfo.value.state
         assert kept.t == 0.0
         assert np.all(np.isfinite(kept.omega_hat.coeffs))
+
+    def test_nonfinite_stage_is_a_blowup(self):
+        # At rest the first stage is finite; the second overflows inside advect.
+        g = Grid(32)
+        theta = dealias(random_scalar_field(g, 2.5, 1e300, (1,)))
+        state = SimState(0, zero_field(g), theta)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as excinfo:
+            step(state, 1e-3)
+        assert excinfo.value.state is state
+
+    def test_broken_symmetry_is_not_relabelled_as_blowup(self):
+        g = grid64()
+        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs[1, 0] = 1.0  # missing the conjugate partner: a program fault, not a blow-up
+        state = SimState(0.0, zero_field(g), SpectralField(g, coeffs), 1.0)
+        with pytest.raises(InvalidInputError):
+            step(state, 1e-3)
 
 
 class TestLinearExact:

@@ -33,7 +33,7 @@ from bqsim import (
     to_physical,
     vector_sobolev_norm,
 )
-from bqsim.fields import random_scalar_field
+from bqsim.fields import _half_lattice, random_scalar_field
 from bqsim.spectral import hermitian_defect
 
 # ||sin x1||_{L^2([0,2pi)^2)} = sqrt(2 pi^2) = pi sqrt(2)
@@ -328,3 +328,25 @@ class TestNorms:
         x1, _ = g.nodes()
         val = integrate(PhysicalField(g, np.sin(x1) ** 2))
         assert val == pytest.approx(2 * math.pi**2, rel=1e-13)
+
+
+class TestHalfLattice:
+    @staticmethod
+    def ring_by_ring(kmax):
+        modes = []
+        for ring in range(1, kmax + 1):
+            ring_modes = [
+                (k1, k2)
+                for k1 in range(-ring, ring + 1)
+                for k2 in range(-ring, ring + 1)
+                if max(abs(k1), abs(k2)) == ring and (k1 > 0 or (k1 == 0 and k2 > 0))
+            ]
+            modes.extend(sorted(ring_modes))
+        return np.array(modes, dtype=int)
+
+    def test_matches_ring_by_ring_enumeration(self):
+        for kmax in range(1, 7):
+            k = self.ring_by_ring(kmax)
+            k1, k2, mag = _half_lattice(kmax)
+            for got, want in ((k1, k[:, 0]), (k2, k[:, 1]), (mag, np.hypot(k[:, 0], k[:, 1]))):
+                assert got.dtype == want.dtype and np.array_equal(got, want), kmax
