@@ -16,6 +16,7 @@ covers the lowest nonzero torus modes in that case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,24 +82,18 @@ class DyadicFilterBank:
 
     def bands(self, homogeneous: bool = False):
         """Yield (q, multiplier) pairs covering the decomposition."""
-        if homogeneous:
-            yield -1, self.phi_low_annulus
-        else:
-            yield -1, self.chi
-        for q in range(0, self.qmax + 1):
-            yield q, self.phi[q]
-
-
-_BANK_CACHE: dict[int, DyadicFilterBank] = {}
+        yield -1, self.phi_low_annulus if homogeneous else self.chi
+        yield from enumerate(self.phi)
 
 
 def build_filter_bank(grid: Grid) -> DyadicFilterBank:
     """Return the (cached) filter bank for this grid."""
-    bank = _BANK_CACHE.get(grid.n)
-    if bank is None:
-        bank = DyadicFilterBank(grid)
-        _BANK_CACHE[grid.n] = bank
-    return bank
+    return _cached_bank(grid)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_bank(grid: Grid) -> DyadicFilterBank:
+    return DyadicFilterBank(grid)
 
 
 def dyadic_block(f: SpectralField, q: int, bank: DyadicFilterBank) -> SpectralField:

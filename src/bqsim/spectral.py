@@ -13,6 +13,11 @@ Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
 (indices taken modulo n), which `inverse_transform` enforces.  Operators that
 divide by |k| map the k = 0 mode to 0.
 
+`Grid` builds every Fourier multiplier.  It keeps only those that do not
+depend on alpha: `verify` builds a fresh grid for every suite call, so each
+further n-by-n array kept on a grid raises the peak memory of a run.
+`kmag_power` returns `kmag` itself at the critical alpha = 1.
+
 Norms are torus norms: `lp_norm` uses grid quadrature with cell area
 (2*pi/n)^2 and `sobolev_norm` carries the matching Parseval factor, so
 ``lp_norm(f, 2) == sobolev_norm(fft(f), 0)`` up to roundoff.
@@ -49,14 +54,23 @@ class Grid:
             inv = 1.0 / (self.k1**2 + self.k2**2)
         inv[0, 0] = 0.0
         self.inv_ksq = inv
-        safe_kmag = self.kmag.copy()
-        safe_kmag[0, 0] = 1.0
-        self.riesz_mult = 1j * np.broadcast_to(self.k1, (n, n)) / safe_kmag
-        self.riesz_mult = self.riesz_mult.copy()
-        self.riesz_mult[0, 0] = 0.0
+        self.riesz_mult = self.forcing_mult(1.0)
         # 2/3-rule mask: keep max(|k1|, |k2|) <= n/3, zero everything above.
         self.dealias_keep = np.maximum(np.abs(self.k1), np.abs(self.k2)) <= n / 3.0
         self.x = 2.0 * np.pi * np.arange(n) / n
+
+    def kmag_power(self, alpha: float) -> np.ndarray:
+        """The |k|^alpha multiplier for alpha in (0, 2]; `kmag` itself at alpha = 1."""
+        if not 0.0 < alpha <= 2.0:
+            raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
+        return self.kmag if alpha == 1.0 else self.kmag**alpha
+
+    def forcing_mult(self, alpha: float) -> np.ndarray:
+        """Buoyancy forcing i*k1/|k|^alpha, zero mode -> 0; Riesz at alpha = 1."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mult = 1j * self.k1 / self.kmag_power(alpha)
+        mult[0, 0] = 0.0
+        return mult
 
     def nodes(self):
         """Return coordinate arrays X1, X2 of shape (n, n), 'ij' indexed."""
@@ -163,7 +177,7 @@ def hermitian_defect(f: SpectralField) -> float:
     return float(np.max(np.abs(c - mirrored)) / scale)
 
 
-def inverse_transform(f: SpectralField, tol: float = HERMITIAN_TOL) -> PhysicalField:
+def inverse_transform(f: SpectralField) -> PhysicalField:
     """Inverse FFT to real samples; errors if conjugate symmetry is broken.
 
     Asymmetry must be significant both relative to the field and in absolute
@@ -172,9 +186,9 @@ def inverse_transform(f: SpectralField, tol: float = HERMITIAN_TOL) -> PhysicalF
     O(1) ancestors, which is asymmetric but physically meaningless.
     """
     defect = hermitian_defect(f)
-    if defect > tol and float(np.max(np.abs(f.coeffs))) * defect > HERMITIAN_ABS_FLOOR:
+    if defect > HERMITIAN_TOL and float(np.max(np.abs(f.coeffs))) * defect > HERMITIAN_ABS_FLOOR:
         raise InvalidInputError(
-            f"conjugate symmetry broken: relative defect {defect:.3e} exceeds {tol:.1e}"
+            f"conjugate symmetry broken: relative defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
     n = f.grid.n
     return PhysicalField(f.grid, np.real(np.fft.ifft2(f.coeffs)) * (n * n))
@@ -194,9 +208,7 @@ def gradient(f: SpectralField) -> VectorField:
 
 def fractional_dissipation(f: SpectralField, alpha: float) -> SpectralField:
     """Apply |D|^alpha, i.e. the |k|^alpha multiplier (zero mode -> 0)."""
-    if not 0.0 < alpha <= 2.0:
-        raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
-    return apply_multiplier(f, f.grid.kmag**alpha)
+    return apply_multiplier(f, f.grid.kmag_power(alpha))
 
 
 def riesz(f: SpectralField) -> SpectralField:
@@ -204,7 +216,7 @@ def riesz(f: SpectralField) -> SpectralField:
     return apply_multiplier(f, f.grid.riesz_mult)
 
 
-def biot_savart(omega: SpectralField, tol: float = 1e-12) -> VectorField:
+def biot_savart(omega: SpectralField) -> VectorField:
     """Divergence-free velocity with the given vorticity (spectral components).
 
     v = grad^perp of the streamfunction solving Laplace psi = omega, so
@@ -213,7 +225,7 @@ def biot_savart(omega: SpectralField, tol: float = 1e-12) -> VectorField:
     """
     g = omega.grid
     scale = float(np.max(np.abs(omega.coeffs)))
-    if abs(omega.coeffs[0, 0]) > tol * max(scale, 1.0):
+    if abs(omega.coeffs[0, 0]) > 1e-12 * max(scale, 1.0):
         raise InvalidInputError(
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; velocity is undefined"
         )
@@ -280,7 +292,12 @@ def lp_norm(f, p) -> float:
     a = np.abs(f.samples)
     if p == math.inf:
         return float(np.max(a))
-    return float((np.sum(a**p) * f.grid.cell_area) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(a**p)
+    if math.isinf(total) and np.all(np.isfinite(a)):
+        top = np.max(a)  # large finite samples: scale by the max to stay finite
+        return float(top * (np.sum((a / top) ** p) * f.grid.cell_area) ** (1.0 / p))
+    return float((total * f.grid.cell_area) ** (1.0 / p))
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -307,25 +324,22 @@ def grid_max_velocity(v: VectorField) -> float:
     return float(np.max(np.hypot(vp.x1.samples, vp.x2.samples)))
 
 
-def max_gradient(v: VectorField) -> float:
-    """Grid max over all four velocity-derivative samples."""
-    worst = 0.0
+def _gradient_samples(v: VectorField):
+    """Yield the four velocity-derivative samples d_j v_i, component by component."""
     for comp in v.components():
         for axis in (0, 1):
-            d = inverse_transform(partial_derivative(comp, axis)).samples
-            worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+            yield inverse_transform(partial_derivative(comp, axis)).samples
+
+
+def max_gradient(v: VectorField) -> float:
+    """Grid max over all four velocity-derivative samples."""
+    return max([0.0] + [float(np.max(np.abs(d))) for d in _gradient_samples(v)])
 
 
 def gradient_lp_norm(v: VectorField, p) -> float:
     """L^p norm of the pointwise Frobenius magnitude of the velocity gradient."""
-    g = v.grid
-    acc = np.zeros((g.n, g.n))
-    for comp in v.components():
-        for axis in (0, 1):
-            d = inverse_transform(partial_derivative(comp, axis)).samples
-            acc += d * d
-    return lp_norm(PhysicalField(g, np.sqrt(acc)), p)
+    acc = sum(d * d for d in _gradient_samples(v))
+    return lp_norm(PhysicalField(v.grid, np.sqrt(acc)), p)
 
 
 def vector_sobolev_norm(v: VectorField, s: float, homogeneous: bool = False) -> float:

@@ -35,13 +35,12 @@ from .littlewood_paley import (
 from .spectral import (
     Grid,
     PhysicalField,
-    SpectralField,
     advect,
-    apply_multiplier,
     dealias,
     divergence,
     forward_transform,
     fractional_dissipation,
+    gradient,
     gradient_lp_norm,
     inverse_transform,
     lp_norm,
@@ -145,32 +144,23 @@ class RatioReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def _salt(suite: str) -> int:
-    return zlib.crc32(suite.encode()) & 0x7FFFFFFF
-
-
-def _sample_key(suite: str, ens: EnsembleSpec, sample: int, stream: int) -> tuple:
-    return (_salt(suite), ens.seed, sample, stream)
-
-
-def _scalar(suite: str, ens: EnsembleSpec, grid: Grid, sample: int, stream: int = 0):
-    return random_scalar_field(
-        grid, ens.spectrum_gamma, ens.amplitude, _sample_key(suite, ens, sample, stream)
-    )
-
-
-def _velocity(suite: str, ens: EnsembleSpec, grid: Grid, sample: int, stream: int = 10):
-    return random_divfree_velocity(
-        grid, ens.spectrum_gamma, ens.amplitude, _sample_key(suite, ens, sample, stream)
-    )
-
-
 def _collect(suite, params, ens, one_sample) -> RatioReport:
+    """Evaluate one_sample(grid, scalar, velocity) for each sample i; the two
+    draw functions seed sample i's fields with (suite salt, seed, i, stream)."""
     grid = Grid(ens.n)
+    salt = zlib.crc32(suite.encode()) & 0x7FFFFFFF
+    spectrum = (ens.spectrum_gamma, ens.amplitude)
     lhs = np.empty(ens.count)
     rhs = np.empty(ens.count)
     for i in range(ens.count):
-        lhs[i], rhs[i] = one_sample(grid, i)
+
+        def scalar(stream=0):
+            return random_scalar_field(grid, *spectrum, (salt, ens.seed, i, stream))
+
+        def velocity(stream=10):
+            return random_divfree_velocity(grid, *spectrum, (salt, ens.seed, i, stream))
+
+        lhs[i], rhs[i] = one_sample(grid, scalar, velocity)
     return RatioReport(suite=suite, params=dict(params), lhs=lhs, rhs=rhs)
 
 
@@ -187,10 +177,10 @@ def verify_commutator_hs(ens: EnsembleSpec, s: float = 0.5) -> RatioReport:
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"commutator-hs regularity s must lie in (0, 1), got {s}")
 
-    def one(grid, i):
+    def one(grid, scalar, velocity):
         bank = build_filter_bank(grid)
-        v = _velocity("commutator-hs", ens, grid, i)
-        theta = _scalar("commutator-hs", ens, grid, i)
+        v = velocity()
+        theta = scalar()
         comm = commutator_riesz(v, theta)
         lhs = float(np.hypot(sobolev_norm(comm.x1, s), sobolev_norm(comm.x2, s)))
         rhs = gradient_lp_norm(v, 2) * besov_norm(
@@ -210,10 +200,10 @@ def verify_commutator_bp(ens: EnsembleSpec, p: float = 2.0) -> RatioReport:
     if not (p == math.inf or p >= 2.0):
         raise ConfigurationError(f"commutator-bp exponent p must lie in [2, inf], got {p}")
 
-    def one(grid, i):
+    def one(grid, scalar, velocity):
         bank = build_filter_bank(grid)
-        v = _velocity("commutator-bp", ens, grid, i)
-        theta = _scalar("commutator-bp", ens, grid, i)
+        v = velocity()
+        theta = scalar()
         comm_div = divergence(commutator_riesz(v, theta))
         lhs = besov_norm(comm_div, BesovSpec(0.0, p, math.inf), bank)
         rhs = gradient_lp_norm(v, p) * besov_norm(
@@ -232,27 +222,22 @@ def verify_kernel_commutator(ens: EnsembleSpec, q: int = 3, p: float = 2.0) -> R
     exactly 1, so ratios should stay at or below 1 up to quadrature slack.
     """
 
-    def one(grid, i):
+    def one(grid, scalar, velocity):
         bank = build_filter_bank(grid)
-        mult = bank.block_multiplier(q)
         h = band_kernel(bank, q)
         xh_l1 = float(np.sum(centered_radius(grid) * np.abs(h.samples)) * grid.cell_area)
-        f = _scalar("kernel", ens, grid, i, stream=0)
-        g = _scalar("kernel", ens, grid, i, stream=1)
+        f = scalar(0)
+        g = scalar(1)
         f_phys = inverse_transform(f).samples
         g_phys = inverse_transform(g).samples
         fg = dealias(forward_transform(PhysicalField(grid, f_phys * g_phys)))
-        conv_fg = inverse_transform(apply_multiplier(fg, mult)).samples
-        conv_g = inverse_transform(apply_multiplier(g, mult)).samples
+        conv_fg = inverse_transform(dyadic_block(fg, q, bank)).samples
+        conv_g = inverse_transform(dyadic_block(g, q, bank)).samples
         f_convg = inverse_transform(
             dealias(forward_transform(PhysicalField(grid, f_phys * conv_g)))
         ).samples
         lhs = lp_norm(PhysicalField(grid, conv_fg - f_convg), p)
-        grad_f = np.hypot(
-            inverse_transform(apply_multiplier(f, 1j * grid.k1)).samples,
-            inverse_transform(apply_multiplier(f, 1j * grid.k2)).samples,
-        )
-        rhs = xh_l1 * lp_norm(PhysicalField(grid, grad_f), p) * float(np.max(np.abs(g_phys)))
+        rhs = xh_l1 * lp_norm(to_physical(gradient(f)), p) * float(np.max(np.abs(g_phys)))
         return lhs, rhs
 
     return _collect("kernel", {"q": q, "p": p}, ens, one)
@@ -269,8 +254,8 @@ def verify_power_map(ens: EnsembleSpec, beta: float = 4.0, s: float = 0.5) -> Ra
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"power-map regularity s must lie in (0, 1), got {s}")
 
-    def one(grid, i):
-        u = _scalar("power-map", ens, grid, i)
+    def one(grid, scalar, velocity):
+        u = scalar()
         u_phys = inverse_transform(u).samples
         powered = np.sign(u_phys) * np.abs(u_phys) ** (beta - 1.0)
         lhs = sobolev_norm(
@@ -291,9 +276,9 @@ def verify_log_interpolation(ens: EnsembleSpec) -> RatioReport:
     ||v||_(B^0_(2,inf))) for divergence-free v.
     """
 
-    def one(grid, i):
+    def one(grid, scalar, velocity):
         bank = build_filter_bank(grid)
-        v = _velocity("log-interp", ens, grid, i)
+        v = velocity()
         lhs = lp_norm(to_physical(v), 2)
         weak = besov_norm(v, BesovSpec(0.0, 2.0, math.inf), bank)
         if weak <= RHS_FLOOR:
@@ -314,9 +299,9 @@ def verify_generalized_bernstein(ens: EnsembleSpec, q: int = 3, r: float = 3.0) 
     if r < 2.0:
         raise ConfigurationError(f"gen-bernstein exponent r must be >= 2, got {r}")
 
-    def one(grid, i):
+    def one(grid, scalar, velocity):
         bank = build_filter_bank(grid)
-        u = _scalar("gen-bernstein", ens, grid, i)
+        u = scalar()
         uq = dyadic_block(u, q, bank)
         uq_phys = inverse_transform(uq).samples
         dissip = inverse_transform(fractional_dissipation(uq, 1.0)).samples
@@ -337,10 +322,10 @@ def verify_product_transport(ens: EnsembleSpec, s: float = -0.5) -> RatioReport:
     if not -1.0 <= s <= 0.0:
         raise ConfigurationError(f"product regularity s must lie in [-1, 0], got {s}")
 
-    def one(grid, i):
+    def one(grid, scalar, velocity):
         bank = build_filter_bank(grid)
-        v = _velocity("product", ens, grid, i)
-        f = _scalar("product", ens, grid, i)
+        v = velocity()
+        f = scalar()
         lhs = besov_norm(advect(v, f), BesovSpec(s, 2.0, math.inf), bank)
         rhs = lp_norm(to_physical(v), 2) * besov_norm(
             f, BesovSpec(1.0 + s, math.inf, 1.0), bank
@@ -364,10 +349,10 @@ def verify_block_commutator(
     if variant == "b2a" and p == math.inf:
         raise ConfigurationError("block-commutator variant 'b2a' requires finite p")
 
-    def one(grid, i):
+    def one(grid, scalar, velocity):
         bank = build_filter_bank(grid)
-        v = _velocity("block-commutator", ens, grid, i)
-        f = _scalar("block-commutator", ens, grid, i)
+        v = velocity()
+        f = scalar()
         comm = commutator_block(v, f, q, bank)
         lhs = lp_norm(inverse_transform(comm), p)
         if variant == "binf":

@@ -366,7 +366,10 @@ class TestCli:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", str(cfg)]) == 1
         assert read_checkpoint(out / "blowup.bqsf").t == 0.0
-        assert [r.t for r in records_from_csv(out / "diagnostics.csv")] == [0.0]
+        records = records_from_csv(out / "diagnostics.csv")
+        assert [r.t for r in records] == [0.0]
+        initial = vars(records[0])
+        assert all(math.isfinite(value) for value in initial.values()), initial
         assert not (out / "final.bqsf").exists()
 
     def test_stability_subcommand(self, tmp_path, capsys):

@@ -47,6 +47,9 @@ class TestSimState:
             SimState(0.0, zero_field(g), zero_field(g), alpha=0.0)
         with pytest.raises(ConfigurationError):
             SimState(0.0, zero_field(g), zero_field(g), alpha=2.5)
+        for alpha in (0.0, 2.5, math.nan):
+            with pytest.raises(ConfigurationError, match="alpha must lie in"):
+                linear_exact_solution(zero_field(g), zero_field(g), alpha, 0.1)
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(ConfigurationError):

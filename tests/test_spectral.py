@@ -67,6 +67,24 @@ class TestGrid:
         assert g.kmag[0, 0] == 0.0
         assert g.kmag[3, 4] == pytest.approx(5.0)
 
+    def test_kmag_power_is_kmag_itself_at_the_critical_alpha(self):
+        g = grid64()
+        assert g.kmag_power(1.0) is g.kmag
+        assert g.kmag_power(0.5).tobytes() == (g.kmag**0.5).tobytes()
+
+    def test_forcing_multiplier_matches_safe_division(self):
+        # The multiplier i*k1/|k|^alpha built by dividing by |k|^alpha with the
+        # zero mode replaced by 1; the Riesz multiplier is its alpha = 1 case.
+        g = grid64()
+        for alpha in (0.5, 1.0, 2.0):
+            safe = g.kmag**alpha
+            safe[0, 0] = 1.0
+            expected = 1j * np.broadcast_to(g.k1, (64, 64)) / safe
+            expected[0, 0] = 0.0
+            assert g.forcing_mult(alpha).tobytes() == expected.tobytes()
+            if alpha == 1.0:
+                assert g.riesz_mult.tobytes() == expected.tobytes()
+
     def test_nodes_span_the_torus(self):
         g = Grid(32)
         x1, x2 = g.nodes()
@@ -164,8 +182,9 @@ class TestMultiplierOperators:
         assert np.max(np.abs(out.samples - 25 * np.sin(3 * x1) * np.sin(4 * x2))) < 1e-9
 
     def test_dissipation_rejects_bad_alpha(self):
-        with pytest.raises(ConfigurationError):
-            fractional_dissipation(spectral_sin(grid64(), 1), 2.5)
+        for alpha in (0.0, 2.5, math.nan):
+            with pytest.raises(ConfigurationError, match="alpha must lie in"):
+                fractional_dissipation(spectral_sin(grid64(), 1), alpha)
 
     def test_dissipation_kills_mean(self):
         g = grid64()
@@ -267,6 +286,10 @@ class TestNorms:
         # int sin^4 x1 over the box = (3/4) pi * 2 pi
         expected = (1.5 * math.pi**2) ** 0.25
         assert lp_norm(PhysicalField(g, np.sin(x1)), 4) == pytest.approx(expected, rel=1e-13)
+        # 1e100**4 overflows, yet the constant 1e100 has the finite L^4 norm
+        # 1e100 * (4 pi^2)^(1/4) on the torus.
+        big = PhysicalField(Grid(32), np.full((32, 32), 1e100))
+        assert lp_norm(big, 4) == pytest.approx(2.5066282746310002e100, rel=1e-15)
 
     def test_linf_of_sine(self):
         g = grid64()

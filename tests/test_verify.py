@@ -1,6 +1,7 @@
 """Tests for the seeded inequality ensembles and their ratio reports."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ class TestSuites:
     def test_bernstein_constant_is_positive(self):
         report = verify_generalized_bernstein(SMALL)
         assert float(np.min(report.ratios[report.included])) > 0.0
+
+    def test_draw_keys_are_suite_salt_seed_sample_stream(self, monkeypatch):
+        import bqsim.verify as verify_module
+
+        draws = []
+        for name in ("random_scalar_field", "random_divfree_velocity"):
+
+            def spy(grid, gamma, amplitude, key, name=name, draw=getattr(verify_module, name)):
+                draws.append((name, key))
+                return draw(grid, gamma, amplitude, key)
+
+            monkeypatch.setattr(verify_module, name, spy)
+        ens = EnsembleSpec(seed=7, count=2, n=32)
+        verify_kernel_commutator(ens)
+        salt = zlib.crc32(b"kernel") & 0x7FFFFFFF
+        assert draws == [
+            ("random_scalar_field", (salt, 7, i, stream)) for i in (0, 1) for stream in (0, 1)
+        ]
+        draws.clear()
+        verify_product_transport(ens)
+        salt = zlib.crc32(b"product") & 0x7FFFFFFF
+        velocity, scalar = "random_divfree_velocity", "random_scalar_field"
+        assert draws == [
+            (velocity, (salt, 7, 0, 10)),
+            (scalar, (salt, 7, 0, 0)),
+            (velocity, (salt, 7, 1, 10)),
+            (scalar, (salt, 7, 1, 0)),
+        ]
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
