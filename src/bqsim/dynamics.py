@@ -28,6 +28,7 @@ from .littlewood_paley import commutator_riesz
 from .spectral import (
     SpectralField,
     VectorField,
+    _check_real,
     advect,
     apply_multiplier,
     biot_savart,
@@ -104,8 +105,9 @@ def step(state: SimState, dt: float) -> SimState:
 
     The vorticity is advanced in the frame of the exact dissipative
     semigroup exp(-|k|^alpha t); the temperature (no dissipation) sees a
-    plain RK4.  Raises BlowUpError, carrying the pre-step state, when a stage
-    or the update is non-finite or the velocity exceeds the blow-up threshold.
+    plain RK4.  Bad input is checked once, on entry (InvalidInputError).  Raises
+    BlowUpError, carrying the pre-step state, when a stage or the update is
+    non-finite or the velocity exceeds the blow-up threshold.
     """
     if dt <= 0:
         raise ConfigurationError(f"step size dt must be positive, got {dt}")
@@ -114,6 +116,8 @@ def step(state: SimState, dt: float) -> SimState:
     e_half = np.exp(-0.5 * dt * grid.kmag_power(alpha))
     e_full = e_half * e_half
     w0, th0 = state.omega_hat, state.theta_hat
+    _check_real(w0)
+    _check_real(th0)
 
     try:
         n1w, n1t = _nonlinear(w0, th0, alpha)

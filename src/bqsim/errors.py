@@ -4,9 +4,9 @@
 class InvalidInputError(ValueError):
     """An operation rejected its input.
 
-    Raised for non-finite physical samples, spectral data whose conjugate
-    symmetry is broken beyond tolerance, vorticity with a nonzero mean fed
-    to the velocity reconstruction, and out-of-range band indices.
+    Raised for non-finite samples or coefficients, spectral data whose
+    conjugate symmetry is broken beyond tolerance, vorticity with a nonzero
+    mean fed to the velocity reconstruction, and out-of-range band indices.
     """
 
 

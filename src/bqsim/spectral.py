@@ -10,8 +10,9 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
     f(x) = sum_k  coeff(k) * exp(i k . x)
 
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
-(indices taken modulo n), which `inverse_transform` enforces.  Operators that
-divide by |k| map the k = 0 mode to 0.
+(indices taken modulo n), which `inverse_transform` checks on every call and
+`dynamics.step` once on entry; `advect` and `grid_max_velocity` trust their
+input.  Operators that divide by |k| map the k = 0 mode to 0.
 
 `Grid` builds every Fourier multiplier.  It keeps only those that do not
 depend on alpha: `verify` builds a fresh grid for every suite call, so each
@@ -174,24 +175,34 @@ def hermitian_defect(f: SpectralField) -> float:
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(c - mirrored)) / scale)
+    return float(np.max(np.abs(c - mirrored))) / scale
 
 
-def inverse_transform(f: SpectralField) -> PhysicalField:
-    """Inverse FFT to real samples; errors if conjugate symmetry is broken.
+def _check_real(f: SpectralField) -> None:
+    """Raise InvalidInputError unless f holds finite, conjugate-symmetric coefficients.
 
     Asymmetry must be significant both relative to the field and in absolute
     terms: fields produced by near-cancelling differences (commutators) or by
     dyadic bands that annihilate the input inherit round-off noise from their
     O(1) ancestors, which is asymmetric but physically meaningless.
     """
-    defect = hermitian_defect(f)
+    defect = hermitian_defect(f)  # NaN whenever a coefficient is non-finite
+    if math.isnan(defect) and not np.all(np.isfinite(f.coeffs)):
+        raise InvalidInputError("spectral coefficients contain non-finite values")
     if defect > HERMITIAN_TOL and float(np.max(np.abs(f.coeffs))) * defect > HERMITIAN_ABS_FLOOR:
         raise InvalidInputError(
             f"conjugate symmetry broken: relative defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
-    n = f.grid.n
-    return PhysicalField(f.grid, np.real(np.fft.ifft2(f.coeffs)) * (n * n))
+
+
+def _samples(f: SpectralField) -> np.ndarray:
+    return np.real(np.fft.ifft2(f.coeffs)) * (f.grid.n * f.grid.n)
+
+
+def inverse_transform(f: SpectralField) -> PhysicalField:
+    """Inverse FFT to real samples; rejects non-finite or asymmetric coefficients."""
+    _check_real(f)
+    return PhysicalField(f.grid, _samples(f))
 
 
 def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
@@ -265,14 +276,12 @@ def dealias(f: SpectralField) -> SpectralField:
 def advect(v: VectorField, f: SpectralField) -> SpectralField:
     """Dealiased advection term v . grad f for a divergence-free velocity.
 
-    The velocity components and the spectral gradient of f are brought to
-    physical space, multiplied pointwise, transformed back, and dealiased.
+    The velocity and the spectral gradient of f go to physical space unchecked
+    (trusted to be real), are multiplied pointwise, transformed back and dealiased.
     """
     g = f.grid
-    v1 = inverse_transform(v.x1).samples
-    v2 = inverse_transform(v.x2).samples
-    f1 = inverse_transform(partial_derivative(f, 0)).samples
-    f2 = inverse_transform(partial_derivative(f, 1)).samples
+    v1, v2 = _samples(v.x1), _samples(v.x2)
+    f1, f2 = _samples(partial_derivative(f, 0)), _samples(partial_derivative(f, 1))
     product = PhysicalField(g, v1 * f1 + v2 * f2)
     return dealias(forward_transform(product))
 
@@ -319,9 +328,8 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
 
 
 def grid_max_velocity(v: VectorField) -> float:
-    """Grid max of |v| from spectral components."""
-    vp = to_physical(v)
-    return float(np.max(np.hypot(vp.x1.samples, vp.x2.samples)))
+    """Grid max of |v| from spectral components, trusted to be real (unchecked)."""
+    return float(np.max(np.hypot(_samples(v.x1), _samples(v.x2))))
 
 
 def _gradient_samples(v: VectorField):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bqsim.spectral
 from bqsim import (
     BlowUpError,
     ConfigurationError,
@@ -195,13 +196,39 @@ class TestStep:
             step(state, 1e-3)
         assert excinfo.value.state is state
 
-    def test_broken_symmetry_is_not_relabelled_as_blowup(self):
+    @pytest.mark.parametrize("broken", ["omega", "theta"])
+    def test_broken_symmetry_is_not_relabelled_as_blowup(self, broken):
         g = grid64()
         coeffs = np.zeros((64, 64), dtype=complex)
         coeffs[1, 0] = 1.0  # missing the conjugate partner: a program fault, not a blow-up
-        state = SimState(0.0, zero_field(g), SpectralField(g, coeffs), 1.0)
-        with pytest.raises(InvalidInputError):
+        fields = {"omega": zero_field(g), "theta": zero_field(g)}
+        fields[broken] = SpectralField(g, coeffs)
+        state = SimState(0.0, fields["omega"], fields["theta"], 1.0)
+        with pytest.raises(InvalidInputError, match="conjugate symmetry broken"):
             step(state, 1e-3)
+
+    def test_nonfinite_input_is_bad_input_not_blowup(self):
+        g = Grid(32)
+        theta = dealias(random_scalar_field(g, 2.0, 1.0, (3,)))
+        theta.coeffs[2, 1] = np.nan
+        state = SimState(0.0, zero_field(g), theta, 1.0)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            step(state, 1e-3)
+
+    def test_symmetry_is_checked_once_per_field_per_step(self, monkeypatch):
+        calls = []
+        original = bqsim.spectral.hermitian_defect
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(bqsim.spectral, "hermitian_defect", counted)
+        g = grid64()
+        omega = dealias(random_scalar_field(g, 2.0, 1.0, (4,)))
+        state = SimState(0.0, omega, dealias(random_scalar_field(g, 2.0, 1.0, (5,))), 1.0)
+        step(state, 1e-3)
+        assert [id(f) for f in calls] == [id(state.omega_hat), id(state.theta_hat)]
 
 
 class TestLinearExact:

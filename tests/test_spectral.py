@@ -33,7 +33,7 @@ from bqsim import (
     to_physical,
     vector_sobolev_norm,
 )
-from bqsim.fields import _half_lattice, random_scalar_field
+from bqsim.fields import _half_lattice, random_divfree_velocity, random_scalar_field
 from bqsim.spectral import hermitian_defect
 
 # ||sin x1||_{L^2([0,2pi)^2)} = sqrt(2 pi^2) = pi sqrt(2)
@@ -127,6 +127,14 @@ class TestTransforms:
         coeffs[1, 0] = 1.0  # missing the conjugate partner at -1
         with pytest.raises(InvalidInputError):
             inverse_transform(SpectralField(g, coeffs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_inverse_rejects_nonfinite_coefficients(self, bad):
+        g = Grid(32)
+        f = random_scalar_field(g, 2.0, 1.0, (3,))
+        f.coeffs[2, 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            inverse_transform(f)
 
     def test_noise_level_asymmetry_is_tolerated(self):
         g = grid64()
@@ -262,6 +270,17 @@ class TestLerayAndAdvection:
         adv = advect(v, f)
         expected = dealias(partial_derivative(f, 0))
         assert np.max(np.abs(adv.coeffs - expected.coeffs)) < 1e-13
+
+    def test_unchecked_operators_match_the_checked_transform_bit_for_bit(self):
+        g = grid64()
+        v = random_divfree_velocity(g, 2.0, 1.0, (11,))
+        f = random_scalar_field(g, 2.0, 1.0, (12,))
+        v1, v2 = (inverse_transform(c).samples for c in v.components())
+        f1, f2 = (inverse_transform(partial_derivative(f, a)).samples for a in (0, 1))
+        expected = dealias(forward_transform(PhysicalField(g, v1 * f1 + v2 * f2)))
+        assert np.array_equal(advect(v, f).coeffs, expected.coeffs)
+        vp = to_physical(v)
+        assert grid_max_velocity(v) == float(np.max(np.hypot(vp.x1.samples, vp.x2.samples)))
 
     def test_dealias_zeroes_high_modes_only(self):
         g = grid64()
