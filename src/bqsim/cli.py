@@ -160,9 +160,7 @@ def _parse_besov(raw: str) -> BesovSpec:
     if len(parts) != 3:
         raise ConfigurationError(f"--besov expects 's,p,r', got {raw!r}")
     try:
-        s = float(parts[0])
-        p = math.inf if parts[1].strip() in ("inf", "Inf") else float(parts[1])
-        r = math.inf if parts[2].strip() in ("inf", "Inf") else float(parts[2])
+        s, p, r = map(float, parts)
     except ValueError:
         raise ConfigurationError(f"--besov expects numbers 's,p,r', got {raw!r}") from None
     return BesovSpec(s, p, r)

@@ -30,6 +30,7 @@ from .spectral import (
 )
 
 PRESETS = ("zero", "taylor-green", "blob", "tg-blob", "random")
+GRAD_V_EXPONENT = 4.0  # the p of the grad v L^p norm that `initial_norms` reports
 
 
 @dataclass
@@ -216,7 +217,7 @@ def make_initial_data(config: RunConfig) -> SimState:
     return SimState(0.0, omega, theta, config.alpha)
 
 
-def initial_norms(state: SimState, p: float = 4.0) -> dict:
+def initial_norms(state: SimState) -> dict:
     """Norms of the initial data entering the global-regularity hypotheses:
     theta in L2 and B^0_(inf,1), v in H^1 with grad v in L^p."""
     bank = build_filter_bank(state.grid)
@@ -225,7 +226,7 @@ def initial_norms(state: SimState, p: float = 4.0) -> dict:
         "l2_theta": lp_norm(inverse_transform(state.theta_hat), 2),
         "besov_theta_inf1": besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0), bank),
         "h1_v": vector_sobolev_norm(v, 1.0),
-        "grad_v_lp": gradient_lp_norm(v, p),
-        "lp_exponent": p,
+        "grad_v_lp": gradient_lp_norm(v, GRAD_V_EXPONENT),
+        "lp_exponent": GRAD_V_EXPONENT,
         "l2_v": lp_norm(to_physical(v), 2),
     }

@@ -28,6 +28,8 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     VectorField,
+    _check_real,
+    _samples,
     advect,
     apply_multiplier,
     dealias,
@@ -128,20 +130,19 @@ class BesovSpec:
             raise ConfigurationError(f"Besov summation r must be >= 1, got {self.r}")
 
 
-def _band_lp(f, mult: np.ndarray, p: float) -> float:
-    if isinstance(f, VectorField):
-        b1 = inverse_transform(apply_multiplier(f.x1, mult))
-        b2 = inverse_transform(apply_multiplier(f.x2, mult))
-        return lp_norm(VectorField(b1, b2), p)
-    return lp_norm(inverse_transform(apply_multiplier(f, mult)), p)
+def _band_samples(f, bank: DyadicFilterBank, homogeneous: bool = False):
+    """Yield (q, physical Delta_q f) for a scalar or vector f; checks f, not its bands."""
+    comps = f.components() if isinstance(f, VectorField) else (f,)
+    for comp in comps:
+        _check_real(comp)
+    for q, mult in bank.bands(homogeneous):
+        bands = [PhysicalField(f.grid, _samples(apply_multiplier(c, mult))) for c in comps]
+        yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
 
 
 def band_lp_norms(f, p: float, bank: DyadicFilterBank, homogeneous: bool = False):
     """Per-band L^p norms: arrays (q indices, norms of Delta_q f)."""
-    qs, norms = [], []
-    for q, mult in bank.bands(homogeneous):
-        qs.append(q)
-        norms.append(_band_lp(f, mult, p))
+    qs, norms = zip(*((q, lp_norm(band, p)) for q, band in _band_samples(f, bank, homogeneous)))
     return np.array(qs), np.array(norms)
 
 
@@ -196,9 +197,8 @@ def bony_decompose(u: SpectralField, w: SpectralField, bank: DyadicFilterBank):
     if u.grid != w.grid:
         raise InvalidInputError("fields live on different grids")
     grid = u.grid
-    qs = list(range(-1, bank.qmax + 1))
-    bu = [inverse_transform(dyadic_block(u, q, bank)).samples for q in qs]
-    bw = [inverse_transform(dyadic_block(w, q, bank)).samples for q in qs]
+    bu = [b.samples for _, b in _band_samples(u, bank)]
+    bw = [b.samples for _, b in _band_samples(w, bank)]
     cum_u = np.cumsum(bu, axis=0)
     cum_w = np.cumsum(bw, axis=0)
 
@@ -210,11 +210,11 @@ def bony_decompose(u: SpectralField, w: SpectralField, bank: DyadicFilterBank):
         t_wu += cum_w[q - 1] * bu[q + 1]
 
     remainder = np.zeros((grid.n, grid.n))
-    for i, _q in enumerate(qs):
+    for i in range(len(bw)):
         close = bw[i].copy()
         if i - 1 >= 0:
             close += bw[i - 1]
-        if i + 1 < len(qs):
+        if i + 1 < len(bw):
             close += bw[i + 1]
         remainder += bu[i] * close
 
@@ -233,7 +233,7 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     """
     grid = theta.grid
     th = inverse_transform(theta).samples
-    rth = inverse_transform(riesz(theta)).samples
+    rth = _samples(riesz(theta))  # Riesz is odd and imaginary: symmetric as theta
     out = []
     for comp in v.components():
         vi = inverse_transform(comp).samples

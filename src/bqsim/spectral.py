@@ -10,9 +10,12 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
     f(x) = sum_k  coeff(k) * exp(i k . x)
 
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
-(indices taken modulo n), which `inverse_transform` checks on every call and
-`dynamics.step` once on entry; `advect` and `grid_max_velocity` trust their
-input.  Operators that divide by |k| map the k = 0 mode to 0.
+(indices taken modulo n).  An operator checks each field its caller hands it
+once (`_check_real`) and samples what it derives from it by multipliers
+unchecked (`_samples`): real even multipliers (bands, |k|^s) and imaginary odd
+ones (derivatives, Riesz) keep the symmetry exactly.  `advect` and
+`grid_max_velocity` trust their input.  Operators that divide by |k| map the
+k = 0 mode to 0.
 
 `Grid` builds every Fourier multiplier.  It keeps only those that do not
 depend on alpha: `verify` builds a fresh grid for every suite call, so each
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NonFiniteError
 
-#: Relative tolerance on conjugate symmetry accepted by inverse_transform.
+#: Relative tolerance on conjugate symmetry accepted by `_check_real`.
 HERMITIAN_TOL = 1e-12
 HERMITIAN_ABS_FLOOR = 1e-11
 
@@ -333,10 +336,11 @@ def grid_max_velocity(v: VectorField) -> float:
 
 
 def _gradient_samples(v: VectorField):
-    """Yield the four velocity-derivative samples d_j v_i, component by component."""
+    """Yield the four velocity-derivative samples d_j v_i, checking each v_i once."""
     for comp in v.components():
+        _check_real(comp)
         for axis in (0, 1):
-            yield inverse_transform(partial_derivative(comp, axis)).samples
+            yield _samples(partial_derivative(comp, axis))
 
 
 def max_gradient(v: VectorField) -> float:

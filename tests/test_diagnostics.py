@@ -10,6 +10,7 @@ from bqsim import (
     DiagnosticsRecord,
     DiagnosticsTracker,
     Grid,
+    InvalidInputError,
     PhysicalField,
     RECORD_FIELDS,
     SimState,
@@ -124,6 +125,23 @@ class TestTracker:
         coarse, fine = max_residual(0.02), max_residual(0.01)
         assert coarse / fine > 3.5
 
+    def test_symmetry_is_checked_at_most_nine_times_per_record(self, symmetry_checks):
+        g = grid64()
+        omega, theta = (random_scalar_field(g, 2.0, 1.0, (k,)) for k in (6, 7))
+        DiagnosticsTracker().record(SimState(0.0, omega, theta, 1.0))
+        assert 0 < len(symmetry_checks) <= 9
+
+    @pytest.mark.parametrize("broken", ["omega", "theta"])
+    def test_record_rejects_broken_symmetry(self, broken):
+        g = grid64()
+        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs[1, 0] = 1.0  # missing the conjugate partner at -1
+        fields = {"omega": spectral_sin(g), "theta": spectral_sin(g, 2)}
+        fields[broken] = SpectralField(g, coeffs)
+        state = SimState(0.0, fields["omega"], fields["theta"], 1.0)
+        with pytest.raises(InvalidInputError, match="conjugate symmetry broken"):
+            DiagnosticsTracker().record(state)
+
     def test_tracked_norms_of_decaying_shear(self):
         g = grid64()
         tracker = DiagnosticsTracker()
@@ -217,9 +235,7 @@ class TestTrajectoryChecks:
         ]
         default = check_gamma_smoothing(records)
         assert default.passed
-        gated = check_gamma_smoothing(records, r2_threshold=0.95)
-        assert not gated.passed
-        assert gated.details["r_squared"] < 0.95
+        assert default.details["r_squared"] < 0.95
 
     def test_gamma_smoothing_fails_on_nonfinite(self):
         records = [

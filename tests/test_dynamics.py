@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import bqsim.spectral
 from bqsim import (
     BlowUpError,
     ConfigurationError,
@@ -215,20 +214,12 @@ class TestStep:
         with pytest.raises(InvalidInputError, match="non-finite"):
             step(state, 1e-3)
 
-    def test_symmetry_is_checked_once_per_field_per_step(self, monkeypatch):
-        calls = []
-        original = bqsim.spectral.hermitian_defect
-
-        def counted(f):
-            calls.append(f)
-            return original(f)
-
-        monkeypatch.setattr(bqsim.spectral, "hermitian_defect", counted)
+    def test_symmetry_is_checked_once_per_field_per_step(self, symmetry_checks):
         g = grid64()
         omega = dealias(random_scalar_field(g, 2.0, 1.0, (4,)))
         state = SimState(0.0, omega, dealias(random_scalar_field(g, 2.0, 1.0, (5,))), 1.0)
         step(state, 1e-3)
-        assert [id(f) for f in calls] == [id(state.omega_hat), id(state.theta_hat)]
+        assert [id(f) for f in symmetry_checks] == [id(state.omega_hat), id(state.theta_hat)]
 
 
 class TestLinearExact:

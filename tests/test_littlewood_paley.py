@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bqsim.littlewood_paley
 from bqsim import (
     BesovSpec,
     Grid,
@@ -287,3 +288,88 @@ class TestBandKernel:
         assert r[32, 32] == pytest.approx(math.pi * math.sqrt(2))
         assert r[1, 0] == pytest.approx(2 * math.pi / 64)
         assert r[-1, 0] == pytest.approx(2 * math.pi / 64)
+
+
+BINF1 = BesovSpec(0.0, math.inf, 1.0)
+
+#: name -> (operator on the inputs (u, w, v, bank), the inputs it checks)
+OPERATORS = {
+    "besov-scalar": (lambda u, w, v, bank: besov_norm(u, BINF1, bank), lambda u, w, v: [u]),
+    "besov-vector": (
+        lambda u, w, v, bank: besov_norm(v, BINF1, bank), lambda u, w, v: [v.x1, v.x2]
+    ),
+    "bony": (lambda u, w, v, bank: bony_decompose(u, w, bank), lambda u, w, v: [u, w]),
+    "commutator-riesz": (
+        lambda u, w, v, bank: commutator_riesz(v, u), lambda u, w, v: [u, v.x1, v.x2]
+    ),
+}
+
+
+def operator_inputs():
+    g = Grid(64)
+    u = random_scalar_field(g, 2.0, 1.0, (61, 1))
+    w = random_scalar_field(g, 1.5, 1.0, (61, 2))
+    return u, w, random_divfree_velocity(g, 2.5, 1.0, (61,)), build_filter_bank(g)
+
+
+def broken_field(grid):
+    coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+    coeffs[1, 0] = 1.0  # missing the conjugate partner at -1
+    return SpectralField(grid, coeffs)
+
+
+def result_arrays(result):
+    if isinstance(result, SpectralField):
+        return [result.coeffs]
+    if isinstance(result, (tuple, VectorField)):
+        parts = result.components() if isinstance(result, VectorField) else result
+        return [a for part in parts for a in result_arrays(part)]
+    return [np.asarray(result)]
+
+
+class TestSymmetryCheckedOncePerInput:
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_each_input_is_checked_once(self, name, symmetry_checks):
+        u, w, v, bank = operator_inputs()
+        operator, checked = OPERATORS[name]
+        operator(u, w, v, bank)
+        assert [id(f) for f in symmetry_checks] == [id(f) for f in checked(u, w, v)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, bad, v, bank: besov_norm(bad, BINF1, bank),
+            lambda f, bad, v, bank: besov_norm(VectorField(v.x1, bad), BINF1, bank),
+            lambda f, bad, v, bank: band_lp_norms(bad, 2.0, bank, homogeneous=True),
+            lambda f, bad, v, bank: bony_decompose(bad, f, bank),
+            lambda f, bad, v, bank: bony_decompose(f, bad, bank),
+            lambda f, bad, v, bank: commutator_riesz(v, bad),
+            lambda f, bad, v, bank: commutator_riesz(VectorField(bad, v.x2), f),
+        ],
+        ids=["besov-scalar", "besov-vector", "band-lp-norms", "bony-u", "bony-w",
+             "commutator-riesz-theta", "commutator-riesz-v"],
+    )
+    def test_broken_input_is_rejected(self, call):
+        u, _, v, bank = operator_inputs()
+        with pytest.raises(InvalidInputError, match="conjugate symmetry broken"):
+            call(u, broken_field(u.grid), v, bank)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u, w, v, bank: band_lp_norms(u, 3.0, bank),
+            lambda u, w, v, bank: band_lp_norms(v, math.inf, bank, homogeneous=True),
+            lambda u, w, v, bank: bony_decompose(u, w, bank),
+            lambda u, w, v, bank: commutator_riesz(v, u),
+        ],
+        ids=["band-norms-scalar", "band-norms-vector", "bony", "commutator-riesz"],
+    )
+    def test_unchecked_bands_match_the_checked_transform_bit_for_bit(self, call, monkeypatch):
+        inputs = operator_inputs()
+        fast = result_arrays(call(*inputs))
+        monkeypatch.setattr(
+            bqsim.littlewood_paley, "_samples", lambda f: inverse_transform(f).samples
+        )
+        checked = result_arrays(call(*inputs))
+        assert len(fast) == len(checked)
+        assert all(np.array_equal(a, b) for a, b in zip(fast, checked))

@@ -40,6 +40,13 @@ from bqsim.spectral import hermitian_defect
 L2_SIN = 4.442882938158366
 
 
+GRADIENT_NORMS = pytest.mark.parametrize(
+    "norm",
+    [max_gradient, lambda v: gradient_lp_norm(v, 3.0)],
+    ids=["max_gradient", "gradient_lp_norm"],
+)
+
+
 def grid64():
     return Grid(64)
 
@@ -281,6 +288,12 @@ class TestLerayAndAdvection:
         assert np.array_equal(advect(v, f).coeffs, expected.coeffs)
         vp = to_physical(v)
         assert grid_max_velocity(v) == float(np.max(np.hypot(vp.x1.samples, vp.x2.samples)))
+        derivs = [inverse_transform(partial_derivative(c, a)).samples
+                  for c in v.components() for a in (0, 1)]
+        assert max_gradient(v) == max(float(np.max(np.abs(d))) for d in derivs)
+        frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
+        for p in (2.0, 3.0, math.inf):
+            assert gradient_lp_norm(v, p) == lp_norm(frobenius, p)
 
     def test_dealias_zeroes_high_modes_only(self):
         g = grid64()
@@ -370,6 +383,23 @@ class TestNorms:
         x1, _ = g.nodes()
         val = integrate(PhysicalField(g, np.sin(x1) ** 2))
         assert val == pytest.approx(2 * math.pi**2, rel=1e-13)
+
+    @GRADIENT_NORMS
+    def test_gradient_norms_check_each_velocity_component_once(self, norm, symmetry_checks):
+        v = random_divfree_velocity(grid64(), 2.0, 1.0, (13,))
+        norm(v)
+        assert [id(f) for f in symmetry_checks] == [id(v.x1), id(v.x2)]
+
+    @GRADIENT_NORMS
+    @pytest.mark.parametrize("broken", [0, 1])
+    def test_gradient_norms_reject_broken_symmetry(self, norm, broken):
+        g = grid64()
+        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs[1, 0] = 1.0  # missing the conjugate partner at -1
+        comps = list(random_divfree_velocity(g, 2.0, 1.0, (13,)).components())
+        comps[broken] = SpectralField(g, coeffs)
+        with pytest.raises(InvalidInputError, match="conjugate symmetry broken"):
+            norm(VectorField(*comps))
 
 
 class TestHalfLattice:
