@@ -29,7 +29,7 @@ from .diagnostics import (
     check_max_principle,
 )
 from .errors import BlowUpError, CheckpointError, ConfigurationError, InvalidInputError
-from .littlewood_paley import BesovSpec, besov_norm, build_filter_bank
+from .littlewood_paley import BesovSpec, besov_norm
 from .runner import resolve_output_dir, run, stability_experiment
 from .simio import read_checkpoint
 from .spectral import biot_savart, inverse_transform, lp_norm
@@ -167,6 +167,7 @@ def _parse_besov(raw: str) -> BesovSpec:
 
 
 def _cmd_norms(args) -> int:
+    spec = _parse_besov(args.besov) if args.besov else None
     state = read_checkpoint(args.checkpoint)
     print(f"checkpoint: n={state.grid.n} alpha={state.alpha:g} t={state.t:.12g}")
     table = initial_norms(state)
@@ -175,16 +176,11 @@ def _cmd_norms(args) -> int:
     table["linf_omega"] = lp_norm(omega_phys, math.inf)
     for key, value in table.items():
         print(f"{key} = {value:.12g}")
-    if args.besov:
-        spec = _parse_besov(args.besov)
-        bank = build_filter_bank(state.grid)
+    if spec is not None:
         label = f"besov({spec.s:g},{spec.p:g},{spec.r:g})"
-        print(f"{label}_omega = {besov_norm(state.omega_hat, spec, bank):.12g}")
-        print(f"{label}_theta = {besov_norm(state.theta_hat, spec, bank):.12g}")
-        print(
-            f"{label}_v = "
-            f"{besov_norm(biot_savart(state.omega_hat), spec, bank):.12g}"
-        )
+        print(f"{label}_omega = {besov_norm(state.omega_hat, spec):.12g}")
+        print(f"{label}_theta = {besov_norm(state.theta_hat, spec):.12g}")
+        print(f"{label}_v = {besov_norm(biot_savart(state.omega_hat), spec):.12g}")
     return 0
 
 

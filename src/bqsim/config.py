@@ -15,7 +15,7 @@ from .fields import (
     random_scalar_field,
     taylor_green_vorticity,
 )
-from .littlewood_paley import BesovSpec, besov_norm, build_filter_bank
+from .littlewood_paley import BesovSpec, besov_norm
 from .spectral import (
     Grid,
     SpectralField,
@@ -69,9 +69,13 @@ def _parse_bool(key, raw):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"config key '{key}': expected a number, got {raw!r}") from None
+    # omega_lr is a Lebesgue exponent, for which inf is valid; _validate bounds it.
+    if key != "omega_lr" and not math.isfinite(value):
+        raise ConfigurationError(f"config key '{key}': must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(key, raw):
@@ -90,8 +94,10 @@ def _parse_times(key, raw):
         raise ConfigurationError(
             f"config key '{key}': expected comma-separated times, got {raw!r}"
         ) from None
-    if any(t <= 0 for t in times):
-        raise ConfigurationError(f"config key '{key}': checkpoint times must be positive")
+    if not all(0 < t < math.inf for t in times):  # NaN fails both comparisons
+        raise ConfigurationError(
+            f"config key '{key}': checkpoint times must be positive and finite"
+        )
     return tuple(sorted(set(times)))
 
 
@@ -163,7 +169,7 @@ def _validate(config: RunConfig):
         raise ConfigurationError(
             f"config key 'blob_width': must be positive, got {config.blob_width}"
         )
-    if config.omega_lr < 1:
+    if not config.omega_lr >= 1:  # NaN fails the comparison
         raise ConfigurationError(f"config key 'omega_lr': must be >= 1, got {config.omega_lr}")
     if any(t > config.t_end for t in config.checkpoint_times):
         raise ConfigurationError(
@@ -220,11 +226,10 @@ def make_initial_data(config: RunConfig) -> SimState:
 def initial_norms(state: SimState) -> dict:
     """Norms of the initial data entering the global-regularity hypotheses:
     theta in L2 and B^0_(inf,1), v in H^1 with grad v in L^p."""
-    bank = build_filter_bank(state.grid)
     v = biot_savart(state.omega_hat)
     return {
         "l2_theta": lp_norm(inverse_transform(state.theta_hat), 2),
-        "besov_theta_inf1": besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0), bank),
+        "besov_theta_inf1": besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0)),
         "h1_v": vector_sobolev_norm(v, 1.0),
         "grad_v_lp": gradient_lp_norm(v, GRAD_V_EXPONENT),
         "lp_exponent": GRAD_V_EXPONENT,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import SimState, gamma
 from .errors import ConfigurationError
-from .littlewood_paley import BesovSpec, besov_norm, build_filter_bank
+from .littlewood_paley import BesovSpec, besov_norm
 from .spectral import (
     PhysicalField,
     SpectralField,
@@ -88,7 +88,6 @@ class DiagnosticsTracker:
 
     def record(self, state: SimState) -> DiagnosticsRecord:
         """Compute all tracked quantities for this state and append integrals."""
-        bank = build_filter_bank(state.grid)
         v = biot_savart(state.omega_hat)
         v_phys = to_physical(v)
         theta_phys = inverse_transform(state.theta_hat)
@@ -101,7 +100,7 @@ class DiagnosticsTracker:
             "hhalf_v_sq": vector_sobolev_norm(v, 0.5, homogeneous=True) ** 2,
             "hhalf_gamma_sq": sobolev_norm(gam, 0.5, homogeneous=True) ** 2,
             "hhalf_omega_sq": sobolev_norm(state.omega_hat, 0.5, homogeneous=True) ** 2,
-            "besov_omega": besov_norm(state.omega_hat, BesovSpec(0.0, math.inf, 1.0), bank),
+            "besov_omega": besov_norm(state.omega_hat, BesovSpec(0.0, math.inf, 1.0)),
             "lip_v": max_gradient(v),
             "energy": 0.5 * l2_v**2,
             "dissipation": vector_sobolev_norm(v, 0.5 * state.alpha, homogeneous=True) ** 2,
@@ -139,7 +138,7 @@ class DiagnosticsTracker:
             l2_omega=lp_norm(omega_phys, 2),
             lr_omega=lp_norm(omega_phys, self.omega_lr),
             l2_gamma=lp_norm(gamma_phys, 2),
-            besov_theta=besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0), bank),
+            besov_theta=besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0)),
             lip_v=integrands["lip_v"],
             energy_residual=energy_residual,
             **cums,
@@ -383,9 +382,8 @@ def linear_gamma_smoothing_integral(gamma0: SpectralField, t: float) -> float:
 
 def state_difference(s1: SimState, s2: SimState) -> float:
     """Separation metric: ||theta1 - theta2||_(B^-1_(2,inf)) + ||v1 - v2||_(B^0_(2,inf))."""
-    bank = build_filter_bank(s1.grid)
     dtheta = s1.theta_hat - s2.theta_hat
     dv = biot_savart(s1.omega_hat - s2.omega_hat)
-    theta_part = besov_norm(dtheta, BesovSpec(-1.0, 2.0, math.inf), bank)
-    vel_part = besov_norm(dv, BesovSpec(0.0, 2.0, math.inf), bank)
+    theta_part = besov_norm(dtheta, BesovSpec(-1.0, 2.0, math.inf))
+    vel_part = besov_norm(dv, BesovSpec(0.0, 2.0, math.inf))
     return theta_part + vel_part

@@ -12,6 +12,9 @@ q reaches qmax = ceil(log2(n/2)) + 1, with no normalization step.  Block
 q = -1 denotes chi.  The homogeneous variants drop the zero mode and use
 annular bands only; the annulus g(|k|) - g(2|k|) (support 1/2 < |k| < 2)
 covers the lowest nonzero torus modes in that case.
+
+Each grid has one filter bank, built on first use and cached
+(`build_filter_bank`); the operators here take it from their field's grid.
 """
 
 from __future__ import annotations
@@ -98,12 +101,12 @@ def _cached_bank(grid: Grid) -> DyadicFilterBank:
     return DyadicFilterBank(grid)
 
 
-def dyadic_block(f: SpectralField, q: int, bank: DyadicFilterBank) -> SpectralField:
+def dyadic_block(f: SpectralField, q: int) -> SpectralField:
     """Frequency-localized piece Delta_q f (q = -1 gives the low block)."""
-    return apply_multiplier(f, bank.block_multiplier(q))
+    return apply_multiplier(f, build_filter_bank(f.grid).block_multiplier(q))
 
 
-def partial_sum(f: SpectralField, q: int, bank: DyadicFilterBank) -> SpectralField:
+def partial_sum(f: SpectralField, q: int) -> SpectralField:
     """Low-pass sum S_q f = sum of blocks Delta_p with p <= q - 1.
 
     By telescoping the multiplier equals g(|k| / 2^q) for q >= 0, so
@@ -124,36 +127,38 @@ class BesovSpec:
     homogeneous: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ConfigurationError(f"Besov regularity s must be finite, got {self.s}")
         if not (self.p == math.inf or self.p >= 1):
             raise ConfigurationError(f"Besov integrability p must be >= 1, got {self.p}")
         if not (self.r == math.inf or self.r >= 1):
             raise ConfigurationError(f"Besov summation r must be >= 1, got {self.r}")
 
 
-def _band_samples(f, bank: DyadicFilterBank, homogeneous: bool = False):
+def _band_samples(f, homogeneous: bool = False):
     """Yield (q, physical Delta_q f) for a scalar or vector f; checks f, not its bands."""
     comps = f.components() if isinstance(f, VectorField) else (f,)
     for comp in comps:
         _check_real(comp)
-    for q, mult in bank.bands(homogeneous):
+    for q, mult in build_filter_bank(f.grid).bands(homogeneous):
         bands = [PhysicalField(f.grid, _samples(apply_multiplier(c, mult))) for c in comps]
         yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
 
 
-def band_lp_norms(f, p: float, bank: DyadicFilterBank, homogeneous: bool = False):
+def band_lp_norms(f, p: float, homogeneous: bool = False):
     """Per-band L^p norms: arrays (q indices, norms of Delta_q f)."""
-    qs, norms = zip(*((q, lp_norm(band, p)) for q, band in _band_samples(f, bank, homogeneous)))
+    qs, norms = zip(*((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous)))
     return np.array(qs), np.array(norms)
 
 
-def besov_norm(f, spec: BesovSpec, bank: DyadicFilterBank) -> float:
+def besov_norm(f, spec: BesovSpec) -> float:
     """Discrete Besov norm: l^r aggregation of 2^(qs) * ||Delta_q f||_p.
 
     Accepts a scalar SpectralField or a spectral VectorField (bands of a
     vector use the pointwise Euclidean magnitude).  The homogeneous variant
     never touches the zero mode: all of its band multipliers vanish at k = 0.
     """
-    qs, norms = band_lp_norms(f, spec.p, bank, spec.homogeneous)
+    qs, norms = band_lp_norms(f, spec.p, spec.homogeneous)
     terms = 2.0 ** (qs * spec.s) * norms
     if spec.r == math.inf:
         return float(np.max(terms))
@@ -187,7 +192,7 @@ def mixed_time_besov_norm(
     return float(np.sum(terms**r) ** (1.0 / r))
 
 
-def bony_decompose(u: SpectralField, w: SpectralField, bank: DyadicFilterBank):
+def bony_decompose(u: SpectralField, w: SpectralField):
     """Split the product u*w into (T_u w, T_w u, R(u, w)), each dealiased.
 
     T_u w collects S_(q-1) u * Delta_q w, the remainder pairs blocks at
@@ -197,15 +202,15 @@ def bony_decompose(u: SpectralField, w: SpectralField, bank: DyadicFilterBank):
     if u.grid != w.grid:
         raise InvalidInputError("fields live on different grids")
     grid = u.grid
-    bu = [b.samples for _, b in _band_samples(u, bank)]
-    bw = [b.samples for _, b in _band_samples(w, bank)]
+    bu = [b.samples for _, b in _band_samples(u)]
+    bw = [b.samples for _, b in _band_samples(w)]
     cum_u = np.cumsum(bu, axis=0)
     cum_w = np.cumsum(bw, axis=0)
 
     t_uw = np.zeros((grid.n, grid.n))
     t_wu = np.zeros((grid.n, grid.n))
-    for q in range(1, bank.qmax + 1):
-        # index q - 1 in cum_* is the partial sum over blocks -1 .. q-2
+    for q in range(1, len(bw) - 1):
+        # bw[q + 1] is block q; cum_*[q - 1] is the partial sum over blocks -1 .. q-2
         t_uw += cum_u[q - 1] * bw[q + 1]
         t_wu += cum_w[q - 1] * bu[q + 1]
 
@@ -243,21 +248,18 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     return VectorField(out[0], out[1])
 
 
-def commutator_block(
-    v: VectorField, f: SpectralField, q: int, bank: DyadicFilterBank
-) -> SpectralField:
+def commutator_block(v: VectorField, f: SpectralField, q: int) -> SpectralField:
     """Block/transport commutator Delta_q(v . grad f) - v . grad(Delta_q f)."""
-    return dyadic_block(advect(v, f), q, bank) - advect(v, dyadic_block(f, q, bank))
+    return dyadic_block(advect(v, f), q) - advect(v, dyadic_block(f, q))
 
 
-def band_kernel(bank: DyadicFilterBank, q: int) -> PhysicalField:
+def band_kernel(grid: Grid, q: int) -> PhysicalField:
     """Physical-space convolution kernel realizing block q.
 
     Normalized so that torus convolution with the kernel multiplies
     Fourier-series coefficients by the band multiplier.
     """
-    grid = bank.grid
-    coeffs = bank.block_multiplier(q).astype(complex) / (2.0 * np.pi) ** 2
+    coeffs = build_filter_bank(grid).block_multiplier(q).astype(complex) / (2.0 * np.pi) ** 2
     return inverse_transform(SpectralField(grid, coeffs))
 
 

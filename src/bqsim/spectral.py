@@ -17,10 +17,14 @@ ones (derivatives, Riesz) keep the symmetry exactly.  `advect` and
 `grid_max_velocity` trust their input.  Operators that divide by |k| map the
 k = 0 mode to 0.
 
-`Grid` builds every Fourier multiplier.  It keeps only those that do not
-depend on alpha: `verify` builds a fresh grid for every suite call, so each
-further n-by-n array kept on a grid raises the peak memory of a run.
-`kmag_power` returns `kmag` itself at the critical alpha = 1.
+`Grid` keeps the wavevector arrays and the alpha-independent multipliers
+(Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh
+grid for every suite call, so each further n-by-n array kept on a grid raises
+the peak memory of a run.  `kmag_power` and `forcing_mult` build the alpha
+ones on request (`kmag_power` returns `kmag` itself at alpha = 1);
+`partial_derivative`, `biot_savart` and `leray_project` form their
+multipliers per call; the dyadic bands live in each grid's cached filter bank
+(`littlewood_paley.build_filter_bank`).
 
 Norms are torus norms: `lp_norm` uses grid quadrature with cell area
 (2*pi/n)^2 and `sobolev_norm` carries the matching Parseval factor, so

@@ -26,7 +26,6 @@ from .littlewood_paley import (
     BesovSpec,
     band_kernel,
     besov_norm,
-    build_filter_bank,
     centered_radius,
     commutator_block,
     commutator_riesz,
@@ -178,13 +177,12 @@ def verify_commutator_hs(ens: EnsembleSpec, s: float = 0.5) -> RatioReport:
         raise ConfigurationError(f"commutator-hs regularity s must lie in (0, 1), got {s}")
 
     def one(grid, scalar, velocity):
-        bank = build_filter_bank(grid)
         v = velocity()
         theta = scalar()
         comm = commutator_riesz(v, theta)
         lhs = float(np.hypot(sobolev_norm(comm.x1, s), sobolev_norm(comm.x2, s)))
         rhs = gradient_lp_norm(v, 2) * besov_norm(
-            theta, BesovSpec(s - 1.0, math.inf, 2.0), bank
+            theta, BesovSpec(s - 1.0, math.inf, 2.0)
         ) + lp_norm(to_physical(v), 2) * lp_norm(inverse_transform(theta), 2)
         return lhs, rhs
 
@@ -201,13 +199,12 @@ def verify_commutator_bp(ens: EnsembleSpec, p: float = 2.0) -> RatioReport:
         raise ConfigurationError(f"commutator-bp exponent p must lie in [2, inf], got {p}")
 
     def one(grid, scalar, velocity):
-        bank = build_filter_bank(grid)
         v = velocity()
         theta = scalar()
         comm_div = divergence(commutator_riesz(v, theta))
-        lhs = besov_norm(comm_div, BesovSpec(0.0, p, math.inf), bank)
+        lhs = besov_norm(comm_div, BesovSpec(0.0, p, math.inf))
         rhs = gradient_lp_norm(v, p) * besov_norm(
-            theta, BesovSpec(0.0, math.inf, math.inf), bank
+            theta, BesovSpec(0.0, math.inf, math.inf)
         ) + lp_norm(to_physical(v), 2) * lp_norm(inverse_transform(theta), 2)
         return lhs, rhs
 
@@ -223,16 +220,15 @@ def verify_kernel_commutator(ens: EnsembleSpec, q: int = 3, p: float = 2.0) -> R
     """
 
     def one(grid, scalar, velocity):
-        bank = build_filter_bank(grid)
-        h = band_kernel(bank, q)
+        h = band_kernel(grid, q)
         xh_l1 = float(np.sum(centered_radius(grid) * np.abs(h.samples)) * grid.cell_area)
         f = scalar(0)
         g = scalar(1)
         f_phys = inverse_transform(f).samples
         g_phys = inverse_transform(g).samples
         fg = dealias(forward_transform(PhysicalField(grid, f_phys * g_phys)))
-        conv_fg = inverse_transform(dyadic_block(fg, q, bank)).samples
-        conv_g = inverse_transform(dyadic_block(g, q, bank)).samples
+        conv_fg = inverse_transform(dyadic_block(fg, q)).samples
+        conv_g = inverse_transform(dyadic_block(g, q)).samples
         f_convg = inverse_transform(
             dealias(forward_transform(PhysicalField(grid, f_phys * conv_g)))
         ).samples
@@ -277,10 +273,9 @@ def verify_log_interpolation(ens: EnsembleSpec) -> RatioReport:
     """
 
     def one(grid, scalar, velocity):
-        bank = build_filter_bank(grid)
         v = velocity()
         lhs = lp_norm(to_physical(v), 2)
-        weak = besov_norm(v, BesovSpec(0.0, 2.0, math.inf), bank)
+        weak = besov_norm(v, BesovSpec(0.0, 2.0, math.inf))
         if weak <= RHS_FLOOR:
             return lhs, 0.0
         h1 = vector_sobolev_norm(v, 1.0)
@@ -300,9 +295,8 @@ def verify_generalized_bernstein(ens: EnsembleSpec, q: int = 3, r: float = 3.0) 
         raise ConfigurationError(f"gen-bernstein exponent r must be >= 2, got {r}")
 
     def one(grid, scalar, velocity):
-        bank = build_filter_bank(grid)
         u = scalar()
-        uq = dyadic_block(u, q, bank)
+        uq = dyadic_block(u, q)
         uq_phys = inverse_transform(uq).samples
         dissip = inverse_transform(fractional_dissipation(uq, 1.0)).samples
         signed_power = np.sign(uq_phys) * np.abs(uq_phys) ** (r - 1.0)
@@ -323,13 +317,10 @@ def verify_product_transport(ens: EnsembleSpec, s: float = -0.5) -> RatioReport:
         raise ConfigurationError(f"product regularity s must lie in [-1, 0], got {s}")
 
     def one(grid, scalar, velocity):
-        bank = build_filter_bank(grid)
         v = velocity()
         f = scalar()
-        lhs = besov_norm(advect(v, f), BesovSpec(s, 2.0, math.inf), bank)
-        rhs = lp_norm(to_physical(v), 2) * besov_norm(
-            f, BesovSpec(1.0 + s, math.inf, 1.0), bank
-        )
+        lhs = besov_norm(advect(v, f), BesovSpec(s, 2.0, math.inf))
+        rhs = lp_norm(to_physical(v), 2) * besov_norm(f, BesovSpec(1.0 + s, math.inf, 1.0))
         return lhs, rhs
 
     return _collect("product", {"s": s}, ens, one)
@@ -350,17 +341,14 @@ def verify_block_commutator(
         raise ConfigurationError("block-commutator variant 'b2a' requires finite p")
 
     def one(grid, scalar, velocity):
-        bank = build_filter_bank(grid)
         v = velocity()
         f = scalar()
-        comm = commutator_block(v, f, q, bank)
+        comm = commutator_block(v, f, q)
         lhs = lp_norm(inverse_transform(comm), p)
         if variant == "binf":
-            rhs = gradient_lp_norm(v, p) * besov_norm(
-                f, BesovSpec(0.0, math.inf, math.inf), bank
-            )
+            rhs = gradient_lp_norm(v, p) * besov_norm(f, BesovSpec(0.0, math.inf, math.inf))
         else:
-            rhs = gradient_lp_norm(v, p) * besov_norm(f, BesovSpec(2.0 / p, p, 1.0), bank)
+            rhs = gradient_lp_norm(v, p) * besov_norm(f, BesovSpec(2.0 / p, p, 1.0))
         return lhs, rhs
 
     return _collect("block-commutator", {"q": q, "p": p, "variant": variant}, ens, one)

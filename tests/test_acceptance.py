@@ -137,13 +137,13 @@ def test_criterion_5_partition_and_bony():
     for f in fields:
         total = np.zeros_like(f.coeffs)
         for q in range(-1, bank.qmax + 1):
-            total += bq.dyadic_block(f, q, bank).coeffs
+            total += bq.dyadic_block(f, q).coeffs
         err = np.max(np.abs(total - f.coeffs)) / np.max(np.abs(f.coeffs))
         worst_partition = max(worst_partition, float(err))
 
     worst_bony = 0.0
     for u, w in zip(fields, fields[1:] + fields[:1]):
-        low, high, resonant = bq.bony_decompose(u, w, bank)
+        low, high, resonant = bq.bony_decompose(u, w)
         product = bq.dealias(
             bq.forward_transform(
                 bq.PhysicalField(grid, bq.inverse_transform(u).samples * bq.inverse_transform(w).samples)

@@ -28,6 +28,10 @@ from bqsim.cli import main
 from bqsim.fields import random_scalar_field
 
 BASE = "n = 64\nt_end = 0.1\npreset = tg-blob\n"
+FLOAT_KEYS = [
+    "t_end", "alpha", "cfl", "dt", "omega_lr", "checkpoint_times", "amplitude",
+    "tg_amplitude", "blob_amplitude", "blob_width", "random_gamma", "random_amplitude",
+]
 
 
 class TestParseConfig:
@@ -84,6 +88,19 @@ class TestParseConfig:
     def test_checkpoint_beyond_t_end(self):
         with pytest.raises(ConfigurationError, match="checkpoint_times"):
             parse_config(BASE + "checkpoint_times = 0.5\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")
+         if (key, value) != ("omega_lr", "inf")],
+    )
+    def test_non_finite_numbers_are_named(self, key, value):
+        head = "n = 64\npreset = tg-blob\n" + ("" if key == "t_end" else "t_end = 0.1\n")
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            parse_config(head + f"{key} = {value}\n")
+
+    def test_omega_lr_may_be_infinite(self):
+        assert parse_config(BASE + "omega_lr = inf\n").omega_lr == math.inf
 
     def test_echo_round_trips_choices(self):
         cfg = parse_config(BASE + "dt = 0.001\nseed = 7\n")
@@ -304,6 +321,21 @@ class TestCli:
         path.write_text("n = 99\nt_end = 1\npreset = zero\n")
         assert main(["run", "--config", str(path)]) == 2
         assert "'n'" in capsys.readouterr().err
+
+    def test_non_finite_config_exits_two_without_artifacts(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "dt = nan\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "'dt'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", ["nan,2,1", "0,nan,1"])
+    def test_bad_besov_spec_exits_two_before_printing(self, tmp_path, capsys, spec):
+        ckpt = tmp_path / "state.bqsf"
+        write_checkpoint(ckpt, make_initial_data(parse_config(BASE)))
+        assert main(["norms", "--checkpoint", str(ckpt), "--besov", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Besov" in captured.err
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

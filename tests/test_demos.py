@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)},
         capture_output=True,

@@ -33,7 +33,7 @@ from bqsim import (
     smooth_transition,
 )
 from bqsim.fields import random_divfree_velocity, random_scalar_field
-from bqsim.littlewood_paley import centered_radius
+from bqsim.littlewood_paley import DyadicFilterBank, centered_radius
 
 L2_SIN = 4.442882938158366
 
@@ -95,8 +95,8 @@ class TestFilterBank:
         bank = build_filter_bank(g)
         f = random_scalar_field(g, 2.0, 1.0, (21, 1))
         for q in range(0, bank.qmax):
-            lhs = partial_sum(f, q + 1, bank).coeffs
-            rhs = partial_sum(f, q, bank).coeffs + dyadic_block(f, q, bank).coeffs
+            lhs = partial_sum(f, q + 1).coeffs
+            rhs = partial_sum(f, q).coeffs + dyadic_block(f, q).coeffs
             assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_blocks_resum_to_field(self):
@@ -105,7 +105,7 @@ class TestFilterBank:
         f = random_scalar_field(g, 2.0, 1.0, (22, 1))
         total = np.zeros_like(f.coeffs)
         for q in range(bank.qmin, bank.qmax + 1):
-            total = total + dyadic_block(f, q, bank).coeffs
+            total = total + dyadic_block(f, q).coeffs
         assert np.max(np.abs(total - f.coeffs)) < 1e-12
 
     def test_homogeneous_bands_skip_the_mean(self):
@@ -122,41 +122,67 @@ class TestFilterBank:
         assert mults[-1][1, 0] == pytest.approx(1.0)
 
 
+class TestBankFromGrid:
+    """Every band operator uses the bank of its own field's grid."""
+
+    def test_band_indices_follow_each_grid_in_one_process(self):
+        for n, qmax in ((32, 5), (64, 6), (32, 5)):
+            f = random_scalar_field(Grid(n), 2.0, 1.0, (23, n))
+            qs, _ = band_lp_norms(f, 2.0)
+            assert np.array_equal(qs, np.arange(-1, qmax + 1))
+
+    def test_operators_match_a_freshly_built_bank_bit_for_bit(self):
+        g = Grid(64)
+        fresh = DyadicFilterBank(Grid(64))
+        f = random_scalar_field(g, 2.0, 1.0, (24, 1))
+        for q in range(fresh.qmin, fresh.qmax + 1):
+            mult = fresh.block_multiplier(q)
+            assert np.array_equal(dyadic_block(f, q).coeffs, f.coeffs * mult)
+            kernel = inverse_transform(SpectralField(g, mult.astype(complex) / (2.0 * np.pi) ** 2))
+            assert np.array_equal(band_kernel(g, q).samples, kernel.samples)
+        for q in range(0, fresh.qmax + 2):
+            expected = f.coeffs * smooth_transition(g.kmag / 2.0**q)
+            assert np.array_equal(partial_sum(f, q).coeffs, expected)
+
+    def test_bony_rejects_fields_on_different_grids(self):
+        u = random_scalar_field(Grid(32), 2.0, 1.0, (25, 1))
+        w = random_scalar_field(Grid(64), 2.0, 1.0, (25, 2))
+        with pytest.raises(InvalidInputError, match="different grids"):
+            bony_decompose(u, w)
+
+
 class TestBesovNorms:
     def test_single_band_besov(self):
         g = Grid(128)
-        bank = build_filter_bank(g)
         f = single_mode(g, 8)  # |k| = 8 = 2^3 lands in band q = 2 exactly
-        qs, norms = band_lp_norms(f, 2.0, bank)
+        qs, norms = band_lp_norms(f, 2.0)
         by_q = dict(zip(qs.tolist(), norms.tolist()))
         assert by_q[2] == pytest.approx(L2_SIN, rel=1e-12)
         assert sum(v > 1e-12 for v in by_q.values()) == 1
         for s in (-1.0, 0.0, 1.5):
             expected = 2.0 ** (2 * s) * L2_SIN
-            assert besov_norm(f, BesovSpec(s, 2.0, math.inf), bank) == pytest.approx(
+            assert besov_norm(f, BesovSpec(s, 2.0, math.inf)) == pytest.approx(
                 expected, rel=1e-12
             )
-            assert besov_norm(f, BesovSpec(s, 2.0, 1.0), bank) == pytest.approx(
+            assert besov_norm(f, BesovSpec(s, 2.0, 1.0)) == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_constant_field_besov(self):
         g = Grid(64)
-        bank = build_filter_bank(g)
         coeffs = np.zeros((64, 64), dtype=complex)
         coeffs[0, 0] = 1.5
         f = SpectralField(g, coeffs)
-        assert besov_norm(f, BesovSpec(0.0, 2.0, 1.0), bank) == pytest.approx(
+        assert besov_norm(f, BesovSpec(0.0, 2.0, 1.0)) == pytest.approx(
             1.5 * 2 * math.pi, rel=1e-12
         )
-        assert besov_norm(f, BesovSpec(0.0, 2.0, 1.0, homogeneous=True), bank) == 0.0
+        assert besov_norm(f, BesovSpec(0.0, 2.0, 1.0, homogeneous=True)) == 0.0
 
     def test_vector_besov_uses_euclidean_magnitude(self):
         g = Grid(64)
-        bank = build_filter_bank(g)
         w = single_mode(g, 1)
         v = biot_savart(w)  # (0, -cos x1): single band, |v| = |cos x1|
-        assert besov_norm(v, BesovSpec(0.0, math.inf, math.inf), bank) == pytest.approx(
+        assert besov_norm(v, BesovSpec(0.0, math.inf, math.inf)) == pytest.approx(
             1.0, rel=1e-10
         )
 
@@ -166,14 +192,18 @@ class TestBesovNorms:
         with pytest.raises(ConfigurationError):
             BesovSpec(0.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_besov_spec_rejects_non_finite_regularity(self, s):
+        with pytest.raises(ConfigurationError, match="regularity s"):
+            BesovSpec(s, 2.0, 2.0)
+
     def test_ell_r_aggregation(self):
         g = Grid(128)
-        bank = build_filter_bank(g)
         f = SpectralField(g, single_mode(g, 8).coeffs + single_mode(g, 32).coeffs)
         # bands q = 2 and q = 4, each of L2 size L2_SIN
-        one = besov_norm(f, BesovSpec(0.0, 2.0, 1.0), bank)
-        two = besov_norm(f, BesovSpec(0.0, 2.0, 2.0), bank)
-        inf = besov_norm(f, BesovSpec(0.0, 2.0, math.inf), bank)
+        one = besov_norm(f, BesovSpec(0.0, 2.0, 1.0))
+        two = besov_norm(f, BesovSpec(0.0, 2.0, 2.0))
+        inf = besov_norm(f, BesovSpec(0.0, 2.0, math.inf))
         assert one == pytest.approx(2 * L2_SIN, rel=1e-12)
         assert two == pytest.approx(math.sqrt(2) * L2_SIN, rel=1e-12)
         assert inf == pytest.approx(L2_SIN, rel=1e-12)
@@ -192,10 +222,9 @@ class TestBesovNorms:
 class TestBony:
     def test_parts_sum_to_dealiased_product(self):
         g = Grid(64)
-        bank = build_filter_bank(g)
         u = random_scalar_field(g, 2.0, 1.0, (31, 1))
         w = random_scalar_field(g, 1.5, 1.0, (31, 2))
-        t_uw, t_wu, remainder = bony_decompose(u, w, bank)
+        t_uw, t_wu, remainder = bony_decompose(u, w)
         product = dealias(
             forward_transform(
                 PhysicalField(
@@ -209,10 +238,9 @@ class TestBony:
 
     def test_paraproduct_of_separated_modes(self):
         g = Grid(128)
-        bank = build_filter_bank(g)
         u = single_mode(g, 1)       # low frequency
         w = single_mode(g, 0, 16)   # high frequency, well separated
-        t_uw, t_wu, remainder = bony_decompose(u, w, bank)
+        t_uw, t_wu, remainder = bony_decompose(u, w)
         # low-times-high lands entirely in T_u w
         assert lp_norm(inverse_transform(t_uw), 2) > 1e-1
         assert lp_norm(inverse_transform(t_wu), 2) < 1e-12
@@ -249,33 +277,31 @@ class TestCommutators:
 
     def test_block_commutator_vanishes_for_constant_velocity(self):
         g = Grid(64)
-        bank = build_filter_bank(g)
         ones = np.zeros((64, 64), dtype=complex)
         ones[0, 0] = 2.0
         zero = np.zeros((64, 64), dtype=complex)
         v = VectorField(SpectralField(g, ones), SpectralField(g, zero))
         f = random_scalar_field(g, 2.0, 1.0, (43, 1))
-        comm = commutator_block(v, f, 2, bank)
+        comm = commutator_block(v, f, 2)
         assert lp_norm(inverse_transform(comm), 2) < 1e-12
 
 
 class TestBandKernel:
     def test_kernel_convolution_realizes_the_block(self):
         g = Grid(64)
-        bank = build_filter_bank(g)
         f = random_scalar_field(g, 2.0, 1.0, (51, 1))
         q = 2
-        kernel = band_kernel(bank, q)
+        kernel = band_kernel(g, q)
         f_phys = inverse_transform(f).samples
         cell = (2 * np.pi / g.n) ** 2
         conv = np.real(np.fft.ifft2(np.fft.fft2(kernel.samples) * np.fft.fft2(f_phys))) * cell
-        block = inverse_transform(dyadic_block(f, q, bank)).samples
+        block = inverse_transform(dyadic_block(f, q)).samples
         assert np.max(np.abs(conv - block)) < 1e-12
 
     def test_kernel_has_unit_band_mass_profile(self):
         g = Grid(64)
         bank = build_filter_bank(g)
-        kernel = band_kernel(bank, 3)
+        kernel = band_kernel(g, 3)
         # Fourier coefficients of the kernel reproduce the multiplier
         coeffs = np.fft.fft2(kernel.samples) / (g.n * g.n) * (2 * np.pi) ** 2
         assert np.max(np.abs(coeffs - bank.block_multiplier(3))) < 1e-12
@@ -292,15 +318,15 @@ class TestBandKernel:
 
 BINF1 = BesovSpec(0.0, math.inf, 1.0)
 
-#: name -> (operator on the inputs (u, w, v, bank), the inputs it checks)
+#: name -> (operator on the inputs (u, w, v), the inputs it checks)
 OPERATORS = {
-    "besov-scalar": (lambda u, w, v, bank: besov_norm(u, BINF1, bank), lambda u, w, v: [u]),
+    "besov-scalar": (lambda u, w, v: besov_norm(u, BINF1), lambda u, w, v: [u]),
     "besov-vector": (
-        lambda u, w, v, bank: besov_norm(v, BINF1, bank), lambda u, w, v: [v.x1, v.x2]
+        lambda u, w, v: besov_norm(v, BINF1), lambda u, w, v: [v.x1, v.x2]
     ),
-    "bony": (lambda u, w, v, bank: bony_decompose(u, w, bank), lambda u, w, v: [u, w]),
+    "bony": (lambda u, w, v: bony_decompose(u, w), lambda u, w, v: [u, w]),
     "commutator-riesz": (
-        lambda u, w, v, bank: commutator_riesz(v, u), lambda u, w, v: [u, v.x1, v.x2]
+        lambda u, w, v: commutator_riesz(v, u), lambda u, w, v: [u, v.x1, v.x2]
     ),
 }
 
@@ -309,7 +335,7 @@ def operator_inputs():
     g = Grid(64)
     u = random_scalar_field(g, 2.0, 1.0, (61, 1))
     w = random_scalar_field(g, 1.5, 1.0, (61, 2))
-    return u, w, random_divfree_velocity(g, 2.5, 1.0, (61,)), build_filter_bank(g)
+    return u, w, random_divfree_velocity(g, 2.5, 1.0, (61,))
 
 
 def broken_field(grid):
@@ -330,37 +356,37 @@ def result_arrays(result):
 class TestSymmetryCheckedOncePerInput:
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_each_input_is_checked_once(self, name, symmetry_checks):
-        u, w, v, bank = operator_inputs()
+        u, w, v = operator_inputs()
         operator, checked = OPERATORS[name]
-        operator(u, w, v, bank)
+        operator(u, w, v)
         assert [id(f) for f in symmetry_checks] == [id(f) for f in checked(u, w, v)]
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda f, bad, v, bank: besov_norm(bad, BINF1, bank),
-            lambda f, bad, v, bank: besov_norm(VectorField(v.x1, bad), BINF1, bank),
-            lambda f, bad, v, bank: band_lp_norms(bad, 2.0, bank, homogeneous=True),
-            lambda f, bad, v, bank: bony_decompose(bad, f, bank),
-            lambda f, bad, v, bank: bony_decompose(f, bad, bank),
-            lambda f, bad, v, bank: commutator_riesz(v, bad),
-            lambda f, bad, v, bank: commutator_riesz(VectorField(bad, v.x2), f),
+            lambda f, bad, v: besov_norm(bad, BINF1),
+            lambda f, bad, v: besov_norm(VectorField(v.x1, bad), BINF1),
+            lambda f, bad, v: band_lp_norms(bad, 2.0, homogeneous=True),
+            lambda f, bad, v: bony_decompose(bad, f),
+            lambda f, bad, v: bony_decompose(f, bad),
+            lambda f, bad, v: commutator_riesz(v, bad),
+            lambda f, bad, v: commutator_riesz(VectorField(bad, v.x2), f),
         ],
         ids=["besov-scalar", "besov-vector", "band-lp-norms", "bony-u", "bony-w",
              "commutator-riesz-theta", "commutator-riesz-v"],
     )
     def test_broken_input_is_rejected(self, call):
-        u, _, v, bank = operator_inputs()
+        u, _, v = operator_inputs()
         with pytest.raises(InvalidInputError, match="conjugate symmetry broken"):
-            call(u, broken_field(u.grid), v, bank)
+            call(u, broken_field(u.grid), v)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda u, w, v, bank: band_lp_norms(u, 3.0, bank),
-            lambda u, w, v, bank: band_lp_norms(v, math.inf, bank, homogeneous=True),
-            lambda u, w, v, bank: bony_decompose(u, w, bank),
-            lambda u, w, v, bank: commutator_riesz(v, u),
+            lambda u, w, v: band_lp_norms(u, 3.0),
+            lambda u, w, v: band_lp_norms(v, math.inf, homogeneous=True),
+            lambda u, w, v: bony_decompose(u, w),
+            lambda u, w, v: commutator_riesz(v, u),
         ],
         ids=["band-norms-scalar", "band-norms-vector", "bony", "commutator-riesz"],
     )

@@ -99,7 +99,7 @@ def test_dyadic_blocks_resum(key):
     f = seeded(key)
     total = np.zeros_like(f.coeffs)
     for q in range(BANK.qmin, BANK.qmax + 1):
-        total = total + dyadic_block(f, q, BANK).coeffs
+        total = total + dyadic_block(f, q).coeffs
     scale = max(1.0, float(np.max(np.abs(f.coeffs))))
     assert np.max(np.abs(total - f.coeffs)) < 1e-12 * scale
 
@@ -108,7 +108,7 @@ def test_dyadic_blocks_resum(key):
 @given(keys, keys)
 def test_bony_parts_sum_to_dealiased_product(key_u, key_w):
     u, w = seeded(key_u), seeded(key_w, gamma=1.5)
-    t_uw, t_wu, remainder = bony_decompose(u, w, BANK)
+    t_uw, t_wu, remainder = bony_decompose(u, w)
     product = dealias(
         forward_transform(
             PhysicalField(GRID, inverse_transform(u).samples * inverse_transform(w).samples)
@@ -135,8 +135,8 @@ def test_lp_norm_absolute_homogeneity(key, c):
 def test_besov_triangle_inequality(key_f, key_g):
     f, g = seeded(key_f), seeded(key_g)
     spec = BesovSpec(0.5, 2.0, 2.0)
-    both = besov_norm(f + g, spec, BANK)
-    assert both <= besov_norm(f, spec, BANK) + besov_norm(g, spec, BANK) + 1e-10
+    both = besov_norm(f + g, spec)
+    assert both <= besov_norm(f, spec) + besov_norm(g, spec) + 1e-10
 
 
 @settings(max_examples=25, deadline=None)
