@@ -26,7 +26,6 @@ from .spectral import (
     lp_norm,
     max_gradient,
     sobolev_norm,
-    to_physical,
     vector_sobolev_norm,
 )
 
@@ -89,7 +88,7 @@ class DiagnosticsTracker:
     def record(self, state: SimState) -> DiagnosticsRecord:
         """Compute all tracked quantities for this state and append integrals."""
         v = biot_savart(state.omega_hat)
-        v_phys = to_physical(v)
+        v_phys = state.physical_velocity()
         theta_phys = inverse_transform(state.theta_hat)
         omega_phys = inverse_transform(state.omega_hat)
         gam = gamma(state)

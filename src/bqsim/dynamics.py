@@ -19,22 +19,23 @@ what `gamma_residual` measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, NonFiniteError
 from .littlewood_paley import commutator_riesz
 from .spectral import (
+    PhysicalField,
     SpectralField,
     VectorField,
     _check_real,
+    _samples,
     advect,
     apply_multiplier,
     biot_savart,
     divergence,
     fractional_dissipation,
-    grid_max_velocity,
     inverse_transform,
     lp_norm,
     partial_derivative,
@@ -53,6 +54,7 @@ class SimState:
     omega_hat: SpectralField
     theta_hat: SpectralField
     alpha: float = 1.0
+    _velocity: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
@@ -66,6 +68,16 @@ class SimState:
 
     def velocity(self) -> VectorField:
         return biot_savart(self.omega_hat)
+
+    def physical_velocity(self) -> VectorField:
+        """Velocity samples, kept for the vorticity array they came from (`copy()`
+        and `dataclasses.replace` start without them).  Unchecked: `step` and
+        `record` check the vorticity they are handed, and derive the rest."""
+        coeffs = self.omega_hat.coeffs
+        if self._velocity[0] is not coeffs:
+            samples = (PhysicalField(self.grid, _samples(c)) for c in self.velocity().components())
+            self._velocity = (coeffs, VectorField(*samples))
+        return self._velocity[1]
 
     def copy(self) -> "SimState":
         return SimState(self.t, self.omega_hat.copy(), self.theta_hat.copy(), self.alpha)
@@ -82,7 +94,7 @@ def rhs(state: SimState):
     domega = -v.grad(omega) + d1 theta,  dtheta = -v.grad(theta), with the
     advection products dealiased.
     """
-    v = state.velocity()
+    v = state.physical_velocity()
     domega = -advect(v, state.omega_hat) + partial_derivative(state.theta_hat, 0)
     dtheta = -advect(v, state.theta_hat)
     return domega, dtheta
@@ -92,12 +104,8 @@ def cfl_dt(state: SimState, cfl_number: float = 0.5) -> float:
     """Advective CFL step: cfl * (2 pi / n) / max(|v|, 1e-8)."""
     if cfl_number <= 0:
         raise ConfigurationError(f"cfl number must be positive, got {cfl_number}")
-    vmax = grid_max_velocity(state.velocity())
+    vmax = lp_norm(state.physical_velocity(), np.inf)
     return cfl_number * (2.0 * np.pi / state.grid.n) / max(vmax, 1e-8)
-
-
-def _nonlinear(omega: SpectralField, theta: SpectralField, alpha: float):
-    return rhs(SimState(0.0, omega, theta, alpha))
 
 
 def step(state: SimState, dt: float) -> SimState:
@@ -120,32 +128,32 @@ def step(state: SimState, dt: float) -> SimState:
     _check_real(th0)
 
     try:
-        n1w, n1t = _nonlinear(w0, th0, alpha)
+        n1w, n1t = rhs(state)
         wa = apply_multiplier(w0 + (0.5 * dt) * n1w, e_half)
         ta = th0 + (0.5 * dt) * n1t
-        n2w, n2t = _nonlinear(wa, ta, alpha)
+        n2w, n2t = rhs(SimState(0.0, wa, ta, alpha))
         wb = apply_multiplier(w0, e_half) + (0.5 * dt) * n2w
         tb = th0 + (0.5 * dt) * n2t
-        n3w, n3t = _nonlinear(wb, tb, alpha)
+        n3w, n3t = rhs(SimState(0.0, wb, tb, alpha))
         wc = apply_multiplier(w0, e_full) + dt * apply_multiplier(n3w, e_half)
         tc = th0 + dt * n3t
-        n4w, n4t = _nonlinear(wc, tc, alpha)
+        # Sums add left to right: folding stages 1-3 now frees them, same floats.
+        sum_w = apply_multiplier(n1w, e_full) + 2.0 * apply_multiplier(n2w + n3w, e_half)
+        sum_t = n1t + 2.0 * (n2t + n3t)
+        del n1w, n1t, n2w, n2t, n3w, n3t, wa, ta, wb, tb
+        n4w, n4t = rhs(SimState(0.0, wc, tc, alpha))
     except NonFiniteError as err:
         raise BlowUpError(f"non-finite RK stage in step from t={state.t:.6g}", state=state) from err
 
-    w1 = apply_multiplier(w0, e_full) + (dt / 6.0) * (
-        apply_multiplier(n1w, e_full)
-        + 2.0 * apply_multiplier(n2w + n3w, e_half)
-        + n4w
-    )
-    t1 = th0 + (dt / 6.0) * (n1t + 2.0 * (n2t + n3t) + n4t)
+    w1 = apply_multiplier(w0, e_full) + (dt / 6.0) * (sum_w + n4w)
+    t1 = th0 + (dt / 6.0) * (sum_t + n4t)
 
     if not (np.all(np.isfinite(w1.coeffs)) and np.all(np.isfinite(t1.coeffs))):
         raise BlowUpError(
             f"non-finite coefficients after step from t={state.t:.6g}", state=state
         )
     new = SimState(state.t + dt, w1, t1, alpha)
-    vmax = grid_max_velocity(new.velocity())
+    vmax = lp_norm(new.physical_velocity(), np.inf)
     if vmax > VELOCITY_BLOWUP_THRESHOLD:
         raise BlowUpError(
             f"velocity magnitude {vmax:.3e} exceeds blow-up threshold after t={state.t:.6g}",
@@ -167,7 +175,7 @@ def gamma_residual(state: SimState, dgamma_dt: SpectralField) -> float:
     grid = state.grid
     residual = (
         dgamma_dt
-        + advect(v, g)
+        + advect(state.physical_velocity(), g)
         + fractional_dissipation(g, state.alpha)
         - apply_multiplier(riesz(state.theta_hat), grid.kmag - grid.kmag_power(state.alpha))
         - divergence(commutator_riesz(v, state.theta_hat))

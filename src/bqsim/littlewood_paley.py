@@ -40,6 +40,7 @@ from .spectral import (
     inverse_transform,
     lp_norm,
     riesz,
+    to_physical,
 )
 
 
@@ -250,7 +251,8 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
 
 def commutator_block(v: VectorField, f: SpectralField, q: int) -> SpectralField:
     """Block/transport commutator Delta_q(v . grad f) - v . grad(Delta_q f)."""
-    return dyadic_block(advect(v, f), q) - advect(v, dyadic_block(f, q))
+    vp = to_physical(v)
+    return dyadic_block(advect(vp, f), q) - advect(vp, dyadic_block(f, q))
 
 
 def band_kernel(grid: Grid, q: int) -> PhysicalField:

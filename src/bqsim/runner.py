@@ -18,7 +18,7 @@ from .dynamics import VELOCITY_BLOWUP_THRESHOLD, SimState, cfl_dt, step
 from .errors import BlowUpError, ConfigurationError
 from .fields import random_scalar_field
 from .simio import write_checkpoint, write_diagnostics_csv
-from .spectral import dealias, grid_max_velocity, inverse_transform, lp_norm
+from .spectral import dealias, inverse_transform, lp_norm
 
 _TIME_EPS = 1e-12
 
@@ -104,7 +104,7 @@ def run(
             states.append(current.copy())
 
     try:
-        vmax = grid_max_velocity(state.velocity())
+        vmax = lp_norm(state.physical_velocity(), math.inf)
         if not vmax <= VELOCITY_BLOWUP_THRESHOLD:
             raise BlowUpError(f"initial velocity {vmax:.3e} exceeds blow-up threshold", state=state)
         for event in events:

@@ -13,9 +13,9 @@ Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
 (indices taken modulo n).  An operator checks each field its caller hands it
 once (`_check_real`) and samples what it derives from it by multipliers
 unchecked (`_samples`): real even multipliers (bands, |k|^s) and imaginary odd
-ones (derivatives, Riesz) keep the symmetry exactly.  `advect` and
-`grid_max_velocity` trust their input.  Operators that divide by |k| map the
-k = 0 mode to 0.
+ones (derivatives, Riesz) keep the symmetry exactly.  `advect` takes v physical,
+sampled once per state (`SimState.physical_velocity`) or caller, and trusts f, as
+`grid_max_velocity` trusts v.  Operators that divide by |k| map k = 0 to 0.
 
 `Grid` keeps the wavevector arrays and the alpha-independent multipliers
 (Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh
@@ -283,13 +283,15 @@ def dealias(f: SpectralField) -> SpectralField:
 def advect(v: VectorField, f: SpectralField) -> SpectralField:
     """Dealiased advection term v . grad f for a divergence-free velocity.
 
-    The velocity and the spectral gradient of f go to physical space unchecked
-    (trusted to be real), are multiplied pointwise, transformed back and dealiased.
+    v is physical (`to_physical`, `SimState.physical_velocity`), so it is transformed
+    once for all the fields it advects.  The spectral gradient of f goes to physical
+    space unchecked (trusted to be real), times v, transformed back and dealiased.
     """
     g = f.grid
-    v1, v2 = _samples(v.x1), _samples(v.x2)
+    if not all(isinstance(c, PhysicalField) and c.grid == g for c in v.components()):
+        raise InvalidInputError("advect needs a physical velocity on the grid of f")
     f1, f2 = _samples(partial_derivative(f, 0)), _samples(partial_derivative(f, 1))
-    product = PhysicalField(g, v1 * f1 + v2 * f2)
+    product = PhysicalField(g, v.x1.samples * f1 + v.x2.samples * f2)
     return dealias(forward_transform(product))
 
 

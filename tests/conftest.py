@@ -1,8 +1,12 @@
 """Shared pytest fixtures."""
 
+import numpy as np
 import pytest
 
 import bqsim.spectral
+
+FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft")
 
 
 @pytest.fixture
@@ -16,4 +20,21 @@ def symmetry_checks(monkeypatch):
         return original(f)
 
     monkeypatch.setattr(bqsim.spectral, "hermitian_defect", counted)
+    return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """List that collects the name of every `numpy.fft` transform run during the test."""
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in FFT_FUNCTIONS:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     return calls

@@ -359,6 +359,33 @@ class TestCli:
         assert code == 2
         assert "--beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "suite, flag, value, named",
+        [
+            ("product", "--spectrum-gamma", "inf", "spectrum_gamma"),
+            ("product", "--spectrum-gamma", "nan", "spectrum_gamma"),
+            ("product", "--amplitude", "nan", "amplitude"),
+            ("product", "--amplitude", "inf", "amplitude"),
+            ("power-map", "--beta", "nan", "exponent beta"),
+            ("gen-bernstein", "--r", "nan", "exponent r"),
+            ("commutator-hs", "--s", "nan", "regularity s"),
+            ("commutator-bp", "--p", "nan", "exponent p"),
+            ("kernel", "--p", "nan", "exponent p"),
+        ],
+    )
+    def test_verify_rejects_non_finite_parameter_by_name(
+        self, tmp_path, capsys, suite, flag, value, named
+    ):
+        code = main([
+            "verify", "--suite", suite, "--count", "2", "--n", "32",
+            flag, value, "--output-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert named in captured.err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE + "output_dir = should_not_be_used\n")

@@ -1,5 +1,6 @@
 """Oracle tests for the time stepper, the damped combination, and blow-up."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from bqsim import (
     BlowUpError,
     ConfigurationError,
+    DiagnosticsTracker,
     Grid,
     InvalidInputError,
     PhysicalField,
     SimState,
     SpectralField,
+    apply_multiplier,
     cfl_dt,
     dealias,
     forward_transform,
@@ -24,8 +27,10 @@ from bqsim import (
     rhs,
     riesz,
     step,
+    to_physical,
     trajectory_gamma_residuals,
 )
+from bqsim.runner import adaptive_dt
 
 
 def grid64():
@@ -220,6 +225,86 @@ class TestStep:
         state = SimState(0.0, omega, dealias(random_scalar_field(g, 2.0, 1.0, (5,))), 1.0)
         step(state, 1e-3)
         assert [id(f) for f in symmetry_checks] == [id(state.omega_hat), id(state.theta_hat)]
+
+
+def random_state(n, seed=4):
+    g = Grid(n)
+    omega, theta = (dealias(random_scalar_field(g, 2.0, 1.0, (seed, k))) for k in (1, 2))
+    return SimState(0.0, omega, theta, 1.0)
+
+
+def same_samples(a, b):
+    return all(np.array_equal(x.samples, y.samples) for x, y in zip(a.components(), b.components()))
+
+
+class TestVelocityReuse:
+    def test_samples_are_the_checked_transform_bit_for_bit(self):
+        state = step(random_state(64), 1e-3)
+        expected = to_physical(state.velocity())
+        assert same_samples(state.physical_velocity(), expected)
+        assert state.physical_velocity() is state.physical_velocity()
+
+    def test_fft_counts_per_step_and_per_dt(self, fft_calls):
+        state = random_state(64)
+        first = step(state, 1e-3)
+        assert len(fft_calls) == 34  # 2 for the input velocity, 8 per stage, 0 left over
+        fft_calls.clear()
+        second = step(first, 1e-3)
+        assert len(fft_calls) == 32
+        fft_calls.clear()
+        adaptive_dt(second, 0.5)
+        assert fft_calls == ["ifft2"]  # theta only; the velocity samples are kept
+
+    def test_record_reuses_the_velocity_samples(self, fft_calls):
+        state = step(random_state(128), 1e-3)
+        fft_calls.clear()
+        DiagnosticsTracker().record(state)
+        assert len(fft_calls) == 25
+
+    @pytest.mark.parametrize(
+        "fresh", [SimState.copy, lambda s: dataclasses.replace(s)], ids=["copy", "replace"]
+    )
+    def test_copies_start_without_samples(self, fresh, fft_calls):
+        state = step(random_state(64), 1e-3)
+        fft_calls.clear()
+        clone = fresh(state)
+        assert same_samples(clone.physical_velocity(), state.physical_velocity())
+        assert len(fft_calls) == 2
+
+    def test_reassigned_vorticity_is_never_served_stale_samples(self):
+        state = step(random_state(64), 1e-3)
+        old = state.physical_velocity()
+        state.omega_hat = dealias(random_scalar_field(state.grid, 2.0, 1.0, (9,)))
+        assert same_samples(state.physical_velocity(), to_physical(state.velocity()))
+        assert not same_samples(state.physical_velocity(), old)
+        state.omega_hat.coeffs = state.omega_hat.coeffs * 2.0
+        assert same_samples(state.physical_velocity(), to_physical(state.velocity()))
+
+    def test_step_folds_the_rk4_sums_without_moving_a_bit(self):
+        state = random_state(64)
+        folded = step(state, 1e-3)
+        apply = apply_multiplier
+
+        def unfolded(s, dt):  # IF-RK4 with its full sums, as written before the fold
+            e_half = np.exp(-0.5 * dt * s.grid.kmag)
+            e_full = e_half * e_half
+            w0, th0 = s.omega_hat, s.theta_hat
+            n1w, n1t = rhs(s)
+            n2w, n2t = rhs(SimState(0.0, apply(w0 + (0.5 * dt) * n1w, e_half),
+                                    th0 + (0.5 * dt) * n1t))
+            n3w, n3t = rhs(SimState(0.0, apply(w0, e_half) + (0.5 * dt) * n2w,
+                                    th0 + (0.5 * dt) * n2t))
+            n4w, n4t = rhs(SimState(0.0, apply(w0, e_full) + dt * apply(n3w, e_half),
+                                    th0 + dt * n3t))
+            w1 = apply(w0, e_full) + (dt / 6.0) * (
+                apply(n1w, e_full) + 2.0 * apply(n2w + n3w, e_half) + n4w
+            )
+            t1 = th0 + (dt / 6.0) * (n1t + 2.0 * (n2t + n3t) + n4t)
+            return w1, t1
+
+        w1, t1 = unfolded(state.copy(), 1e-3)
+        assert np.array_equal(folded.omega_hat.coeffs, w1.coeffs)
+        assert np.array_equal(folded.theta_hat.coeffs, t1.coeffs)
 
 
 class TestLinearExact:

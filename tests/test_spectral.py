@@ -274,9 +274,19 @@ class TestLerayAndAdvection:
         zero = np.zeros((64, 64), dtype=complex)
         v = VectorField(SpectralField(g, ones), SpectralField(g, zero))
         f = spectral_sin(g, 3)
-        adv = advect(v, f)
+        adv = advect(to_physical(v), f)
         expected = dealias(partial_derivative(f, 0))
         assert np.max(np.abs(adv.coeffs - expected.coeffs)) < 1e-13
+
+    def test_advect_rejects_a_velocity_that_is_not_physical_on_the_grid_of_f(self):
+        g = grid64()
+        v = random_divfree_velocity(g, 2.0, 1.0, (11,))
+        f = random_scalar_field(g, 2.0, 1.0, (12,))
+        foreign = to_physical(random_divfree_velocity(Grid(32), 2.0, 1.0, (11,)))
+        mixed = VectorField(to_physical(v).x1, v.x2)
+        for bad in (v, mixed, foreign):
+            with pytest.raises(InvalidInputError, match="physical velocity on the grid of f"):
+                advect(bad, f)
 
     def test_unchecked_operators_match_the_checked_transform_bit_for_bit(self):
         g = grid64()
@@ -285,7 +295,7 @@ class TestLerayAndAdvection:
         v1, v2 = (inverse_transform(c).samples for c in v.components())
         f1, f2 = (inverse_transform(partial_derivative(f, a)).samples for a in (0, 1))
         expected = dealias(forward_transform(PhysicalField(g, v1 * f1 + v2 * f2)))
-        assert np.array_equal(advect(v, f).coeffs, expected.coeffs)
+        assert np.array_equal(advect(to_physical(v), f).coeffs, expected.coeffs)
         vp = to_physical(v)
         assert grid_max_velocity(v) == float(np.max(np.hypot(vp.x1.samples, vp.x2.samples)))
         derivs = [inverse_transform(partial_derivative(c, a)).samples
