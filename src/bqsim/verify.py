@@ -69,7 +69,7 @@ class EnsembleSpec:
         if self.n % 2 != 0 or self.n < 16:
             raise ConfigurationError(f"ensemble grid size must be even and >= 16, got {self.n}")
         if not 0 < self.amplitude < math.inf:
-            raise ConfigurationError(f"ensemble amplitude must be positive, got {self.amplitude}")
+            raise ConfigurationError(f"amplitude must be finite and > 0, got {self.amplitude}")
         if not math.isfinite(self.spectrum_gamma):
             raise ConfigurationError(f"spectrum_gamma must be finite, got {self.spectrum_gamma}")
 
