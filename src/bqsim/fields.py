@@ -39,6 +39,13 @@ def _half_lattice(kmax: int):
     return k1[order], k2[order], np.hypot(k1[order], k2[order])
 
 
+@functools.lru_cache(maxsize=None)
+def _scatter(n: int, spectrum_gamma: float):
+    """Where an n-grid draw puts its modes and their conjugates, and the envelope |k|^(-gamma)."""
+    k1, k2, mag = _half_lattice(int(n / 3.0))
+    return (k1 % n, k2 % n), (-k1 % n, -k2 % n), mag**(-spectrum_gamma)
+
+
 def random_scalar_field(
     grid: Grid, spectrum_gamma: float, amplitude: float, key: tuple[int, ...]
 ) -> SpectralField:
@@ -49,13 +56,12 @@ def random_scalar_field(
     half follows by symmetry.  `key` seeds the draw deterministically.
     """
     n = grid.n
-    k1, k2, mag = _half_lattice(int(n / 3.0))
-    rng = np.random.default_rng(key)
-    draws = rng.standard_normal((len(mag), 2))
-    c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * mag**(-spectrum_gamma)
+    modes, mirrors, envelope = _scatter(n, spectrum_gamma)
+    draws = np.random.default_rng(key).standard_normal((len(envelope), 2))
+    c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * envelope
     coeffs = np.zeros((n, n), dtype=complex)
-    coeffs[k1 % n, k2 % n] = c
-    coeffs[-k1 % n, -k2 % n] = np.conj(c)
+    coeffs[modes] = c
+    coeffs[mirrors] = np.conj(c)
     return SpectralField(grid, coeffs)
 
 

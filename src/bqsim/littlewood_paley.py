@@ -15,6 +15,9 @@ covers the lowest nonzero torus modes in that case.
 
 Each grid has one filter bank, built on first use and cached
 (`build_filter_bank`); the operators here take it from their field's grid.
+
+Band L^p norms take p = 2 from Parseval, with no transform and with the coefficients
+scaled by their max; other p sample one band at a time by half-spectrum `irfft2`.
 """
 
 from __future__ import annotations
@@ -136,19 +139,34 @@ class BesovSpec:
             raise ConfigurationError(f"Besov summation r must be >= 1, got {self.r}")
 
 
-def _band_samples(f, homogeneous: bool = False):
-    """Yield (q, physical Delta_q f) for a scalar or vector f; checks f, not its bands."""
+def _components(f):
+    """The scalar components of a scalar or vector f, each checked once."""
     comps = f.components() if isinstance(f, VectorField) else (f,)
     for comp in comps:
         _check_real(comp)
+    return comps
+
+
+def _band_samples(f, homogeneous: bool = False):
+    """Yield (q, physical Delta_q f), one `irfft2` of columns 0..n/2 per component of f."""
+    comps, half = _components(f), np.s_[:, : f.grid.n // 2 + 1]
     for q, mult in build_filter_bank(f.grid).bands(homogeneous):
-        bands = [PhysicalField(f.grid, _samples(apply_multiplier(c, mult))) for c in comps]
+        bands = [np.fft.irfft2(c.coeffs[half] * mult[half], mult.shape) * mult.size for c in comps]
+        bands = [PhysicalField(f.grid, b) for b in bands]
         yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
 
 
 def band_lp_norms(f, p: float, homogeneous: bool = False):
-    """Per-band L^p norms: arrays (q indices, norms of Delta_q f)."""
-    qs, norms = zip(*((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous)))
+    """Per-band L^p norms (q indices, norms of Delta_q f): Parseval at p = 2, else `irfft2`."""
+    if p == 2:  # 2 pi sqrt(sum_k mult_q(k)^2 |coeff(k)|^2) over the components
+        mags = [np.abs(c.coeffs) for c in _components(f)]
+        top = max(float(np.max(m)) for m in mags) or 1.0  # scaled by it, squares stay finite
+        power = sum((m / top) ** 2 for m in mags)
+        pairs = ((q, 2.0 * np.pi * top * np.sqrt(np.sum(mult * mult * power)))
+                 for q, mult in build_filter_bank(f.grid).bands(homogeneous))
+    else:
+        pairs = ((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous))
+    qs, norms = zip(*pairs)
     return np.array(qs), np.array(norms)
 
 
@@ -158,6 +176,7 @@ def besov_norm(f, spec: BesovSpec) -> float:
     Accepts a scalar SpectralField or a spectral VectorField (bands of a
     vector use the pointwise Euclidean magnitude).  The homogeneous variant
     never touches the zero mode: all of its band multipliers vanish at k = 0.
+    Band norms: Parseval at p = 2, one `irfft2` per band otherwise.
     """
     qs, norms = band_lp_norms(f, spec.p, spec.homogeneous)
     terms = 2.0 ** (qs * spec.s) * norms

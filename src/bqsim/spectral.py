@@ -16,6 +16,9 @@ unchecked (`_samples`): real even multipliers (bands, |k|^s) and imaginary odd
 ones (derivatives, Riesz) keep the symmetry exactly.  `advect` takes v physical,
 sampled once per state (`SimState.physical_velocity`) or caller, and trusts f, as
 `grid_max_velocity` trusts v.  Operators that divide by |k| map k = 0 to 0.
+`_samples` stays a complex FFT for the step and the record's energy terms:
+`irfft2` would move their last bits, which the energy residual (E1 - E0) / dt
+magnifies about 10^7-fold.  Band norms feed no such difference, so they use it.
 
 `Grid` keeps the wavevector arrays and the alpha-independent multipliers
 (Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh

@@ -322,7 +322,6 @@ def verify_product_transport(ens: EnsembleSpec, s: float = -0.5) -> RatioReport:
         vp = to_physical(velocity())
         f = scalar()
         adv, l2 = advect(vp, f), lp_norm(vp, 2)
-        del vp  # held across the Besov norms, the samples make glibc trim the heap and refault
         lhs = besov_norm(adv, BesovSpec(s, 2.0, math.inf))
         rhs = l2 * besov_norm(f, BesovSpec(1.0 + s, math.inf, 1.0))
         return lhs, rhs

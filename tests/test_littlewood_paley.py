@@ -14,6 +14,7 @@ from bqsim import (
     PhysicalField,
     SpectralField,
     VectorField,
+    apply_multiplier,
     band_kernel,
     band_lp_norms,
     besov_norm,
@@ -33,7 +34,7 @@ from bqsim import (
     smooth_transition,
 )
 from bqsim.fields import random_divfree_velocity, random_scalar_field
-from bqsim.littlewood_paley import DyadicFilterBank, centered_radius
+from bqsim.littlewood_paley import DyadicFilterBank, _band_samples, centered_radius
 
 L2_SIN = 4.442882938158366
 
@@ -399,3 +400,87 @@ class TestSymmetryCheckedOncePerInput:
         checked = result_arrays(call(*inputs))
         assert len(fast) == len(checked)
         assert all(np.array_equal(a, b) for a, b in zip(fast, checked))
+
+
+def band_fields(n):
+    """A scalar and a vector field up to the dealiasing cutoff, and white noise in every mode."""
+    g = Grid(n)
+    noise = forward_transform(PhysicalField(g, np.random.default_rng(n).standard_normal((n, n))))
+    fields = (random_scalar_field(g, 2.0, 1.0, (71, n)), random_divfree_velocity(g, 2.5, 1.0, (72, n)))
+    return g, fields + (noise,)
+
+
+def checked_band(f, mult):
+    """The band of f under `mult` (`dyadic_block`, or the homogeneous low annulus), sampled
+    by the checked complex inverse transform."""
+    if isinstance(f, VectorField):
+        return VectorField(*(checked_band(c, mult) for c in f.components()))
+    return inverse_transform(apply_multiplier(f, mult))
+
+
+class TestBandLayer:
+    """Parseval band norms at p = 2 and half-spectrum `irfft2` bands otherwise."""
+
+    @pytest.mark.parametrize("n", [16, 48, 96, 256])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_parseval_norms_match_sampled_bands(self, n, homogeneous):
+        g, fields = band_fields(n)
+        for f in fields:
+            qs, norms = band_lp_norms(f, 2, homogeneous)
+            bands = list(build_filter_bank(g).bands(homogeneous))
+            assert qs.tolist() == [q for q, _ in bands]
+            for norm, (_, mult) in zip(norms, bands):
+                assert norm == pytest.approx(lp_norm(checked_band(f, mult), 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [16, 48, 96, 256])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_half_spectrum_bands_match_the_checked_transform(self, n, homogeneous):
+        g, fields = band_fields(n)
+        for f in fields:
+            bands = dict(build_filter_bank(g).bands(homogeneous))
+            for q, band in _band_samples(f, homogeneous):
+                expected = checked_band(f, bands[q])
+                pairs = (
+                    zip(band.components(), expected.components())
+                    if isinstance(f, VectorField) else [(band, expected)]
+                )
+                for got, want in pairs:
+                    err = np.max(np.abs(got.samples - want.samples))
+                    assert err <= 1e-12 * np.max(np.abs(want.samples))
+
+    def test_transform_counts(self, fft_calls):
+        g, (f, v, _) = band_fields(64)
+        bands = build_filter_bank(g).qmax + 2
+        for x, comps in ((f, 1), (v, 2)):
+            for r in (1.0, math.inf):
+                fft_calls.clear()
+                besov_norm(x, BesovSpec(0.0, 2.0, r))
+                assert fft_calls == []
+                besov_norm(x, BesovSpec(0.0, math.inf, r))
+                assert fft_calls == ["irfft2"] * (bands * comps)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [(lambda c: c.__setitem__((1, 0), c[1, 0] + 1.0), "conjugate symmetry broken"),
+         (lambda c: c.__setitem__((3, 5), math.nan), "non-finite")],
+        ids=["asymmetric", "nan"],
+    )
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_parseval_path_rejects_bad_input(self, corrupt, message, vector):
+        _, (f, v, _) = band_fields(32)
+        bad = f.copy()
+        corrupt(bad.coeffs)
+        with pytest.raises(InvalidInputError, match=message):
+            besov_norm(VectorField(v.x1, bad) if vector else bad, BesovSpec(0.0, 2.0, math.inf))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_parseval_path_neither_overflows_nor_underflows(self, scale):
+        _, fields = band_fields(32)
+        for f in fields:
+            scaled = VectorField(f.x1 * scale, f.x2 * scale) if isinstance(f, VectorField) else f * scale
+            for homogeneous in (False, True):
+                for r in (1.0, math.inf):
+                    spec = BesovSpec(0.5, 2.0, r, homogeneous)
+                    got = besov_norm(scaled, spec)
+                    assert math.isfinite(got)
+                    assert got == pytest.approx(scale * besov_norm(f, spec), rel=1e-12, abs=0)

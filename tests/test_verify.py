@@ -19,7 +19,7 @@ from bqsim import (
     verify_kernel_commutator,
     verify_product_transport,
 )
-from bqsim.fields import random_scalar_field
+from bqsim.fields import _half_lattice, random_scalar_field
 from bqsim.verify import KERNEL_RATIO_LIMIT, RHS_FLOOR
 
 SMALL = EnsembleSpec(seed=42, count=4, n=64)
@@ -65,6 +65,18 @@ class TestSeededFields:
         low = abs(f.coeffs[1, 0])
         high = abs(f.coeffs[20, 0])
         assert high < low
+
+    @pytest.mark.parametrize("n", [16, 48, 256])
+    def test_cached_scatter_matches_the_per_call_construction(self, n):
+        g = Grid(n)
+        k1, k2, mag = _half_lattice(int(n / 3.0))
+        for gamma, key in ((2.5, (3, n)), (1.5, (4, n)), (2.5, (5, n))):
+            draws = np.random.default_rng(key).standard_normal((len(mag), 2))
+            c = 0.7 * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * mag**(-gamma)
+            expected = np.zeros((n, n), dtype=complex)
+            expected[k1 % n, k2 % n] = c
+            expected[-k1 % n, -k2 % n] = np.conj(c)
+            assert np.array_equal(random_scalar_field(g, gamma, 0.7, key).coeffs, expected)
 
     def test_mean_free(self):
         f = random_scalar_field(Grid(64), 2.5, 1.0, (7, 7))
