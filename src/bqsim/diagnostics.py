@@ -20,6 +20,8 @@ from .littlewood_paley import BesovSpec, besov_norm
 from .spectral import (
     PhysicalField,
     SpectralField,
+    _check_real,
+    _samples,
     biot_savart,
     integrate,
     inverse_transform,
@@ -76,6 +78,14 @@ ENERGY_SLACK = 1e-3  # relative excess over the velocity bound that check_energy
 STARTUP_FRACTION = 1e-3  # share of the maximum below which envelope fits drop samples
 
 
+def _squared(norm: float) -> float:
+    """norm ** 2, or inf where a float's ** 2 raises OverflowError (norms stay finite)."""
+    try:
+        return norm**2
+    except OverflowError:
+        return math.inf
+
+
 class DiagnosticsTracker:
     """Accumulates records from successive states handed in time order."""
 
@@ -89,20 +99,21 @@ class DiagnosticsTracker:
         """Compute all tracked quantities for this state and append integrals."""
         v = biot_savart(state.omega_hat)
         v_phys = state.physical_velocity()
-        theta_phys = inverse_transform(state.theta_hat)
+        _check_real(state.theta_hat)  # complex samples: they feed the energy balance
+        theta_phys = PhysicalField(state.grid, _samples(state.theta_hat))
         omega_phys = inverse_transform(state.omega_hat)
         gam = gamma(state)
         gamma_phys = inverse_transform(gam)
         l2_v = lp_norm(v_phys, 2)
 
         integrands = {
-            "hhalf_v_sq": vector_sobolev_norm(v, 0.5, homogeneous=True) ** 2,
-            "hhalf_gamma_sq": sobolev_norm(gam, 0.5, homogeneous=True) ** 2,
-            "hhalf_omega_sq": sobolev_norm(state.omega_hat, 0.5, homogeneous=True) ** 2,
+            "hhalf_v_sq": _squared(vector_sobolev_norm(v, 0.5, homogeneous=True)),
+            "hhalf_gamma_sq": _squared(sobolev_norm(gam, 0.5, homogeneous=True)),
+            "hhalf_omega_sq": _squared(sobolev_norm(state.omega_hat, 0.5, homogeneous=True)),
             "besov_omega": besov_norm(state.omega_hat, BesovSpec(0.0, math.inf, 1.0)),
             "lip_v": max_gradient(v),
-            "energy": 0.5 * l2_v**2,
-            "dissipation": vector_sobolev_norm(v, 0.5 * state.alpha, homogeneous=True) ** 2,
+            "energy": 0.5 * _squared(l2_v),
+            "dissipation": _squared(vector_sobolev_norm(v, 0.5 * state.alpha, homogeneous=True)),
             "buoyancy_power": integrate(
                 PhysicalField(state.grid, theta_phys.samples * v_phys.x2.samples)
             ),

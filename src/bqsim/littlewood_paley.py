@@ -35,7 +35,8 @@ from .spectral import (
     SpectralField,
     VectorField,
     _check_real,
-    _samples,
+    _real_samples,
+    _rescale_by,
     advect,
     apply_multiplier,
     dealias,
@@ -151,7 +152,7 @@ def _band_samples(f, homogeneous: bool = False):
     """Yield (q, physical Delta_q f), one `irfft2` of columns 0..n/2 per component of f."""
     comps, half = _components(f), np.s_[:, : f.grid.n // 2 + 1]
     for q, mult in build_filter_bank(f.grid).bands(homogeneous):
-        bands = [np.fft.irfft2(c.coeffs[half] * mult[half], mult.shape) * mult.size for c in comps]
+        bands = [_real_samples(c.coeffs[half] * mult[half]) for c in comps]
         bands = [PhysicalField(f.grid, b) for b in bands]
         yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
 
@@ -182,7 +183,12 @@ def besov_norm(f, spec: BesovSpec) -> float:
     terms = 2.0 ** (qs * spec.s) * norms
     if spec.r == math.inf:
         return float(np.max(terms))
-    return float(np.sum(terms**spec.r) ** (1.0 / spec.r))
+    with np.errstate(over="ignore"):
+        total = np.sum(terms**spec.r)
+    top = _rescale_by(total, terms)
+    if top:
+        return float(top * np.sum((terms / top) ** spec.r) ** (1.0 / spec.r))
+    return float(total ** (1.0 / spec.r))
 
 
 def mixed_time_besov_norm(
@@ -258,7 +264,7 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     """
     grid = theta.grid
     th = inverse_transform(theta).samples
-    rth = _samples(riesz(theta))  # Riesz is odd and imaginary: symmetric as theta
+    rth = _real_samples(riesz(theta).coeffs, 0)  # Riesz is odd in k1, symmetric elsewhere
     out = []
     for comp in v.components():
         vi = inverse_transform(comp).samples

@@ -18,7 +18,7 @@ from .dynamics import VELOCITY_BLOWUP_THRESHOLD, SimState, cfl_dt, step
 from .errors import BlowUpError, ConfigurationError
 from .fields import random_scalar_field
 from .simio import write_checkpoint, write_diagnostics_csv
-from .spectral import dealias, inverse_transform, lp_norm
+from .spectral import PhysicalField, _check_real, _samples, dealias, lp_norm
 
 _TIME_EPS = 1e-12
 
@@ -32,7 +32,8 @@ def adaptive_dt(state: SimState, cfl_number: float) -> float:
     advective limit takes over.
     """
     h = 2.0 * math.pi / state.grid.n
-    theta_max = lp_norm(inverse_transform(state.theta_hat), math.inf)
+    _check_real(state.theta_hat)  # complex samples: the buoyant limit can set dt
+    theta_max = lp_norm(PhysicalField(state.grid, _samples(state.theta_hat)), math.inf)
     forcing_dt = cfl_number * math.sqrt(h / max(theta_max, 1e-8))
     return min(cfl_dt(state, cfl_number), forcing_dt)
 

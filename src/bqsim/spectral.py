@@ -12,13 +12,17 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
 (indices taken modulo n).  An operator checks each field its caller hands it
 once (`_check_real`) and samples what it derives from it by multipliers
-unchecked (`_samples`): real even multipliers (bands, |k|^s) and imaginary odd
-ones (derivatives, Riesz) keep the symmetry exactly.  `advect` takes v physical,
-sampled once per state (`SimState.physical_velocity`) or caller, and trusts f, as
-`grid_max_velocity` trusts v.  Operators that divide by |k| map k = 0 to 0.
-`_samples` stays a complex FFT for the step and the record's energy terms:
-`irfft2` would move their last bits, which the energy residual (E1 - E0) / dt
-magnifies about 10^7-fold.  Band norms feed no such difference, so they use it.
+unchecked: real even multipliers (bands, |k|^s) keep the symmetry exactly, and
+imaginary ones odd in k_j (d/dx_j, Riesz in k1) keep it off the line k_j = -n/2,
+whose antisymmetric part `_real_samples(c, axis=j)` drops.  `advect` takes v
+physical, sampled once per state (`SimState.physical_velocity`) or caller, and
+trusts f, as `grid_max_velocity` trusts v.  Operators that divide by |k| map
+k = 0 to 0.  Sampling is one half-spectrum `irfft2` (`_real_samples`) except on
+the complex path, whose last bits feed the trajectory or the energy residual
+(E1 - E0) / dt, which magnifies them about 10^7-fold: `_samples` for the step's
+stages and `advect`, `SimState.physical_velocity`, `grid_max_velocity` (it sets
+the benchmark's run amplitudes), the record's theta samples (buoyancy power) and
+`adaptive_dt`'s max|theta| (the buoyant limit can set dt), and `forward_transform`.
 
 `Grid` keeps the wavevector arrays and the alpha-independent multipliers
 (Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh
@@ -180,12 +184,15 @@ def forward_transform(f: PhysicalField) -> SpectralField:
 
 def hermitian_defect(f: SpectralField) -> float:
     """Max deviation from coeff(-k) == conj(coeff(k)), relative to the field size."""
-    c = f.coeffs
-    mirrored = np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1)))
+    c, n = f.coeffs, f.grid.n
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(c - mirrored))) / scale
+    # Rows 0..n/2 meet every pair (k, -k), and |a - conj(b)| is the same double as
+    # |b - conj(a)|: the half plane gives the full-plane max, NaN and inf included.
+    minus = -np.arange(n)  # the index of -k in FFT layout
+    mirrored = c.take(minus[: n // 2 + 1], axis=0).take(minus, axis=1)
+    return float(np.max(np.abs(c[: n // 2 + 1] - np.conj(mirrored)))) / scale
 
 
 def _check_real(f: SpectralField) -> None:
@@ -209,10 +216,18 @@ def _samples(f: SpectralField) -> np.ndarray:
     return np.real(np.fft.ifft2(f.coeffs)) * (f.grid.n * f.grid.n)
 
 
+def _real_samples(c: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Samples of c by one `irfft2`, real along `axis`, that reads indices 0..n/2 on it;
+    on the line k_axis = -n/2 it keeps the symmetric part alone, as `np.real(ifft2)` does."""
+    n = c.shape[0]
+    half = np.s_[:, : n // 2 + 1] if axis else np.s_[: n // 2 + 1]
+    return np.fft.irfft2(c[half], (n, n), axes=(1 - axis, axis)) * (n * n)
+
+
 def inverse_transform(f: SpectralField) -> PhysicalField:
     """Inverse FFT to real samples; rejects non-finite or asymmetric coefficients."""
     _check_real(f)
-    return PhysicalField(f.grid, _samples(f))
+    return PhysicalField(f.grid, _real_samples(f.coeffs))
 
 
 def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
@@ -314,11 +329,19 @@ def lp_norm(f, p) -> float:
     if p == math.inf:
         return float(np.max(a))
     with np.errstate(over="ignore"):
-        total = np.sum(a**p)
-    if math.isinf(total) and np.all(np.isfinite(a)):
-        top = np.max(a)  # large finite samples: scale by the max to stay finite
+        total = np.sum(a**p) * f.grid.cell_area
+    top = _rescale_by(total, a)
+    if top:
         return float(top * (np.sum((a / top) ** p) * f.grid.cell_area) ** (1.0 / p))
-    return float((total * f.grid.cell_area) ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
+def _rescale_by(total: float, a: np.ndarray) -> float:
+    """max(a) if the power sum `total` of a >= 0 overflowed or fell below the normal doubles
+    while a is finite and nonzero (the norm then scales a by it first), else 0."""
+    if np.finfo(float).tiny <= total < math.inf or not np.all(np.isfinite(a)):
+        return 0.0
+    return float(np.max(a))
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -329,14 +352,19 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     grid quadrature (Parseval).
     """
     g = f.grid
-    power = np.abs(f.coeffs) ** 2
+    mag = np.abs(f.coeffs)
     if homogeneous:
         w2s = np.zeros_like(g.kmag)
         nz = g.kmag > 0
         w2s[nz] = g.kmag[nz] ** (2.0 * s)
     else:
         w2s = (1.0 + g.kmag**2) ** s
-    return float(2.0 * np.pi * np.sqrt(np.sum(w2s * power)))
+    with np.errstate(over="ignore"):
+        total = np.sum(w2s * mag**2)
+    top = _rescale_by(total, mag)
+    if top:
+        return float(2.0 * np.pi * top * np.sqrt(np.sum(w2s * (mag / top) ** 2)))
+    return float(2.0 * np.pi * np.sqrt(total))
 
 
 def grid_max_velocity(v: VectorField) -> float:
@@ -349,7 +377,7 @@ def _gradient_samples(v: VectorField):
     for comp in v.components():
         _check_real(comp)
         for axis in (0, 1):
-            yield _samples(partial_derivative(comp, axis))
+            yield _real_samples(partial_derivative(comp, axis).coeffs, axis)
 
 
 def max_gradient(v: VectorField) -> float:

@@ -1,19 +1,28 @@
 """Oracle tests for the Fourier core: transforms, multipliers, norms."""
 
+import ast
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bqsim
 from bqsim import (
+    BesovSpec,
+    DiagnosticsTracker,
     Grid,
     InvalidInputError,
     ConfigurationError,
     PhysicalField,
+    SimState,
     SpectralField,
     VectorField,
     advect,
+    besov_norm,
     biot_savart,
+    commutator_riesz,
     curl,
     dealias,
     divergence,
@@ -30,10 +39,12 @@ from bqsim import (
     partial_derivative,
     riesz,
     sobolev_norm,
+    step,
     to_physical,
     vector_sobolev_norm,
 )
 from bqsim.fields import _half_lattice, random_divfree_velocity, random_scalar_field
+from bqsim.runner import adaptive_dt
 from bqsim.spectral import hermitian_defect
 
 # ||sin x1||_{L^2([0,2pi)^2)} = sqrt(2 pi^2) = pi sqrt(2)
@@ -49,6 +60,18 @@ GRADIENT_NORMS = pytest.mark.parametrize(
 
 def grid64():
     return Grid(64)
+
+
+def complex_samples(f):
+    """Samples of f by the complex inverse FFT that the step and `grid_max_velocity` run."""
+    return np.real(np.fft.ifft2(f.coeffs)) * (f.grid.n * f.grid.n)
+
+
+def half_spectrum_samples(f, axis=1):
+    """Samples of f by one `irfft2` that reads indices 0..n/2 along `axis` (the real edge)."""
+    n = f.grid.n
+    half = f.coeffs[:, : n // 2 + 1] if axis else f.coeffs[: n // 2 + 1]
+    return np.fft.irfft2(half, (n, n), axes=(1 - axis, axis)) * (n * n)
 
 
 def spectral_sin(grid, k, axis=0):
@@ -292,13 +315,14 @@ class TestLerayAndAdvection:
         g = grid64()
         v = random_divfree_velocity(g, 2.0, 1.0, (11,))
         f = random_scalar_field(g, 2.0, 1.0, (12,))
-        v1, v2 = (inverse_transform(c).samples for c in v.components())
-        f1, f2 = (inverse_transform(partial_derivative(f, a)).samples for a in (0, 1))
+        v1, v2 = (complex_samples(c) for c in v.components())
+        f1, f2 = (complex_samples(partial_derivative(f, a)) for a in (0, 1))
         expected = dealias(forward_transform(PhysicalField(g, v1 * f1 + v2 * f2)))
-        assert np.array_equal(advect(to_physical(v), f).coeffs, expected.coeffs)
-        vp = to_physical(v)
-        assert grid_max_velocity(v) == float(np.max(np.hypot(vp.x1.samples, vp.x2.samples)))
-        derivs = [inverse_transform(partial_derivative(c, a)).samples
+        vp = VectorField(PhysicalField(g, v1), PhysicalField(g, v2))
+        assert np.array_equal(advect(vp, f).coeffs, expected.coeffs)
+        assert grid_max_velocity(v) == float(np.max(np.hypot(v1, v2)))
+        # each derivative is sampled by the half-spectrum transform along its own axis
+        derivs = [half_spectrum_samples(partial_derivative(c, a), a)
                   for c in v.components() for a in (0, 1)]
         assert max_gradient(v) == max(float(np.max(np.abs(d))) for d in derivs)
         frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
@@ -432,3 +456,163 @@ class TestHalfLattice:
             k1, k2, mag = _half_lattice(kmax)
             for got, want in ((k1, k[:, 0]), (k2, k[:, 1]), (mag, np.hypot(k[:, 0], k[:, 1]))):
                 assert got.dtype == want.dtype and np.array_equal(got, want), kmax
+
+
+def white_noise(grid, seed):
+    """A real field with every mode filled, the Nyquist row and column included."""
+    samples = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    return forward_transform(PhysicalField(grid, samples))
+
+
+def complex_commutator_riesz(v, theta):
+    """`commutator_riesz` with every sample taken by the complex inverse FFT."""
+    g = theta.grid
+    th, rth = complex_samples(theta), complex_samples(riesz(theta))
+    out = []
+    for comp in v.components():
+        vi = complex_samples(comp)
+        first = riesz(dealias(forward_transform(PhysicalField(g, vi * th))))
+        out.append(first - dealias(forward_transform(PhysicalField(g, vi * rth))))
+    return VectorField(*out)
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestRealEdge:
+    """The checked edge samples by half-spectrum `irfft2`; it must match the complex path."""
+
+    @pytest.mark.parametrize("n", [16, 48, 96, 256])
+    def test_checked_edge_matches_the_complex_transform(self, n):
+        g = Grid(n)
+        smooth = (random_scalar_field(g, 2.0, 1.0, (81, n)), random_divfree_velocity(g, 2.0, 1.0, (82, n)))
+        noise = (white_noise(g, n), VectorField(white_noise(g, n + 1), white_noise(g, n + 2)))
+        for f, v in (smooth, noise):
+            assert_close(inverse_transform(f).samples, complex_samples(f))
+            for got, comp in zip(to_physical(v).components(), v.components()):
+                assert_close(got.samples, complex_samples(comp))
+            derivs = [complex_samples(partial_derivative(c, a)) for c in v.components() for a in (0, 1)]
+            want = max(float(np.max(np.abs(d))) for d in derivs)
+            assert max_gradient(v) == pytest.approx(want, rel=1e-12, abs=0)
+            frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
+            for p in (2.0, 3.0, math.inf):
+                assert gradient_lp_norm(v, p) == pytest.approx(lp_norm(frobenius, p), rel=1e-12, abs=0)
+            got, want = commutator_riesz(v, f), complex_commutator_riesz(v, f)
+            for a, b in zip(got.components(), want.components()):
+                assert_close(a.coeffs, b.coeffs)
+
+    def test_record_runs_one_complex_transform_and_the_step_stays_complex(self, fft_calls):
+        g = Grid(128)
+        omega, theta = (dealias(random_scalar_field(g, 2.0, 1.0, (4, k))) for k in (1, 2))
+        state = step(SimState(0.0, omega, theta, 1.0), 1e-3)
+        fft_calls.clear()
+        DiagnosticsTracker().record(state)
+        assert Counter(fft_calls) == {"ifft2": 1, "irfft2": 24}  # the complex one is theta
+        fft_calls.clear()
+        state = step(state, 1e-3)
+        assert Counter(fft_calls) == {"ifft2": 24, "fft2": 8}
+        fft_calls.clear()
+        adaptive_dt(state, 0.5)
+        assert fft_calls == ["ifft2"]
+
+
+def rolled_defect(f):
+    """`hermitian_defect` as written before the half-plane check: the full plane against
+    its rolled mirror."""
+    c = f.coeffs
+    mirrored = np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1)))
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(c - mirrored))) / scale
+
+
+def defect_case(name, n=48):
+    g = Grid(n)
+    f = white_noise(g, 5)
+    c = f.coeffs
+    if name == "asymmetric-nyquist-row":
+        c[n // 2, 3] += 1e-3
+    elif name == "asymmetric-everywhere":
+        rng = np.random.default_rng(6)
+        f.coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    elif name == "largest-in-the-lower-half":
+        c[-5, 7] = 50.0  # its mirror stays small, and the scale is taken below row n/2
+    elif name != "symmetric":
+        c[n - 3, 5] = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf,
+                       "imaginary-inf": complex(0.0, np.inf)}[name]
+    return f
+
+
+class TestHalfPlaneDefect:
+    @pytest.mark.parametrize("case", ["symmetric", "asymmetric-nyquist-row", "asymmetric-everywhere",
+                                      "largest-in-the-lower-half", "nan", "inf", "minus-inf",
+                                      "imaginary-inf"])
+    def test_same_double_as_the_rolled_full_plane(self, case):
+        f = defect_case(case)
+        got, want = hermitian_defect(f), rolled_defect(f)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+        assert math.isnan(got) == (case not in ("symmetric", "asymmetric-nyquist-row",
+                                                "asymmetric-everywhere", "largest-in-the-lower-half"))
+
+
+class TestNormRange:
+    """Norms of fields near the ends of the double range, and in range to the bit."""
+
+    @staticmethod
+    def field():
+        return random_scalar_field(Grid(32), 2.0, 1.0, (1,))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-150, 1e-160])
+    def test_norms_scale_exactly(self, scale):
+        f = self.field()
+        big = scale * f
+        for p in (2, 3, 4):
+            want = scale * lp_norm(inverse_transform(f), p)
+            assert lp_norm(inverse_transform(big), p) == pytest.approx(want, rel=1e-12, abs=0)
+            for r in (1, 2):
+                spec = BesovSpec(0.0, p, r)
+                want = scale * besov_norm(f, spec)
+                assert besov_norm(big, spec) == pytest.approx(want, rel=1e-12, abs=0)
+        for s, homogeneous in ((0.0, False), (1.0, False), (0.5, True)):
+            want = scale * sobolev_norm(f, s, homogeneous)
+            assert sobolev_norm(big, s, homogeneous) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_in_range_norms_keep_the_plain_expression_bit_for_bit(self):
+        f = self.field()
+        a = np.abs(inverse_transform(f).samples)
+        for p in (2, 3, 4):
+            assert lp_norm(inverse_transform(f), p) == float((np.sum(a**p) * f.grid.cell_area) ** (1.0 / p))
+        power = np.abs(f.coeffs) ** 2
+        w2s = (1.0 + f.grid.kmag**2) ** 0.5
+        assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w2s * power)))
+
+
+TRANSFORM_HELPERS = {"_samples": ["ifft2"], "_real_samples": ["irfft2"], "forward_transform": ["fft2"]}
+
+
+def fft_calls_in(node):
+    """Names of the `<module>.fft.<name>` transform calls under an AST node (not fftfreq)."""
+    return [call.func.attr for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Attribute) and call.func.value.attr == "fft"
+            and not call.func.attr.endswith(("freq", "shift"))]
+
+
+class TestTransformLayer:
+    def test_every_fft_call_sits_in_the_three_spectral_helpers(self):
+        """A new caller of `numpy.fft` (a complex inverse, say) must go through spectral.py."""
+        in_functions, total = {}, []
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                    assert not any(m.startswith(("numpy.fft", "scipy")) or m == "fft"
+                                   for m in modules), path.name
+                if isinstance(node, ast.FunctionDef) and fft_calls_in(node):
+                    in_functions[(path.name, node.name)] = fft_calls_in(node)
+            total += fft_calls_in(tree)
+        assert in_functions == {("spectral.py", name): calls for name, calls in TRANSFORM_HELPERS.items()}
+        assert sorted(total) == sorted(sum(TRANSFORM_HELPERS.values(), []))  # none at module level
