@@ -180,15 +180,20 @@ def besov_norm(f, spec: BesovSpec) -> float:
     Band norms: Parseval at p = 2, one `irfft2` per band otherwise.
     """
     qs, norms = band_lp_norms(f, spec.p, spec.homogeneous)
-    terms = 2.0 ** (qs * spec.s) * norms
-    if spec.r == math.inf:
+    return _weighted_lr(2.0 ** (qs * spec.s) * norms, spec.r)
+
+
+def _weighted_lr(terms: np.ndarray, r: float, weights=1.0) -> float:
+    """(sum weights * terms^r)^(1/r) of terms >= 0, or max(terms) at r = inf; the terms
+    are scaled by their max first when the power sum leaves the normal doubles."""
+    if r == math.inf:
         return float(np.max(terms))
     with np.errstate(over="ignore"):
-        total = np.sum(terms**spec.r)
+        total = np.sum(weights * terms**r)
     top = _rescale_by(total, terms)
     if top:
-        return float(top * np.sum((terms / top) ** spec.r) ** (1.0 / spec.r))
-    return float(total ** (1.0 / spec.r))
+        return float(top * np.sum(weights * (terms / top) ** r) ** (1.0 / r))
+    return float(total ** (1.0 / r))
 
 
 def mixed_time_besov_norm(
@@ -205,17 +210,11 @@ def mixed_time_besov_norm(
     reduced over time with the L^rho quadrature (trapezoid; rho = inf takes
     the max), weighted by 2^(qs), then aggregated in l^r over bands.
     """
-    band_norms = np.asarray(band_norms, dtype=float)
-    if rho == math.inf:
-        per_band = np.max(band_norms, axis=0)
-    else:
-        values = band_norms**rho
-        steps = np.diff(np.asarray(times, dtype=float))[:, None]
-        per_band = np.sum(steps * (values[1:] + values[:-1]) / 2.0, axis=0) ** (1.0 / rho)
-    terms = 2.0 ** (np.asarray(qs) * s) * per_band
-    if r == math.inf:
-        return float(np.max(terms))
-    return float(np.sum(terms**r) ** (1.0 / r))
+    t = np.asarray(times, dtype=float)
+    t = np.concatenate([t[:1], t, t[-1:]])
+    weights = (t[2:] - t[:-2]) / 2.0  # the trapezoid rule as a weighted sum over times
+    per_band = [_weighted_lr(b, rho, weights) for b in np.asarray(band_norms, dtype=float).T]
+    return _weighted_lr(2.0 ** (np.asarray(qs) * s) * np.array(per_band), r)
 
 
 def bony_decompose(u: SpectralField, w: SpectralField):
@@ -264,7 +263,7 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     """
     grid = theta.grid
     th = inverse_transform(theta).samples
-    rth = _real_samples(riesz(theta).coeffs, 0)  # Riesz is odd in k1, symmetric elsewhere
+    rth = _real_samples(riesz(theta).coeffs)
     out = []
     for comp in v.components():
         vi = inverse_transform(comp).samples

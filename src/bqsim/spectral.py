@@ -12,9 +12,9 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
 (indices taken modulo n).  An operator checks each field its caller hands it
 once (`_check_real`) and samples what it derives from it by multipliers
-unchecked: real even multipliers (bands, |k|^s) keep the symmetry exactly, and
-imaginary ones odd in k_j (d/dx_j, Riesz in k1) keep it off the line k_j = -n/2,
-whose antisymmetric part `_real_samples(c, axis=j)` drops.  `advect` takes v
+unchecked: real even multipliers (bands, |k|^s) keep the symmetry exactly, and so
+do odd ones (d/dx_j, Riesz, Biot-Savart), which vanish on their Nyquist line k_j = -n/2
+(`Grid.k1_odd`, `Grid.k2_odd`).  `advect` takes v
 physical, sampled once per state (`SimState.physical_velocity`) or caller, and
 trusts f, as `grid_max_velocity` trusts v.  Operators that divide by |k| map
 k = 0 to 0.  Sampling is one half-spectrum `irfft2` (`_real_samples`) except on
@@ -24,8 +24,8 @@ stages and `advect`, `SimState.physical_velocity`, `grid_max_velocity` (it sets
 the benchmark's run amplitudes), the record's theta samples (buoyancy power) and
 `adaptive_dt`'s max|theta| (the buoyant limit can set dt), and `forward_transform`.
 
-`Grid` keeps the wavevector arrays and the alpha-independent multipliers
-(Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh
+`Grid` keeps the wavevector arrays (and their odd forms) and the alpha-independent
+multipliers (Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh
 grid for every suite call, so each further n-by-n array kept on a grid raises
 the peak memory of a run.  `kmag_power` and `forcing_mult` build the alpha
 ones on request (`kmag_power` returns `kmag` itself at alpha = 1);
@@ -64,6 +64,8 @@ class Grid:
         k = np.fft.fftfreq(n, d=1.0 / n)  # exact integers as floats
         self.k1 = k[:, None]
         self.k2 = k[None, :]
+        k_odd = np.where(k == -n // 2, 0.0, k)
+        self.k1_odd, self.k2_odd = k_odd[:, None], k_odd[None, :]
         self.kmag = np.hypot(np.broadcast_to(self.k1, (n, n)), np.broadcast_to(self.k2, (n, n)))
         with np.errstate(divide="ignore"):
             inv = 1.0 / (self.k1**2 + self.k2**2)
@@ -83,7 +85,7 @@ class Grid:
     def forcing_mult(self, alpha: float) -> np.ndarray:
         """Buoyancy forcing i*k1/|k|^alpha, zero mode -> 0; Riesz at alpha = 1."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            mult = 1j * self.k1 / self.kmag_power(alpha)
+            mult = 1j * self.k1_odd / self.kmag_power(alpha)
         mult[0, 0] = 0.0
         return mult
 
@@ -216,12 +218,10 @@ def _samples(f: SpectralField) -> np.ndarray:
     return np.real(np.fft.ifft2(f.coeffs)) * (f.grid.n * f.grid.n)
 
 
-def _real_samples(c: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Samples of c by one `irfft2`, real along `axis`, that reads indices 0..n/2 on it;
-    on the line k_axis = -n/2 it keeps the symmetric part alone, as `np.real(ifft2)` does."""
+def _real_samples(c: np.ndarray) -> np.ndarray:
+    """Samples of c by one `irfft2`, which reads its columns 0..n/2."""
     n = c.shape[0]
-    half = np.s_[:, : n // 2 + 1] if axis else np.s_[: n // 2 + 1]
-    return np.fft.irfft2(c[half], (n, n), axes=(1 - axis, axis)) * (n * n)
+    return np.fft.irfft2(c[:, : n // 2 + 1], (n, n)) * (n * n)
 
 
 def inverse_transform(f: SpectralField) -> PhysicalField:
@@ -231,10 +231,10 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
 
 
 def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
-    """Derivative along axis 0 or 1 via the i*k_axis multiplier."""
+    """Derivative along axis 0 or 1 via the i*k_axis multiplier (0 on k_axis = -n/2)."""
     if axis not in (0, 1):
         raise ConfigurationError(f"axis must be 0 or 1, got {axis}")
-    k = f.grid.k1 if axis == 0 else f.grid.k2
+    k = f.grid.k1_odd if axis == 0 else f.grid.k2_odd
     return apply_multiplier(f, 1j * k)
 
 
@@ -265,8 +265,8 @@ def biot_savart(omega: SpectralField) -> VectorField:
         raise InvalidInputError(
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; velocity is undefined"
         )
-    v1 = apply_multiplier(omega, 1j * g.k2 * g.inv_ksq)
-    v2 = apply_multiplier(omega, -1j * g.k1 * g.inv_ksq)
+    v1 = apply_multiplier(omega, 1j * g.k2_odd * g.inv_ksq)
+    v2 = apply_multiplier(omega, -1j * g.k1_odd * g.inv_ksq)
     return VectorField(v1, v2)
 
 
@@ -280,12 +280,14 @@ def curl(v: VectorField) -> SpectralField:
 
 
 def leray_project(v: VectorField) -> VectorField:
-    """Remove the gradient part: v - k (k . v) / |k|^2 in Fourier space."""
-    g = v.grid
-    kdotv = g.k1 * v.x1.coeffs + g.k2 * v.x2.coeffs
+    """Remove the gradient part v - k (k . v) / |k|^2, k's Nyquist components zeroed."""
+    g, h = v.grid, v.grid.n // 2
+    inv_ksq = g.inv_ksq.copy()
+    inv_ksq[h], inv_ksq[:, h] = inv_ksq[0], inv_ksq[:, 0]
+    kdotv = g.k1_odd * v.x1.coeffs + g.k2_odd * v.x2.coeffs
     return VectorField(
-        SpectralField(g, v.x1.coeffs - g.k1 * kdotv * g.inv_ksq),
-        SpectralField(g, v.x2.coeffs - g.k2 * kdotv * g.inv_ksq),
+        SpectralField(g, v.x1.coeffs - g.k1_odd * kdotv * inv_ksq),
+        SpectralField(g, v.x2.coeffs - g.k2_odd * kdotv * inv_ksq),
     )
 
 
@@ -377,7 +379,7 @@ def _gradient_samples(v: VectorField):
     for comp in v.components():
         _check_real(comp)
         for axis in (0, 1):
-            yield _real_samples(partial_derivative(comp, axis).coeffs, axis)
+            yield _real_samples(partial_derivative(comp, axis).coeffs)
 
 
 def max_gradient(v: VectorField) -> float:

@@ -24,6 +24,8 @@ from bqsim import (
     inverse_transform,
     linear_exact_solution,
     lp_norm,
+    make_initial_data,
+    parse_config,
     random_scalar_field,
     rhs,
     riesz,
@@ -242,6 +244,27 @@ def complex_velocity(state):
     n = state.grid.n
     return VectorField(*(PhysicalField(state.grid, np.real(np.fft.ifft2(c.coeffs)) * (n * n))
                          for c in state.velocity().components()))
+
+
+class TestNonlinearOrder:
+    """Fourth-order convergence of the full nonlinear step, by successive differences:
+    halving dt shrinks the change between neighbouring runs 16-fold."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_halving_dt_shrinks_successive_differences_sixteenfold(self, seed, alpha):
+        t_end = 0.1
+        text = f"n = 32\nt_end = {t_end}\npreset = random\nseed = {seed}\nalpha = {alpha}\n"
+        state0 = make_initial_data(parse_config(text))
+        finals = []
+        for steps in (10, 20, 40, 80):
+            state = state0
+            for _ in range(steps):
+                state = step(state, t_end / steps)
+            finals.append(np.concatenate([state.omega_hat.coeffs, state.theta_hat.coeffs]))
+        diffs = [np.max(np.abs(b - a)) / np.max(np.abs(b)) for a, b in zip(finals, finals[1:])]
+        ratios = [coarse / fine for coarse, fine in zip(diffs, diffs[1:])]
+        assert all(14.0 <= r <= 18.0 for r in ratios), (diffs, ratios)
 
 
 class TestVelocityReuse:

@@ -219,6 +219,19 @@ class TestBesovNorms:
         got_inf = mixed_time_besov_norm(times, band_norms, qs, 0.0, math.inf, 1.0)
         assert got_inf == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_mixed_time_norm_scales_exactly_near_the_ends_of_the_double_range(self, scale):
+        # constant in time over [0, 1], s = 0: sqrt(3) * value for rho = r = 2
+        got = mixed_time_besov_norm(np.array([0.0, 1.0]), np.full((2, 3), scale),
+                                    np.array([-1, 0, 1]), 0.0, 2.0, 2.0)
+        assert got == pytest.approx(math.sqrt(3.0) * scale, rel=1e-12, abs=0)
+        times, qs = np.array([0.0, 0.5, 2.0]), np.array([-1, 0, 1])
+        band_norms = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 0.25], [2.0, 4.0, 1.0]])
+        for rho, r in ((2.0, 2.0), (1.0, 3.0), (math.inf, 2.0), (3.0, math.inf)):
+            want = scale * mixed_time_besov_norm(times, band_norms, qs, 0.5, rho, r)
+            got = mixed_time_besov_norm(times, scale * band_norms, qs, 0.5, rho, r)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
 
 class TestBony:
     def test_parts_sum_to_dealiased_product(self):
@@ -345,11 +358,9 @@ def broken_field(grid):
     return SpectralField(grid, coeffs)
 
 
-def checked_samples(c, axis=1):
-    """`inverse_transform` of the field that `_real_samples(c, axis)` samples: indices 0..n/2
-    of c along `axis` and their conjugate mirror, so the check sees every line it reads."""
-    if axis == 0:
-        return checked_samples(c.T).T
+def checked_samples(c):
+    """`inverse_transform` of the field that `_real_samples(c)` samples: columns 0..n/2
+    of c and their conjugate mirror, so the check sees every line it reads."""
     n = c.shape[0]
     minus = -np.arange(n)
     mirror = np.conj(c.take(minus, axis=0)[:, n // 2 - 1 : 0 : -1])  # columns n/2+1 .. n-1

@@ -35,7 +35,9 @@ from bqsim import (
     inverse_transform,
     leray_project,
     lp_norm,
+    make_initial_data,
     max_gradient,
+    parse_config,
     partial_derivative,
     riesz,
     sobolev_norm,
@@ -67,11 +69,10 @@ def complex_samples(f):
     return np.real(np.fft.ifft2(f.coeffs)) * (f.grid.n * f.grid.n)
 
 
-def half_spectrum_samples(f, axis=1):
-    """Samples of f by one `irfft2` that reads indices 0..n/2 along `axis` (the real edge)."""
+def half_spectrum_samples(f):
+    """Samples of f by one `irfft2` that reads columns 0..n/2 (the real edge)."""
     n = f.grid.n
-    half = f.coeffs[:, : n // 2 + 1] if axis else f.coeffs[: n // 2 + 1]
-    return np.fft.irfft2(half, (n, n), axes=(1 - axis, axis)) * (n * n)
+    return np.fft.irfft2(f.coeffs[:, : n // 2 + 1], (n, n)) * (n * n)
 
 
 def spectral_sin(grid, k, axis=0):
@@ -104,12 +105,15 @@ class TestGrid:
 
     def test_forcing_multiplier_matches_safe_division(self):
         # The multiplier i*k1/|k|^alpha built by dividing by |k|^alpha with the
-        # zero mode replaced by 1; the Riesz multiplier is its alpha = 1 case.
+        # zero mode replaced by 1, and k1 = -n/2 by 0 (an odd multiplier vanishes
+        # on its Nyquist row); the Riesz multiplier is its alpha = 1 case.
         g = grid64()
+        k1 = np.broadcast_to(g.k1, (64, 64)).copy()
+        k1[32] = 0.0
         for alpha in (0.5, 1.0, 2.0):
             safe = g.kmag**alpha
             safe[0, 0] = 1.0
-            expected = 1j * np.broadcast_to(g.k1, (64, 64)) / safe
+            expected = 1j * k1 / safe
             expected[0, 0] = 0.0
             assert g.forcing_mult(alpha).tobytes() == expected.tobytes()
             if alpha == 1.0:
@@ -321,8 +325,8 @@ class TestLerayAndAdvection:
         vp = VectorField(PhysicalField(g, v1), PhysicalField(g, v2))
         assert np.array_equal(advect(vp, f).coeffs, expected.coeffs)
         assert grid_max_velocity(v) == float(np.max(np.hypot(v1, v2)))
-        # each derivative is sampled by the half-spectrum transform along its own axis
-        derivs = [half_spectrum_samples(partial_derivative(c, a), a)
+        # each derivative is sampled by the one half-spectrum transform
+        derivs = [half_spectrum_samples(partial_derivative(c, a))
                   for c in v.components() for a in (0, 1)]
         assert max_gradient(v) == max(float(np.max(np.abs(d))) for d in derivs)
         frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
@@ -480,18 +484,35 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def full_k_derivative(f, axis):
+    """`partial_derivative` by i*k with the Nyquist entry k = -n/2 kept."""
+    k = f.grid.k1 if axis == 0 else f.grid.k2
+    return SpectralField(f.grid, f.coeffs * (1j * k))
+
+
+def full_k_leray(v):
+    """`leray_project` by the full wavevector, the Nyquist entries kept."""
+    g = v.grid
+    kdotv = g.k1 * v.x1.coeffs + g.k2 * v.x2.coeffs
+    return VectorField(SpectralField(g, v.x1.coeffs - g.k1 * kdotv * g.inv_ksq),
+                       SpectralField(g, v.x2.coeffs - g.k2 * kdotv * g.inv_ksq))
+
+
 class TestRealEdge:
     """The checked edge samples by half-spectrum `irfft2`; it must match the complex path."""
 
-    @pytest.mark.parametrize("n", [16, 48, 96, 256])
+    @pytest.mark.parametrize("n", [16, 32, 48, 96, 256])
     def test_checked_edge_matches_the_complex_transform(self, n):
         g = Grid(n)
         smooth = (random_scalar_field(g, 2.0, 1.0, (81, n)), random_divfree_velocity(g, 2.0, 1.0, (82, n)))
         noise = (white_noise(g, n), VectorField(white_noise(g, n + 1), white_noise(g, n + 2)))
         for f, v in (smooth, noise):
-            assert_close(inverse_transform(f).samples, complex_samples(f))
-            for got, comp in zip(to_physical(v).components(), v.components()):
-                assert_close(got.samples, complex_samples(comp))
+            # white noise fills the Nyquist lines, where odd multipliers must vanish
+            for scalar in (f, riesz(f), divergence(v)):
+                assert_close(inverse_transform(scalar).samples, complex_samples(scalar))
+            for vector in (v, gradient(f), biot_savart(curl(v)), leray_project(v)):
+                for got, comp in zip(to_physical(vector).components(), vector.components()):
+                    assert_close(got.samples, complex_samples(comp))
             derivs = [complex_samples(partial_derivative(c, a)) for c in v.components() for a in (0, 1)]
             want = max(float(np.max(np.abs(d))) for d in derivs)
             assert max_gradient(v) == pytest.approx(want, rel=1e-12, abs=0)
@@ -501,6 +522,35 @@ class TestRealEdge:
             got, want = commutator_riesz(v, f), complex_commutator_riesz(v, f)
             for a, b in zip(got.components(), want.components()):
                 assert_close(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("n", [16, 32, 96])
+    def test_leray_projection_of_white_noise_is_real_divergence_free_and_idempotent(self, n):
+        g = Grid(n)
+        v = VectorField(white_noise(g, n + 1), white_noise(g, n + 2))
+        scale = max(float(np.max(np.abs(c.coeffs))) for c in v.components())
+        once = leray_project(v)
+        to_physical(once)  # the checked edge takes it: it is real
+        assert np.max(np.abs(divergence(once).coeffs)) <= 1e-12 * scale
+        for field in (once, biot_savart(curl(v))):  # divergence-free fields are kept
+            for a, b in zip(field.components(), leray_project(field).components()):
+                assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [16, 32, 96])
+    def test_random_draws_and_initial_data_keep_their_bytes(self, n, monkeypatch):
+        """Draws stop at the dealiasing cutoff, so the Nyquist rule changes none of their bits:
+        they feed `energy_residual`, which magnifies a last-bit change about 10^7-fold."""
+        config = parse_config(f"n = {n}\nt_end = 1\npreset = random\nseed = 3\n")
+
+        def arrays():
+            state = make_initial_data(config)
+            v = random_divfree_velocity(Grid(n), 2.0, 1.0, (5, n))
+            return [state.omega_hat.coeffs, state.theta_hat.coeffs, v.x1.coeffs, v.x2.coeffs]
+
+        new = arrays()
+        monkeypatch.setattr(bqsim.fields, "leray_project", full_k_leray)
+        monkeypatch.setattr(bqsim.spectral, "partial_derivative", full_k_derivative)
+        old = arrays()
+        assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
     def test_record_runs_one_complex_transform_and_the_step_stays_complex(self, fft_calls):
         g = Grid(128)
@@ -616,3 +666,16 @@ class TestTransformLayer:
             total += fft_calls_in(tree)
         assert in_functions == {("spectral.py", name): calls for name, calls in TRANSFORM_HELPERS.items()}
         assert sorted(total) == sorted(sum(TRANSFORM_HELPERS.values(), []))  # none at module level
+
+    def test_only_grid_reads_the_raw_wavevectors(self):
+        """Operators take odd factors from `k1_odd`/`k2_odd`, which vanish on the Nyquist line,
+        so a new operator cannot bring back an antisymmetric one."""
+        readers = []
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            in_grid = {id(node) for cls in ast.walk(tree)
+                       if isinstance(cls, ast.ClassDef) and cls.name == "Grid" for node in ast.walk(cls)}
+            readers += [(path.name, node.lineno) for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr in ("k1", "k2")
+                        and id(node) not in in_grid]
+        assert readers == []
