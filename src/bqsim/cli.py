@@ -7,9 +7,10 @@ Subcommands:
     norms      report the norm table of a checkpointed state
     stability  two-trajectory separation experiment in the weak metric
 
-Exit codes: 0 success, 1 a check failed (or the run blew up), 2 usage or
-configuration error.  BQ_OUTPUT_DIR overrides the configured output
-directory unless --output-dir is given explicitly.
+Exit codes, mapped in `main` alone: 0 success; 1 a check failed or a
+trajectory blew up; 2 usage error, bad input, bad checkpoint or unreadable
+file.  BQ_OUTPUT_DIR overrides the configured output directory unless
+--output-dir is given explicitly.
 """
 
 from __future__ import annotations
@@ -89,23 +90,18 @@ def _print_check(report) -> bool:
     return report.passed
 
 
-def _cmd_run(args) -> int:
-    config = parse_config(Path(args.config).read_text())
-    initial = read_checkpoint(args.resume) if args.resume else None
-    if initial is not None:
-        if initial.grid.n != config.n:
-            raise ConfigurationError(
-                f"resume checkpoint has n={initial.grid.n}, config has n={config.n}"
-            )
-        if initial.alpha != config.alpha:
-            raise ConfigurationError(
-                f"resume checkpoint has alpha={initial.alpha}, config has alpha={config.alpha}"
-            )
+def _read_config(path):
     try:
-        result = run(config, output_dir=args.output_dir, initial_state=initial)
-    except BlowUpError as err:
-        print(f"blow-up detected at t={err.state.t:.6g}; forensic checkpoint written")
-        return 1
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {err}") from None
+    return parse_config(text)
+
+
+def _cmd_run(args) -> int:
+    config = _read_config(args.config)
+    initial = read_checkpoint(args.resume) if args.resume else None
+    result = run(config, output_dir=args.output_dir, initial_state=initial)
     final = result.records[-1]
     print(
         f"advanced to t={result.final_state.t:.6g} in {result.steps_taken} steps"
@@ -185,7 +181,7 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    config = parse_config(Path(args.config).read_text())
+    config = _read_config(args.config)
     report = stability_experiment(config, args.delta)
     print(
         f"delta={report.delta:g} -> X_delta(T)={report.x_delta[-1]:.6g},"
@@ -213,10 +209,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, InvalidInputError, CheckpointError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except BlowUpError as err:
+        print(f"blow-up detected at t={err.state.t:.6g}: {err}")
+        return 1
+    except (ConfigurationError, InvalidInputError, CheckpointError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

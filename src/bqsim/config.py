@@ -33,9 +33,10 @@ PRESETS = ("zero", "taylor-green", "blob", "tg-blob", "random")
 GRAD_V_EXPONENT = 4.0  # the p of the grad v L^p norm that `initial_norms` reports
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated simulation parameters; defaults match the solver contract."""
+    """Simulation parameters, checked whenever one is built (parsed, replaced or
+    constructed); defaults match the solver contract."""
 
     n: int
     t_end: float
@@ -57,6 +58,38 @@ class RunConfig:
     random_amplitude: float = 1.0
     source_text: str = field(default="", repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.n % 2 != 0 or self.n < 16:
+            raise ConfigurationError(f"config key 'n': must be even and >= 16, got {self.n}")
+        if not 0.0 < self.alpha <= 2.0:
+            raise ConfigurationError(f"config key 'alpha': must lie in (0, 2], got {self.alpha}")
+        if self.t_end < 0:
+            raise ConfigurationError(f"config key 't_end': must be >= 0, got {self.t_end}")
+        if self.cfl <= 0:
+            raise ConfigurationError(f"config key 'cfl': must be positive, got {self.cfl}")
+        if self.dt is not None and self.dt <= 0:
+            raise ConfigurationError(f"config key 'dt': must be positive, got {self.dt}")
+        if self.seed < 0:
+            raise ConfigurationError(f"config key 'seed': must be >= 0, got {self.seed}")
+        if self.diag_cadence < 1:
+            raise ConfigurationError(
+                f"config key 'diag_cadence': must be >= 1, got {self.diag_cadence}"
+            )
+        if self.preset not in PRESETS:
+            raise ConfigurationError(
+                f"config key 'preset': unknown preset {self.preset!r}; choose from {PRESETS}"
+            )
+        if self.blob_width <= 0:
+            raise ConfigurationError(
+                f"config key 'blob_width': must be positive, got {self.blob_width}"
+            )
+        if not self.omega_lr >= 1:  # NaN fails the comparison
+            raise ConfigurationError(f"config key 'omega_lr': must be >= 1, got {self.omega_lr}")
+        if any(t > self.t_end for t in self.checkpoint_times):
+            raise ConfigurationError(
+                "config key 'checkpoint_times': every checkpoint time must be <= t_end"
+            )
+
 
 def _parse_bool(key, raw):
     lowered = raw.lower()
@@ -72,7 +105,7 @@ def _parse_float(key, raw):
         value = float(raw)
     except ValueError:
         raise ConfigurationError(f"config key '{key}': expected a number, got {raw!r}") from None
-    # omega_lr is a Lebesgue exponent, for which inf is valid; _validate bounds it.
+    # omega_lr is a Lebesgue exponent, for which inf is valid; RunConfig bounds it.
     if key != "omega_lr" and not math.isfinite(value):
         raise ConfigurationError(f"config key '{key}': must be finite, got {raw!r}")
     return value
@@ -141,40 +174,7 @@ def parse_config(text: str) -> RunConfig:
         if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
             raise ConfigurationError(f"missing required config key '{f.name}'")
 
-    config = RunConfig(source_text=text, **values)
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig):
-    if config.n % 2 != 0 or config.n < 16:
-        raise ConfigurationError(f"config key 'n': must be even and >= 16, got {config.n}")
-    if not 0.0 < config.alpha <= 2.0:
-        raise ConfigurationError(f"config key 'alpha': must lie in (0, 2], got {config.alpha}")
-    if config.t_end < 0:
-        raise ConfigurationError(f"config key 't_end': must be >= 0, got {config.t_end}")
-    if config.cfl <= 0:
-        raise ConfigurationError(f"config key 'cfl': must be positive, got {config.cfl}")
-    if config.dt is not None and config.dt <= 0:
-        raise ConfigurationError(f"config key 'dt': must be positive, got {config.dt}")
-    if config.diag_cadence < 1:
-        raise ConfigurationError(
-            f"config key 'diag_cadence': must be >= 1, got {config.diag_cadence}"
-        )
-    if config.preset not in PRESETS:
-        raise ConfigurationError(
-            f"config key 'preset': unknown preset {config.preset!r}; choose from {PRESETS}"
-        )
-    if config.blob_width <= 0:
-        raise ConfigurationError(
-            f"config key 'blob_width': must be positive, got {config.blob_width}"
-        )
-    if not config.omega_lr >= 1:  # NaN fails the comparison
-        raise ConfigurationError(f"config key 'omega_lr': must be >= 1, got {config.omega_lr}")
-    if any(t > config.t_end for t in config.checkpoint_times):
-        raise ConfigurationError(
-            "config key 'checkpoint_times': every checkpoint time must be <= t_end"
-        )
+    return RunConfig(source_text=text, **values)
 
 
 def config_echo(config: RunConfig) -> list[str]:

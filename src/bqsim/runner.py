@@ -73,12 +73,18 @@ def run(
 ) -> RunResult:
     """Advance the configured initial data to t_end.
 
-    Diagnostics are recorded every `diag_cadence` steps (plus the initial
-    and final states); checkpoints are written at each configured time and
-    at the end.  On blow-up, initial velocity included, the last finite state
-    is checkpointed for forensics before the error propagates.
+    An `initial_state` must have the config's n and alpha.  Diagnostics are
+    recorded every `diag_cadence` steps (plus the initial and final states);
+    checkpoints are written at each configured time and at the end.  On
+    blow-up, initial velocity included, the last finite state is checkpointed
+    for forensics before the error propagates.
     """
     state = make_initial_data(config) if initial_state is None else initial_state
+    if (state.grid.n, state.alpha) != (config.n, config.alpha):
+        raise ConfigurationError(
+            f"initial state has n={state.grid.n}, alpha={state.alpha};"
+            f" config has n={config.n}, alpha={config.alpha}"
+        )
     if state.t > config.t_end + _TIME_EPS:
         raise ConfigurationError(
             f"initial state time {state.t} already beyond t_end {config.t_end}"
@@ -184,8 +190,8 @@ class StabilityReport:
 
 def perturbed_initial_state(base: SimState, delta: float, seed: int = 0) -> SimState:
     """Vorticity-only perturbation scaled so the weak metric starts at delta."""
-    if delta <= 0:
-        raise ConfigurationError(f"perturbation size delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:  # NaN fails both comparisons
+        raise ConfigurationError(f"perturbation size delta must be finite and > 0, got {delta}")
     shape = dealias(random_scalar_field(base.grid, 2.5, 1.0, (seed, 77)))
     trial = SimState(base.t, base.omega_hat + shape, base.theta_hat, base.alpha)
     unit = state_difference(trial, base)
@@ -204,7 +210,7 @@ def stability_experiment(config: RunConfig, delta: float) -> StabilityReport:
     times and the separation series are directly comparable.
     """
     base0 = make_initial_data(config)
-    if config.dt is None:
+    if config.dt is None and config.t_end > 0:  # a fixed dt must stay positive
         dt = min(adaptive_dt(base0, config.cfl), config.t_end / 16.0)
         config = replace(config, dt=dt)
 

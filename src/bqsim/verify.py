@@ -64,6 +64,8 @@ class EnsembleSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigurationError(f"ensemble seed must be >= 0, got {self.seed}")
         if self.count < 1:
             raise ConfigurationError(f"ensemble count must be >= 1, got {self.count}")
         if self.n % 2 != 0 or self.n < 16:

@@ -1,5 +1,7 @@
 """Configuration parsing, artifact formats, determinism, resume, CLI."""
 
+import contextlib
+import dataclasses
 import math
 import struct
 
@@ -26,6 +28,7 @@ from bqsim import (
 )
 from bqsim.cli import main
 from bqsim.fields import random_scalar_field
+from bqsim.runner import stability_experiment
 
 BASE = "n = 64\nt_end = 0.1\npreset = tg-blob\n"
 FLOAT_KEYS = [
@@ -436,3 +439,92 @@ class TestCli:
         cfg.write_text("n = 32\nt_end = 0.1\npreset = tg-blob\ndt = 0.01\n")
         assert main(["stability", "--config", str(cfg), "--delta", "1e-4"]) == 0
         assert "gamma_fit" in capsys.readouterr().out
+
+
+STAB = "n = 32\nt_end = 0.1\npreset = tg-blob\ndt = 0.01\n"
+BLOWUP = "n = 32\nt_end = 0.1\ndt = 1e-3\npreset = random\namplitude = 1e150\n"
+NOT_UTF8 = BASE.encode() + b"# caf\xe9\n"  # Latin-1 bytes
+
+
+class TestFailureKinds:
+    """`main` maps every failure to one line: a blow-up to stdout and exit 1,
+    bad input, a bad checkpoint or an unreadable file to stderr and exit 2.
+
+    `{cfg}` is the case's config file, `{dir}` a directory and `{ckpt}` a
+    checkpoint of BASE (n = 64, alpha = 1).
+    """
+
+    @pytest.mark.parametrize("config, argv, code, named", [
+        pytest.param("n = 32\nt_end = 0.1\npreset = random\nseed = -1\n", "run --config {cfg}", 2,
+                     "config key 'seed': must be >= 0, got -1", id="seed"),
+        pytest.param(None, "verify --suite kernel --count 2 --n 32 --seed -1 --output-dir {dir}",
+                     2, "seed", id="verify-seed"),
+        pytest.param(None, "run --config {dir}", 2, "Is a directory", id="run-config-dir"),
+        pytest.param(None, "norms --checkpoint {dir}", 2, "Is a directory",
+                     id="norms-checkpoint-dir"),
+        pytest.param(NOT_UTF8, "run --config {cfg}", 2, "not UTF-8", id="run-not-utf8"),
+        pytest.param(NOT_UTF8, "stability --config {cfg} --delta 1e-4", 2, "not UTF-8",
+                     id="stability-not-utf8"),
+        pytest.param(STAB, "stability --config {cfg} --delta nan", 2, "delta", id="delta-nan"),
+        pytest.param(STAB, "stability --config {cfg} --delta inf", 2, "delta", id="delta-inf"),
+        pytest.param(BLOWUP, "stability --config {cfg} --delta 1e-4", 1, "initial velocity",
+                     id="stability-blowup"),
+        pytest.param(BLOWUP, "run --config {cfg}", 1, "initial velocity", id="run-blowup"),
+        pytest.param("n = 64\npreset = tg-blob\nt_end = -1\n", "run --config {cfg}", 2, "'t_end'",
+                     id="t_end"),
+        pytest.param(BASE + "cfl = 0\n", "run --config {cfg}", 2, "'cfl'", id="cfl"),
+        pytest.param(BASE + "dt = 0\n", "run --config {cfg}", 2, "'dt'", id="dt"),
+        pytest.param(BASE + "diag_cadence = 0\n", "run --config {cfg}", 2, "'diag_cadence'",
+                     id="diag_cadence"),
+        pytest.param(BASE + "blob_width = 0\n", "run --config {cfg}", 2, "'blob_width'",
+                     id="blob_width"),
+        pytest.param("n = 32\nt_end = 0.1\npreset = tg-blob\n", "run --config {cfg} --resume {ckpt}",
+                     2, "n=64", id="resume-n"),
+        pytest.param(BASE + "alpha = 0.5\n", "run --config {cfg} --resume {ckpt}", 2, "alpha=1.0",
+                     id="resume-alpha"),
+        pytest.param(None, "norms --checkpoint {ckpt} --besov 1,2", 2, "--besov",
+                     id="besov-two-parts"),
+        pytest.param(None, "norms --checkpoint {ckpt} --besov a,b,c", 2, "--besov",
+                     id="besov-not-numbers"),
+        pytest.param(None, "verify --suite block-commutator --variant b2a --p inf --count 2 --n 32"
+                     " --output-dir {dir}", 2, "'b2a' requires finite p", id="b2a-infinite-p"),
+    ])
+    def test_each_failure_is_one_line_of_its_kind(self, tmp_path, capsys, config, argv, code, named):
+        cfg, ckpt, out = tmp_path / "case.cfg", tmp_path / "state.bqsf", tmp_path / "out"
+        if config is not None:
+            (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
+        write_checkpoint(ckpt, make_initial_data(parse_config(BASE)))
+        out.mkdir()
+        args = argv.format(cfg=cfg, dir=out, ckpt=ckpt).split()
+        if args[0] == "run":
+            args += ["--output-dir", str(out)]
+        with np.errstate(over="ignore", invalid="ignore") if code == 1 else contextlib.nullcontext():
+            assert main(args) == code
+        captured = capsys.readouterr()
+        lines, silent = (captured.out, captured.err) if code == 1 else (captured.err, captured.out)
+        assert silent == ""
+        [line] = lines.splitlines()
+        assert line.startswith("blow-up detected at t=" if code == 1 else "error: ")
+        assert named in line
+        if code == 2:
+            assert not list(out.iterdir())
+
+    def test_a_replaced_config_is_validated_and_none_is_mutated(self):
+        config = parse_config(BASE)
+        with pytest.raises(ConfigurationError, match="config key 'diag_cadence'"):
+            dataclasses.replace(config, diag_cadence=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.diag_cadence = 0
+
+    def test_run_rejects_an_initial_state_of_another_grid_and_alpha(self, tmp_path):
+        config = parse_config("n = 32\nt_end = 0.1\npreset = tg-blob\n")
+        foreign = make_initial_data(parse_config(BASE + "alpha = 0.5\n"))
+        with pytest.raises(ConfigurationError, match="n=64, alpha=0.5") as info:
+            run(config, output_dir=tmp_path / "out", initial_state=foreign)
+        assert "n=32, alpha=1.0" in str(info.value)
+        assert not (tmp_path / "out").exists()
+
+    def test_stability_to_t_end_zero_keeps_adaptive_stepping(self):
+        """A fixed dt forced from t_end / 16 would be 0, which `RunConfig` rejects."""
+        report = stability_experiment(parse_config("n = 32\nt_end = 0\npreset = tg-blob\n"), 1e-4)
+        assert report.times == (0.0,) and report.gamma_fit == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 """Oracle tests for the Fourier core: transforms, multipliers, norms."""
 
 import ast
+import builtins
 import math
 from collections import Counter
 from pathlib import Path
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import bqsim
+import bqsim.cli
 from bqsim import (
     BesovSpec,
+    BlowUpError,
+    CheckpointError,
     DiagnosticsTracker,
     Grid,
     InvalidInputError,
@@ -679,3 +683,31 @@ class TestTransformLayer:
                         if isinstance(node, ast.Attribute) and node.attr in ("k1", "k2")
                         and id(node) not in in_grid]
         assert readers == []
+
+
+FAILURE_KINDS = (BlowUpError, ConfigurationError, InvalidInputError, CheckpointError, OSError)
+
+
+class TestFailureContract:
+    def test_only_cli_main_maps_a_failure_kind_to_an_exit_code(self):
+        """In `cli.py` a handler that catches a failure kind (or a subclass, or everything)
+        sits in `main`; handlers that convert one error into another, such as
+        `_parse_besov`'s `except ValueError`, catch no kind and are allowed anywhere."""
+        tree = ast.parse(Path(bqsim.cli.__file__).read_text())
+        owner = {id(h): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for h in ast.walk(f) if isinstance(h, ast.ExceptHandler)}
+        found = []
+        for handler in (h for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)):
+            names = [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(handler.type)
+                     if isinstance(n, (ast.Name, ast.Attribute))] if handler.type else ["BaseException"]
+            classes = [getattr(bqsim.cli, name, None) or getattr(builtins, name, None) for name in names]
+            kinds = sorted({k.__name__ for c in classes if isinstance(c, type) for k in FAILURE_KINDS
+                            if issubclass(c, k) or c in (Exception, BaseException)})
+            codes = [r.value.value for r in ast.walk(handler)
+                     if isinstance(r, ast.Return) and isinstance(r.value, ast.Constant)]
+            if kinds:
+                found.append((owner.get(id(handler)), kinds, codes))
+        assert found == [
+            ("main", ["BlowUpError"], [1]),
+            ("main", ["CheckpointError", "ConfigurationError", "InvalidInputError", "OSError"], [2]),
+        ]

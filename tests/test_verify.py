@@ -33,6 +33,8 @@ class TestEnsembleSpec:
             EnsembleSpec(n=63)
         with pytest.raises(ConfigurationError):
             EnsembleSpec(amplitude=-1.0)
+        with pytest.raises(ConfigurationError, match="seed"):
+            EnsembleSpec(seed=-1)
 
     def test_defaults(self):
         ens = EnsembleSpec()
@@ -140,6 +142,11 @@ class TestSuites:
             verify_product_transport(SMALL, s=0.5)
         with pytest.raises(ConfigurationError):
             verify_block_commutator(SMALL, variant="other")
+
+    def test_block_commutator_b2a_ratios_are_finite(self):
+        report = verify_block_commutator(EnsembleSpec(count=2, n=32), variant="b2a")
+        assert report.params["variant"] == "b2a"
+        assert report.all_finite and report.ratios.size == 2
 
 
 class TestRatioReport:
