@@ -51,4 +51,4 @@ print(f"separation X(t) = ||theta1-theta2||_(B^-1_(2,inf)) + ||v1-v2||_(B^0_(2,i
 print(f"delta = {report.delta:.1e}:   X(0) = {report.x_delta[0]:.3e} -> X(1) = {report.x_delta[-1]:.3e}")
 print(f"delta/4 = {report.delta / 4:.1e}: X(0) = {report.x_quarter[0]:.3e} -> X(1) = {report.x_quarter[-1]:.3e}")
 print(f"fitted Holder exponent gamma = {report.gamma_fit:.4f}  (continuous dependence <=> gamma > 0)")
-print(f"final-separation contraction: X(1)/X(0) = {report.final_ratio:.4f}")
+print(f"final-separation contraction: X(1)/X(0) = {report.x_delta[-1] / report.x_delta[0]:.4f}")

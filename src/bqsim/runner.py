@@ -1,8 +1,9 @@
 """Time-stepping driver: event-aligned stepping, artifacts, stability runs.
 
-The driver clamps each step so the trajectory lands exactly on every
-checkpoint time and on t_end; combined with bit-exact checkpoints this makes
-resumed runs reproduce the original trajectory to machine precision.
+One stepping loop (`_trajectory`) serves `run` and `stability_experiment`.
+It clamps each step so the trajectory lands exactly on every checkpoint time
+and on t_end; combined with bit-exact checkpoints this makes resumed runs
+reproduce the original trajectory to machine precision.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ def adaptive_dt(state: SimState, cfl_number: float) -> float:
 
 @dataclass
 class RunResult:
-    """Everything a run produced: records, final state, artifact paths."""
+    """What a run produced: its diagnostics records, final state and artifact paths
+    (`csv_path` and `output_dir` are None when no artifacts were written)."""
 
-    config: RunConfig
     records: list
     final_state: SimState
-    states: list | None
-    checkpoint_paths: list
     csv_path: Path | None
     output_dir: Path | None
     steps_taken: int
@@ -64,20 +63,56 @@ def _events(config: RunConfig, t_start: float) -> list[float]:
     return sorted(t for t in times if t > t_start + _TIME_EPS)
 
 
+def _trajectory(config: RunConfig, state: SimState):
+    """The one stepping loop: advance `state` to t_end, landing exactly on every
+    checkpoint time.
+
+    dt is `config.dt`, or `adaptive_dt` when that is None.  Yields
+    (state, steps, sample, checkpoint) for the first state, after every step,
+    at each landing on a checkpoint time (`checkpoint` is that time's index,
+    else None) and, if the cadence missed it, once more for the last state.
+    `sample` marks the first state, every `diag_cadence`-th step and the last
+    state.  Yielding every step keeps a consumer's loop variable from pinning
+    a state the loop has moved past.  After the first yield the initial
+    velocity is tested against the blow-up threshold.
+    """
+    checkpoint_index = {t: i for i, t in enumerate(sorted(set(config.checkpoint_times)))}
+    steps = 0
+    yield state, steps, True, None
+    vmax = lp_norm(state.physical_velocity(), math.inf)
+    if not vmax <= VELOCITY_BLOWUP_THRESHOLD:
+        raise BlowUpError(f"initial velocity {vmax:.3e} exceeds blow-up threshold", state=state)
+    for event in _events(config, state.t):
+        while state.t < event - _TIME_EPS:
+            dt = config.dt if config.dt is not None else adaptive_dt(state, config.cfl)
+            remaining = event - state.t
+            landed = dt >= remaining - _TIME_EPS
+            state = step(state, min(dt, remaining))
+            if landed:
+                state.t = event
+            steps += 1
+            yield state, steps, steps % config.diag_cadence == 0, None
+        if event in checkpoint_index:
+            yield state, steps, False, checkpoint_index[event]
+    if steps % config.diag_cadence != 0:
+        yield state, steps, True, None
+
+
 def run(
     config: RunConfig,
     output_dir=None,
-    collect_states: bool = False,
     write_artifacts: bool = True,
     initial_state: SimState | None = None,
 ) -> RunResult:
-    """Advance the configured initial data to t_end.
+    """Advance the configured initial data (or `initial_state`, which must have
+    the config's n and alpha) to t_end.
 
-    An `initial_state` must have the config's n and alpha.  Diagnostics are
-    recorded every `diag_cadence` steps (plus the initial and final states);
-    checkpoints are written at each configured time and at the end.  On
-    blow-up, initial velocity included, the last finite state is checkpointed
-    for forensics before the error propagates.
+    Diagnostics are recorded at every sample point of the stepping loop: the
+    initial state, every `diag_cadence` steps and the final state.  With
+    artifacts, each checkpoint time writes `checkpoint_<k>.bqsf`, the end
+    writes `final.bqsf` and `diagnostics.csv`, and a blow-up (initial velocity
+    included) writes the last finite state to `blowup.bqsf` and the records so
+    far to the CSV before the error propagates.
     """
     state = make_initial_data(config) if initial_state is None else initial_state
     if (state.grid.n, state.alpha) != (config.n, config.alpha):
@@ -95,65 +130,28 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
 
     tracker = DiagnosticsTracker(omega_lr=config.omega_lr)
-    records = [tracker.record(state)]
-    states = [state.copy()] if collect_states else None
-    checkpoint_paths = []
-    checkpoint_index = {
-        t: i for i, t in enumerate(sorted(set(config.checkpoint_times)))
-    }
-
-    events = _events(config, state.t)
-    steps = 0
-
-    def emit(current: SimState):
-        records.append(tracker.record(current))
-        if states is not None:
-            states.append(current.copy())
-
+    records = []
     try:
-        vmax = lp_norm(state.physical_velocity(), math.inf)
-        if not vmax <= VELOCITY_BLOWUP_THRESHOLD:
-            raise BlowUpError(f"initial velocity {vmax:.3e} exceeds blow-up threshold", state=state)
-        for event in events:
-            while state.t < event - _TIME_EPS:
-                dt = config.dt if config.dt is not None else adaptive_dt(state, config.cfl)
-                remaining = event - state.t
-                landed = dt >= remaining - _TIME_EPS
-                state = step(state, min(dt, remaining))
-                if landed:
-                    state.t = event
-                steps += 1
-                if steps % config.diag_cadence == 0:
-                    emit(state)
-            if out is not None and event in checkpoint_index:
-                path = out / f"checkpoint_{checkpoint_index[event]:03d}.bqsf"
-                write_checkpoint(path, state)
-                checkpoint_paths.append(path)
+        for state, steps, sample, checkpoint in _trajectory(config, state):
+            if sample:
+                records.append(tracker.record(state))
+            if checkpoint is not None and out is not None:
+                write_checkpoint(out / f"checkpoint_{checkpoint:03d}.bqsf", state)
     except BlowUpError as err:
         if out is not None:
             write_checkpoint(out / "blowup.bqsf", err.state)
-            write_diagnostics_csv(
-                out / "diagnostics.csv", records, _csv_header(config)
-            )
+            write_diagnostics_csv(out / "diagnostics.csv", records, _csv_header(config))
         raise
-
-    if state.t > records[-1].t + _TIME_EPS:
-        emit(state)
 
     csv_path = None
     if out is not None:
-        final_path = out / "final.bqsf"
-        write_checkpoint(final_path, state)
-        checkpoint_paths.append(final_path)
+        write_checkpoint(out / "final.bqsf", state)
         csv_path = out / "diagnostics.csv"
         write_diagnostics_csv(csv_path, records, _csv_header(config))
 
     return RunResult(
-        config=config,
         records=records,
         final_state=state,
-        states=states,
-        checkpoint_paths=checkpoint_paths,
         csv_path=csv_path,
         output_dir=out,
         steps_taken=steps,
@@ -183,18 +181,20 @@ class StabilityReport:
     x_delta: tuple
     x_quarter: tuple
 
-    @property
-    def final_ratio(self) -> float:
-        return self.x_delta[-1] / max(self.x_quarter[-1], 1e-300)
-
 
 def perturbed_initial_state(base: SimState, delta: float, seed: int = 0) -> SimState:
-    """Vorticity-only perturbation scaled so the weak metric starts at delta."""
+    """Vorticity-only perturbation scaled so the weak metric starts at delta.
+
+    The shape's separation is measured on the shape alone, so a base of any
+    size cannot round it away.
+    """
     if not 0 < delta < math.inf:  # NaN fails both comparisons
         raise ConfigurationError(f"perturbation size delta must be finite and > 0, got {delta}")
     shape = dealias(random_scalar_field(base.grid, 2.5, 1.0, (seed, 77)))
-    trial = SimState(base.t, base.omega_hat + shape, base.theta_hat, base.alpha)
-    unit = state_difference(trial, base)
+    zero = shape * 0.0
+    unit = state_difference(
+        SimState(base.t, shape, zero, base.alpha), SimState(base.t, zero, zero, base.alpha)
+    )
     if unit <= 0:
         raise ConfigurationError("perturbation shape produced zero metric separation")
     return SimState(
@@ -205,33 +205,26 @@ def perturbed_initial_state(base: SimState, delta: float, seed: int = 0) -> SimS
 def stability_experiment(config: RunConfig, delta: float) -> StabilityReport:
     """Run base, delta-, and (delta/4)-perturbed trajectories side by side.
 
-    A fixed step size is forced (derived from the base state's CFL limit if
-    the config leaves dt adaptive) so all three trajectories sample identical
-    times and the separation series are directly comparable.
+    Both perturbed starts are built, so `delta` is checked, before any
+    trajectory runs.  A fixed step size is forced (derived from the base
+    state's CFL limit if the config leaves dt adaptive) so all three
+    trajectories sample identical times and the separation series are directly
+    comparable.  Each trajectory keeps only its sample states: no diagnostics
+    are recorded and no artifacts are written.
     """
     base0 = make_initial_data(config)
+    starts = [base0] + [perturbed_initial_state(base0, d, config.seed) for d in (delta, delta / 4)]
     if config.dt is None and config.t_end > 0:  # a fixed dt must stay positive
         dt = min(adaptive_dt(base0, config.cfl), config.t_end / 16.0)
         config = replace(config, dt=dt)
 
-    def trajectory(state0):
-        result = run(
-            config,
-            collect_states=True,
-            write_artifacts=False,
-            initial_state=state0,
-        )
-        return result.states
-
-    base_states = trajectory(base0)
-    delta_states = trajectory(perturbed_initial_state(base0, delta, config.seed))
-    quarter_states = trajectory(perturbed_initial_state(base0, delta / 4.0, config.seed))
-    if not (len(base_states) == len(delta_states) == len(quarter_states)):
-        raise ConfigurationError("stability trajectories sampled different times")
-
-    times = tuple(s.t for s in base_states)
-    x_delta = tuple(state_difference(a, b) for a, b in zip(delta_states, base_states))
-    x_quarter = tuple(state_difference(a, b) for a, b in zip(quarter_states, base_states))
+    base, perturbed, quarter = (
+        [state for state, _, sample, _ in _trajectory(config, start) if sample]
+        for start in starts
+    )
+    times = tuple(s.t for s in base)
+    x_delta = tuple(state_difference(a, b) for a, b in zip(perturbed, base, strict=True))
+    x_quarter = tuple(state_difference(a, b) for a, b in zip(quarter, base, strict=True))
     gamma_fit = math.log(
         max(x_delta[-1], 1e-300) / max(x_quarter[-1], 1e-300)
     ) / math.log(4.0)

@@ -1,16 +1,20 @@
 """Configuration parsing, artifact formats, determinism, resume, CLI."""
 
+import ast
 import contextlib
 import dataclasses
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bqsim
 from bqsim import (
     CheckpointError,
     ConfigurationError,
+    DiagnosticsTracker,
     Grid,
     SimState,
     SpectralField,
@@ -28,7 +32,7 @@ from bqsim import (
 )
 from bqsim.cli import main
 from bqsim.fields import random_scalar_field
-from bqsim.runner import stability_experiment
+from bqsim.runner import perturbed_initial_state, stability_experiment
 
 BASE = "n = 64\nt_end = 0.1\npreset = tg-blob\n"
 FLOAT_KEYS = [
@@ -442,6 +446,7 @@ class TestCli:
 
 
 STAB = "n = 32\nt_end = 0.1\npreset = tg-blob\ndt = 0.01\n"
+ASYM = "n = 32\nt_end = 0.1\npreset = tg-blob\n"
 BLOWUP = "n = 32\nt_end = 0.1\ndt = 1e-3\npreset = random\namplitude = 1e150\n"
 NOT_UTF8 = BASE.encode() + b"# caf\xe9\n"  # Latin-1 bytes
 
@@ -450,8 +455,9 @@ class TestFailureKinds:
     """`main` maps every failure to one line: a blow-up to stdout and exit 1,
     bad input, a bad checkpoint or an unreadable file to stderr and exit 2.
 
-    `{cfg}` is the case's config file, `{dir}` a directory and `{ckpt}` a
-    checkpoint of BASE (n = 64, alpha = 1).
+    `{cfg}` is the case's config file, `{dir}` a directory, `{ckpt}` a
+    checkpoint of BASE (n = 64, alpha = 1) and `{asym}` one of ASYM whose
+    theta has broken conjugate symmetry.
     """
 
     @pytest.mark.parametrize("config, argv, code, named", [
@@ -482,6 +488,10 @@ class TestFailureKinds:
                      2, "n=64", id="resume-n"),
         pytest.param(BASE + "alpha = 0.5\n", "run --config {cfg} --resume {ckpt}", 2, "alpha=1.0",
                      id="resume-alpha"),
+        pytest.param(None, "norms --checkpoint {asym}", 2, "asym.bqsf: conjugate symmetry broken",
+                     id="norms-asymmetric"),
+        pytest.param(ASYM, "run --config {cfg} --resume {asym}", 2,
+                     "asym.bqsf: conjugate symmetry broken", id="resume-asymmetric"),
         pytest.param(None, "norms --checkpoint {ckpt} --besov 1,2", 2, "--besov",
                      id="besov-two-parts"),
         pytest.param(None, "norms --checkpoint {ckpt} --besov a,b,c", 2, "--besov",
@@ -494,8 +504,11 @@ class TestFailureKinds:
         if config is not None:
             (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
         write_checkpoint(ckpt, make_initial_data(parse_config(BASE)))
+        asym = make_initial_data(parse_config(ASYM))
+        asym.theta_hat.coeffs[1, 2] += 0.3
+        write_checkpoint(tmp_path / "asym.bqsf", asym)
         out.mkdir()
-        args = argv.format(cfg=cfg, dir=out, ckpt=ckpt).split()
+        args = argv.format(cfg=cfg, dir=out, ckpt=ckpt, asym=tmp_path / "asym.bqsf").split()
         if args[0] == "run":
             args += ["--output-dir", str(out)]
         with np.errstate(over="ignore", invalid="ignore") if code == 1 else contextlib.nullcontext():
@@ -528,3 +541,52 @@ class TestFailureKinds:
         """A fixed dt forced from t_end / 16 would be 0, which `RunConfig` rejects."""
         report = stability_experiment(parse_config("n = 32\nt_end = 0\npreset = tg-blob\n"), 1e-4)
         assert report.times == (0.0,) and report.gamma_fit == pytest.approx(1.0)
+
+
+class TestSteppingLoop:
+    """`run` and `stability_experiment` share the runner's one stepping loop."""
+
+    def test_only_the_runner_trajectory_calls_step(self):
+        """A second stepping loop in `src/bqsim` cannot grow back."""
+        callers = []
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            owner = {}
+            for func in (f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+                for node in ast.walk(func):  # walk order: an inner def overwrites its outer one
+                    owner[id(node)] = func.name
+            callers += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "step"]
+        assert callers == [("runner.py", "_trajectory")]
+
+    def test_stability_makes_no_diagnostics_records(self, monkeypatch):
+        recorded = []
+        record = DiagnosticsTracker.record
+        monkeypatch.setattr(DiagnosticsTracker, "record",
+                            lambda self, state: recorded.append(state.t) or record(self, state))
+        stability_experiment(parse_config(STAB), 1e-4)
+        assert recorded == []
+
+    def test_a_bad_delta_exits_before_any_step(self, tmp_path, monkeypatch, capsys):
+        steps = []
+        step = bqsim.runner.step
+        monkeypatch.setattr(bqsim.runner, "step",
+                            lambda state, dt: steps.append(dt) or step(state, dt))
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text(STAB)
+        assert main(["stability", "--config", str(cfg), "--delta", "nan"]) == 2
+        assert steps == []
+
+    def test_a_huge_base_keeps_its_perturbation_shape(self):
+        """The shape is measured alone, so a base of 1e150 cannot round it to zero."""
+        base = make_initial_data(parse_config("n = 32\nt_end = 0.1\npreset = random\n"))
+        huge = SimState(base.t, base.omega_hat * 1e150, base.theta_hat * 1e150, base.alpha)
+        assert isinstance(perturbed_initial_state(huge, 1e-4), SimState)
+
+    def test_stability_samples_the_times_run_records(self):
+        config = parse_config(STAB + "diag_cadence = 3\ncheckpoint_times = 0.05\n")
+        report = stability_experiment(config, 1e-4)
+        records = run(config, write_artifacts=False).records
+        assert report.times == tuple(r.t for r in records)
+        assert len(report.times) == 5  # t = 0, steps 3, 6, 9 and the last, step 10
