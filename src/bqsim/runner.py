@@ -209,8 +209,9 @@ def stability_experiment(config: RunConfig, delta: float) -> StabilityReport:
     trajectory runs.  A fixed step size is forced (derived from the base
     state's CFL limit if the config leaves dt adaptive) so all three
     trajectories sample identical times and the separation series are directly
-    comparable.  Each trajectory keeps only its sample states: no diagnostics
-    are recorded and no artifacts are written.
+    comparable.  The three trajectories step in lockstep and their separations
+    are measured as the samples arrive, so only the current states are held;
+    no diagnostics are recorded and no artifacts are written.
     """
     base0 = make_initial_data(config)
     starts = [base0] + [perturbed_initial_state(base0, d, config.seed) for d in (delta, delta / 4)]
@@ -218,20 +219,21 @@ def stability_experiment(config: RunConfig, delta: float) -> StabilityReport:
         dt = min(adaptive_dt(base0, config.cfl), config.t_end / 16.0)
         config = replace(config, dt=dt)
 
-    base, perturbed, quarter = (
-        [state for state, _, sample, _ in _trajectory(config, start) if sample]
-        for start in starts
-    )
-    times = tuple(s.t for s in base)
-    x_delta = tuple(state_difference(a, b) for a, b in zip(perturbed, base, strict=True))
-    x_quarter = tuple(state_difference(a, b) for a, b in zip(quarter, base, strict=True))
+    times, x_delta, x_quarter = [], [], []
+    for (base, _, sample, _), (perturbed, *_), (quarter, *_) in zip(
+        *(_trajectory(config, start) for start in starts), strict=True
+    ):
+        if sample:
+            times.append(base.t)
+            x_delta.append(state_difference(perturbed, base))
+            x_quarter.append(state_difference(quarter, base))
     gamma_fit = math.log(
         max(x_delta[-1], 1e-300) / max(x_quarter[-1], 1e-300)
     ) / math.log(4.0)
     return StabilityReport(
         delta=delta,
         gamma_fit=gamma_fit,
-        times=times,
-        x_delta=x_delta,
-        x_quarter=x_quarter,
+        times=tuple(times),
+        x_delta=tuple(x_delta),
+        x_quarter=tuple(x_quarter),
     )

@@ -446,7 +446,6 @@ class TestCli:
 
 
 STAB = "n = 32\nt_end = 0.1\npreset = tg-blob\ndt = 0.01\n"
-ASYM = "n = 32\nt_end = 0.1\npreset = tg-blob\n"
 BLOWUP = "n = 32\nt_end = 0.1\ndt = 1e-3\npreset = random\namplitude = 1e150\n"
 NOT_UTF8 = BASE.encode() + b"# caf\xe9\n"  # Latin-1 bytes
 
@@ -455,9 +454,8 @@ class TestFailureKinds:
     """`main` maps every failure to one line: a blow-up to stdout and exit 1,
     bad input, a bad checkpoint or an unreadable file to stderr and exit 2.
 
-    `{cfg}` is the case's config file, `{dir}` a directory, `{ckpt}` a
-    checkpoint of BASE (n = 64, alpha = 1) and `{asym}` one of ASYM whose
-    theta has broken conjugate symmetry.
+    `{cfg}` is the case's config file, `{dir}` a directory and `{ckpt}` a
+    checkpoint of BASE (n = 64, alpha = 1).
     """
 
     @pytest.mark.parametrize("config, argv, code, named", [
@@ -488,10 +486,6 @@ class TestFailureKinds:
                      2, "n=64", id="resume-n"),
         pytest.param(BASE + "alpha = 0.5\n", "run --config {cfg} --resume {ckpt}", 2, "alpha=1.0",
                      id="resume-alpha"),
-        pytest.param(None, "norms --checkpoint {asym}", 2, "asym.bqsf: conjugate symmetry broken",
-                     id="norms-asymmetric"),
-        pytest.param(ASYM, "run --config {cfg} --resume {asym}", 2,
-                     "asym.bqsf: conjugate symmetry broken", id="resume-asymmetric"),
         pytest.param(None, "norms --checkpoint {ckpt} --besov 1,2", 2, "--besov",
                      id="besov-two-parts"),
         pytest.param(None, "norms --checkpoint {ckpt} --besov a,b,c", 2, "--besov",
@@ -504,11 +498,8 @@ class TestFailureKinds:
         if config is not None:
             (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
         write_checkpoint(ckpt, make_initial_data(parse_config(BASE)))
-        asym = make_initial_data(parse_config(ASYM))
-        asym.theta_hat.coeffs[1, 2] += 0.3
-        write_checkpoint(tmp_path / "asym.bqsf", asym)
         out.mkdir()
-        args = argv.format(cfg=cfg, dir=out, ckpt=ckpt, asym=tmp_path / "asym.bqsf").split()
+        args = argv.format(cfg=cfg, dir=out, ckpt=ckpt).split()
         if args[0] == "run":
             args += ["--output-dir", str(out)]
         with np.errstate(over="ignore", invalid="ignore") if code == 1 else contextlib.nullcontext():
