@@ -102,8 +102,8 @@ def rhs(state: SimState):
 
 def cfl_dt(state: SimState, cfl_number: float = 0.5) -> float:
     """Advective CFL step: cfl * (2 pi / n) / max(|v|, 1e-8)."""
-    if cfl_number <= 0:
-        raise ConfigurationError(f"cfl number must be positive, got {cfl_number}")
+    if not 0 < cfl_number < np.inf:
+        raise ConfigurationError(f"cfl number must be positive and finite, got {cfl_number}")
     vmax = lp_norm(state.physical_velocity(), np.inf)
     return cfl_number * (2.0 * np.pi / state.grid.n) / max(vmax, 1e-8)
 
@@ -117,8 +117,8 @@ def step(state: SimState, dt: float) -> SimState:
     BlowUpError, carrying the pre-step state, when a stage or the update is
     non-finite or the velocity exceeds the blow-up threshold.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"step size dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ConfigurationError(f"step size dt must be positive and finite, got {dt}")
     grid = state.grid
     alpha = state.alpha
     e_half = np.exp(-0.5 * dt * grid.kmag_power(alpha))

@@ -18,8 +18,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     VectorField,
-    dealias,
-    forward_transform,
+    dealiased_transform,
     leray_project,
 )
 
@@ -77,7 +76,7 @@ def random_divfree_velocity(
 def taylor_green_vorticity(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """Cellular vorticity sin(x1) sin(x2)."""
     x1, x2 = grid.nodes()
-    return dealias(forward_transform(PhysicalField(grid, amplitude * np.sin(x1) * np.sin(x2))))
+    return dealiased_transform(PhysicalField(grid, amplitude * np.sin(x1) * np.sin(x2)))
 
 
 def gaussian_blob(
@@ -92,4 +91,4 @@ def gaussian_blob(
     samples = amplitude * np.exp(-r2 / width**2)
     if mean_subtract:
         samples = samples - np.mean(samples)
-    return dealias(forward_transform(PhysicalField(grid, samples)))
+    return dealiased_transform(PhysicalField(grid, samples))

@@ -39,8 +39,7 @@ from .spectral import (
     _rescale_by,
     advect,
     apply_multiplier,
-    dealias,
-    forward_transform,
+    dealiased_transform,
     inverse_transform,
     lp_norm,
     riesz,
@@ -248,10 +247,7 @@ def bony_decompose(u: SpectralField, w: SpectralField):
             close += bw[i + 1]
         remainder += bu[i] * close
 
-    def _pack(samples):
-        return dealias(forward_transform(PhysicalField(grid, samples)))
-
-    return _pack(t_uw), _pack(t_wu), _pack(remainder)
+    return tuple(dealiased_transform(PhysicalField(grid, s)) for s in (t_uw, t_wu, remainder))
 
 
 def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
@@ -267,8 +263,8 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     out = []
     for comp in v.components():
         vi = inverse_transform(comp).samples
-        first = riesz(dealias(forward_transform(PhysicalField(grid, vi * th))))
-        second = dealias(forward_transform(PhysicalField(grid, vi * rth)))
+        first = riesz(dealiased_transform(PhysicalField(grid, vi * th)))
+        second = dealiased_transform(PhysicalField(grid, vi * rth))
         out.append(first - second)
     return VectorField(out[0], out[1])
 

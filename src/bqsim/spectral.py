@@ -22,7 +22,11 @@ the complex path, whose last bits feed the trajectory or the energy residual
 (E1 - E0) / dt, which magnifies them about 10^7-fold: `_samples` for the step's
 stages and `advect`, `SimState.physical_velocity`, `grid_max_velocity` (it sets
 the benchmark's run amplitudes), the record's theta samples (buoyancy power) and
-`adaptive_dt`'s max|theta| (the buoyant limit can set dt), and `forward_transform`.
+`adaptive_dt`'s max|theta| (the buoyant limit can set dt), and the forward transforms.
+They run the 1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in
+place), so every bit is numpy's, and skip the lines |k_j| > n/3 (`Grid.cut`): `_samples`
+their rows when these hold only zeros (as in every dealiased field), and
+`dealiased_transform` their columns, leaving +0.0 where `dealias` may leave -0.0.
 
 `Grid` keeps the wavevector arrays (and their odd forms) and the alpha-independent
 multipliers (Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh
@@ -72,8 +76,10 @@ class Grid:
         inv[0, 0] = 0.0
         self.inv_ksq = inv
         self.riesz_mult = self.forcing_mult(1.0)
-        # 2/3-rule mask: keep max(|k1|, |k2|) <= n/3, zero everything above.
+        # 2/3 rule: keep max(|k1|, |k2|) <= n/3; the lines it zeroes sit at indices `cut`.
         self.dealias_keep = np.maximum(np.abs(self.k1), np.abs(self.k2)) <= n / 3.0
+        m = int(np.count_nonzero(self.dealias_keep[0])) // 2
+        self.kept, self.cut = (slice(None, m + 1), slice(n - m, None)), slice(m + 1, n - m)
         self.x = 2.0 * np.pi * np.arange(n) / n
 
     def kmag_power(self, alpha: float) -> np.ndarray:
@@ -176,12 +182,27 @@ def apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * mult)
 
 
-def forward_transform(f: PhysicalField) -> SpectralField:
-    """FFT with the 1/n^2 normalization; rejects non-finite samples."""
+def _forward(f: PhysicalField, columns) -> np.ndarray:
     if not np.all(np.isfinite(f.samples)):
         raise NonFiniteError("physical samples contain non-finite values")
-    n = f.grid.n
-    return SpectralField(f.grid, np.fft.fft2(f.samples) / (n * n))
+    a = f.samples.astype(complex)  # cast once: the row pass casting row by row is slower
+    np.fft.fft(a, axis=1, out=a)
+    for cols in columns:
+        np.fft.fft(a[:, cols], axis=0, out=a[:, cols])
+    a /= f.grid.n * f.grid.n
+    return a
+
+
+def forward_transform(f: PhysicalField) -> SpectralField:
+    """FFT with the 1/n^2 normalization; rejects non-finite samples."""
+    return SpectralField(f.grid, _forward(f, (slice(None),)))
+
+
+def dealiased_transform(f: PhysicalField) -> SpectralField:
+    """`dealias(forward_transform(f))`, transforming only the kept columns along axis 0."""
+    c, cut = _forward(f, f.grid.kept), f.grid.cut
+    c[cut], c[:, cut] = 0, 0
+    return SpectralField(f.grid, c)
 
 
 def hermitian_defect(f: SpectralField) -> float:
@@ -215,7 +236,12 @@ def _check_real(f: SpectralField) -> None:
 
 
 def _samples(f: SpectralField) -> np.ndarray:
-    return np.real(np.fft.ifft2(f.coeffs)) * (f.grid.n * f.grid.n)
+    c, g = f.coeffs, f.grid
+    a = np.empty_like(c)
+    a[g.cut] = 0
+    for rows in (slice(None),) if c[g.cut].any() else g.kept:
+        np.fft.ifft(c[rows], axis=1, out=a[rows])
+    return np.real(np.fft.ifft(a, axis=0, out=a)) * (g.n * g.n)
 
 
 def _real_samples(c: np.ndarray) -> np.ndarray:
@@ -312,7 +338,7 @@ def advect(v: VectorField, f: SpectralField) -> SpectralField:
         raise InvalidInputError("advect needs a physical velocity on the grid of f")
     f1, f2 = _samples(partial_derivative(f, 0)), _samples(partial_derivative(f, 1))
     product = PhysicalField(g, v.x1.samples * f1 + v.x2.samples * f2)
-    return dealias(forward_transform(product))
+    return dealiased_transform(product)
 
 
 def lp_norm(f, p) -> float:

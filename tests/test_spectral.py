@@ -51,7 +51,7 @@ from bqsim import (
 )
 from bqsim.fields import _half_lattice, random_divfree_velocity, random_scalar_field
 from bqsim.runner import adaptive_dt
-from bqsim.spectral import hermitian_defect
+from bqsim.spectral import _samples, dealiased_transform, hermitian_defect
 
 # ||sin x1||_{L^2([0,2pi)^2)} = sqrt(2 pi^2) = pi sqrt(2)
 L2_SIN = 4.442882938158366
@@ -136,6 +136,16 @@ class TestGrid:
         assert keep[21, 0] and keep[0, 21]  # 21 <= 64/3
         assert not keep[22, 0] and not keep[0, 22]
 
+    @pytest.mark.parametrize("n", range(16, 131, 2))
+    def test_kept_and_cut_lines_match_the_mask(self, n):
+        g = Grid(n)
+        k = np.minimum(np.arange(n), n - np.arange(n))  # |k| in FFT layout, as integers
+        assert np.array_equal(g.dealias_keep, np.maximum(k[:, None], k[None, :]) <= n // 3)
+        lines = np.arange(n)
+        kept = np.concatenate([lines[rows] for rows in g.kept])
+        assert np.array_equal(kept, np.flatnonzero(g.dealias_keep.any(axis=1)))
+        assert np.array_equal(lines[g.cut], np.flatnonzero(~g.dealias_keep.any(axis=1)))
+
 
 class TestTransforms:
     def test_roundtrip_matches_input(self):
@@ -180,6 +190,30 @@ class TestTransforms:
         coeffs[1, 0] = 1e-17  # below float64 noise of any O(1) ancestor
         samples = inverse_transform(SpectralField(g, coeffs)).samples
         assert np.max(np.abs(samples)) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 48, 50, 64, 256])
+    @pytest.mark.parametrize("case", ["dealiased", "one-mode-past-the-cut", "white-noise"])
+    def test_passes_give_the_bytes_of_the_2d_transforms(self, n, case, fft_calls):
+        """Each 1-D pass is the one `ifft2`/`fft2` runs, in its order, so no bit moves;
+        the rows |k1| > n/3 are skipped only when they hold zeros."""
+        g = Grid(n)
+        c = dealias(white_noise(g, n)).coeffs
+        if case == "one-mode-past-the-cut":
+            c[g.cut.start, 2] = 0.25 - 0.5j
+            c[-g.cut.start, -2] = 0.25 + 0.5j
+        elif case == "white-noise":
+            c = white_noise(g, n + 1).coeffs
+        fft_calls.clear()
+        samples = _samples(SpectralField(g, c))
+        assert fft_calls == ["ifft"] * (3 if case == "dealiased" else 2)
+        assert samples.tobytes() == (np.real(np.fft.ifft2(c)) * (n * n)).tobytes()
+        x = PhysicalField(g, samples)
+        want = np.fft.fft2(samples) / (n * n)
+        assert forward_transform(x).coeffs.tobytes() == want.tobytes()
+        got = dealiased_transform(x).coeffs
+        assert got.tobytes() == np.where(g.dealias_keep, want, 0).tobytes()
+        # dealias multiplies by 0 + 0j, which can leave -0.0 outside the band: same values
+        assert np.array_equal(got, dealias(forward_transform(x)).coeffs)
 
     def test_hermitian_defect_zero_field(self):
         g = grid64()
@@ -562,13 +596,14 @@ class TestRealEdge:
         state = step(SimState(0.0, omega, theta, 1.0), 1e-3)
         fft_calls.clear()
         DiagnosticsTracker().record(state)
-        assert Counter(fft_calls) == {"ifft2": 1, "irfft2": 24}  # the complex one is theta
+        # the complex one is theta: a row pass in two blocks, then a column pass
+        assert Counter(fft_calls) == {"ifft": 3, "irfft2": 24}
         fft_calls.clear()
         state = step(state, 1e-3)
-        assert Counter(fft_calls) == {"ifft2": 24, "fft2": 8}
+        assert Counter(fft_calls) == {"ifft": 3 * 24, "fft": 3 * 8}
         fft_calls.clear()
         adaptive_dt(state, 0.5)
-        assert fft_calls == ["ifft2"]
+        assert fft_calls == ["ifft"] * 3
 
 
 def rolled_defect(f):
@@ -643,7 +678,7 @@ class TestNormRange:
         assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w2s * power)))
 
 
-TRANSFORM_HELPERS = {"_samples": ["ifft2"], "_real_samples": ["irfft2"], "forward_transform": ["fft2"]}
+TRANSFORM_HELPERS = {"_forward": ["fft", "fft"], "_samples": ["ifft", "ifft"], "_real_samples": ["irfft2"]}
 
 
 def fft_calls_in(node):
