@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -56,9 +56,15 @@ class RunConfig:
     blob_mean_subtract: bool = False
     random_gamma: float = 2.5
     random_amplitude: float = 1.0
-    source_text: str = field(default="", repr=False, compare=False)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # omega_lr is a Lebesgue exponent, for which inf is valid.
+            if f.type.startswith("float") and value is not None and not (
+                math.isfinite(value) or (f.name, value) == ("omega_lr", math.inf)
+            ):
+                raise ConfigurationError(f"config key '{f.name}': must be finite, got {value}")
         if self.n % 2 != 0 or self.n < 16:
             raise ConfigurationError(f"config key 'n': must be even and >= 16, got {self.n}")
         if not 0.0 < self.alpha <= 2.0:
@@ -83,11 +89,11 @@ class RunConfig:
             raise ConfigurationError(
                 f"config key 'blob_width': must be positive, got {self.blob_width}"
             )
-        if not self.omega_lr >= 1:  # NaN fails the comparison
+        if self.omega_lr < 1:
             raise ConfigurationError(f"config key 'omega_lr': must be >= 1, got {self.omega_lr}")
-        if any(t > self.t_end for t in self.checkpoint_times):
+        if not all(0 < t <= self.t_end for t in self.checkpoint_times):  # NaN fails both
             raise ConfigurationError(
-                "config key 'checkpoint_times': every checkpoint time must be <= t_end"
+                "config key 'checkpoint_times': every checkpoint time must lie in (0, t_end]"
             )
 
 
@@ -102,13 +108,9 @@ def _parse_bool(key, raw):
 
 def _parse_float(key, raw):
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigurationError(f"config key '{key}': expected a number, got {raw!r}") from None
-    # omega_lr is a Lebesgue exponent, for which inf is valid; RunConfig bounds it.
-    if key != "omega_lr" and not math.isfinite(value):
-        raise ConfigurationError(f"config key '{key}': must be finite, got {raw!r}")
-    return value
 
 
 def _parse_int(key, raw):
@@ -122,16 +124,11 @@ def _parse_times(key, raw):
     if not raw.strip():
         return ()
     try:
-        times = tuple(float(part) for part in raw.split(","))
+        return tuple(sorted({float(part) for part in raw.split(",")}))
     except ValueError:
         raise ConfigurationError(
             f"config key '{key}': expected comma-separated times, got {raw!r}"
         ) from None
-    if not all(0 < t < math.inf for t in times):  # NaN fails both comparisons
-        raise ConfigurationError(
-            f"config key '{key}': checkpoint times must be positive and finite"
-        )
-    return tuple(sorted(set(times)))
 
 
 _PARSER_FOR_ANNOTATION = {
@@ -143,11 +140,9 @@ _PARSER_FOR_ANNOTATION = {
     "tuple": _parse_times,
 }
 
-# Every RunConfig field except source_text is a config key; a field whose
-# annotation has no parser fails here, at import.
-_PARSERS = {
-    f.name: _PARSER_FOR_ANNOTATION[f.type] for f in fields(RunConfig) if f.name != "source_text"
-}
+# Every RunConfig field is a config key; a field whose annotation has no
+# parser fails here, at import.
+_PARSERS = {f.name: _PARSER_FOR_ANNOTATION[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -174,14 +169,14 @@ def parse_config(text: str) -> RunConfig:
         if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
             raise ConfigurationError(f"missing required config key '{f.name}'")
 
-    return RunConfig(source_text=text, **values)
+    return RunConfig(**values)
 
 
 def config_echo(config: RunConfig) -> list[str]:
     """Canonical one-line-per-key echo of the effective configuration."""
     lines = []
     for f in fields(RunConfig):
-        if f.name in ("output_dir", "source_text"):
+        if f.name == "output_dir":
             continue
         value = getattr(config, f.name)
         if f.name == "dt" and value is None:

@@ -20,8 +20,6 @@ from .littlewood_paley import BesovSpec, besov_norm
 from .spectral import (
     PhysicalField,
     SpectralField,
-    _check_real,
-    _samples,
     biot_savart,
     integrate,
     inverse_transform,
@@ -97,10 +95,9 @@ class DiagnosticsTracker:
 
     def record(self, state: SimState) -> DiagnosticsRecord:
         """Compute all tracked quantities for this state and append integrals."""
-        v = biot_savart(state.omega_hat)
+        v = state.velocity()
         v_phys = state.physical_velocity()
-        _check_real(state.theta_hat)  # complex samples: they feed the energy balance
-        theta_phys = PhysicalField(state.grid, _samples(state.theta_hat))
+        theta_phys = state.physical_temperature()
         omega_phys = inverse_transform(state.omega_hat)
         gam = gamma(state)
         gamma_phys = inverse_transform(gam)

@@ -79,6 +79,12 @@ class SimState:
             self._velocity = (coeffs, VectorField(*samples))
         return self._velocity[1]
 
+    def physical_temperature(self) -> PhysicalField:
+        """Checked temperature samples on the complex path (their last bits feed the
+        energy balance and the buoyant dt limit), made afresh on every call."""
+        _check_real(self.theta_hat)
+        return PhysicalField(self.grid, _samples(self.theta_hat))
+
     def copy(self) -> "SimState":
         return SimState(self.t, self.omega_hat.copy(), self.theta_hat.copy(), self.alpha)
 

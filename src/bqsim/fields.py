@@ -23,7 +23,6 @@ from .spectral import (
 )
 
 
-@functools.lru_cache(maxsize=None)
 def _half_lattice(kmax: int):
     """Half of the mode lattice (k1 > 0, or k1 == 0 and k2 > 0), ring ordered.
 
@@ -39,9 +38,9 @@ def _half_lattice(kmax: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _scatter(n: int, spectrum_gamma: float):
+def _scatter(n: int, kmax: int, spectrum_gamma: float):
     """Where an n-grid draw puts its modes and their conjugates, and the envelope |k|^(-gamma)."""
-    k1, k2, mag = _half_lattice(int(n / 3.0))
+    k1, k2, mag = _half_lattice(kmax)
     return (k1 % n, k2 % n), (-k1 % n, -k2 % n), mag**(-spectrum_gamma)
 
 
@@ -50,12 +49,12 @@ def random_scalar_field(
 ) -> SpectralField:
     """Mean-free random real field with coefficients ~ |k|^(-gamma).
 
-    Modes are filled up to the dealiasing cutoff max(|k1|, |k2|) <= n/3 with
+    Modes are filled up to the dealiasing cutoff max(|k1|, |k2|) <= `grid.kmax` with
     unit complex Gaussians shaped by the power-law envelope; the conjugate
     half follows by symmetry.  `key` seeds the draw deterministically.
     """
     n = grid.n
-    modes, mirrors, envelope = _scatter(n, spectrum_gamma)
+    modes, mirrors, envelope = _scatter(n, grid.kmax, spectrum_gamma)
     draws = np.random.default_rng(key).standard_normal((len(envelope), 2))
     c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * envelope
     coeffs = np.zeros((n, n), dtype=complex)

@@ -19,7 +19,7 @@ from .dynamics import VELOCITY_BLOWUP_THRESHOLD, SimState, cfl_dt, step
 from .errors import BlowUpError, ConfigurationError
 from .fields import random_scalar_field
 from .simio import write_checkpoint, write_diagnostics_csv
-from .spectral import PhysicalField, _check_real, _samples, dealias, lp_norm
+from .spectral import dealias, lp_norm
 
 _TIME_EPS = 1e-12
 
@@ -33,8 +33,7 @@ def adaptive_dt(state: SimState, cfl_number: float) -> float:
     advective limit takes over.
     """
     h = 2.0 * math.pi / state.grid.n
-    _check_real(state.theta_hat)  # complex samples: the buoyant limit can set dt
-    theta_max = lp_norm(PhysicalField(state.grid, _samples(state.theta_hat)), math.inf)
+    theta_max = lp_norm(state.physical_temperature(), math.inf)
     forcing_dt = cfl_number * math.sqrt(h / max(theta_max, 1e-8))
     return min(cfl_dt(state, cfl_number), forcing_dt)
 

@@ -4,7 +4,8 @@ Conventions
 -----------
 Fields live on a uniform n-by-n grid over the periodic box of side 2*pi.
 Wavevectors are integers k = (k1, k2) with each component in [-n/2, n/2),
-stored in standard FFT layout along both axes.  The forward transform
+stored exactly (as floats) in standard FFT layout along both axes; the 2/3 rule
+keeps max(|k1|, |k2|) <= `Grid.kmax` = n // 3.  The forward transform
 divides by n^2, so spectral coefficients are Fourier-series coefficients:
 
     f(x) = sum_k  coeff(k) * exp(i k . x)
@@ -21,10 +22,11 @@ k = 0 to 0.  Sampling is one half-spectrum `irfft2` (`_real_samples`) except on
 the complex path, whose last bits feed the trajectory or the energy residual
 (E1 - E0) / dt, which magnifies them about 10^7-fold: `_samples` for the step's
 stages and `advect`, `SimState.physical_velocity`, `grid_max_velocity` (it sets
-the benchmark's run amplitudes), the record's theta samples (buoyancy power) and
-`adaptive_dt`'s max|theta| (the buoyant limit can set dt), and the forward transforms.
+the benchmark's run amplitudes), `SimState.physical_temperature` (the record's
+buoyancy power and `adaptive_dt`'s max|theta|: the buoyant limit can set dt), and
+the forward transforms.
 They run the 1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in
-place), so every bit is numpy's, and skip the lines |k_j| > n/3 (`Grid.cut`): `_samples`
+place), so every bit is numpy's, and skip the lines |k_j| > kmax (`Grid.cut`): `_samples`
 their rows when these hold only zeros (as in every dealiased field), and
 `dealiased_transform` their columns, leaving +0.0 where `dealias` may leave -0.0.
 
@@ -65,7 +67,7 @@ class Grid:
             raise ConfigurationError(f"grid size n must be even and >= 16, got {n}")
         self.n = n
         self.cell_area = (2.0 * np.pi / n) ** 2
-        k = np.fft.fftfreq(n, d=1.0 / n)  # exact integers as floats
+        k = np.r_[0 : n // 2, -(n // 2) : 0].astype(float)  # exact integers, FFT layout
         self.k1 = k[:, None]
         self.k2 = k[None, :]
         k_odd = np.where(k == -n // 2, 0.0, k)
@@ -76,9 +78,9 @@ class Grid:
         inv[0, 0] = 0.0
         self.inv_ksq = inv
         self.riesz_mult = self.forcing_mult(1.0)
-        # 2/3 rule: keep max(|k1|, |k2|) <= n/3; the lines it zeroes sit at indices `cut`.
-        self.dealias_keep = np.maximum(np.abs(self.k1), np.abs(self.k2)) <= n / 3.0
-        m = int(np.count_nonzero(self.dealias_keep[0])) // 2
+        # 2/3 rule: keep max(|k1|, |k2|) <= kmax; the lines it zeroes sit at indices `cut`.
+        self.kmax = m = n // 3
+        self.dealias_keep = np.maximum(np.abs(self.k1), np.abs(self.k2)) <= m
         self.kept, self.cut = (slice(None, m + 1), slice(n - m, None)), slice(m + 1, n - m)
         self.x = 2.0 * np.pi * np.arange(n) / n
 
@@ -322,7 +324,7 @@ def to_physical(v: VectorField) -> VectorField:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """Zero all coefficients with max(|k1|, |k2|) > n/3 (idempotent)."""
+    """Zero all coefficients with max(|k1|, |k2|) > `Grid.kmax` (idempotent)."""
     return apply_multiplier(f, f.grid.dealias_keep)
 
 

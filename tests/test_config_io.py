@@ -520,6 +520,24 @@ class TestFailureKinds:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.diag_cadence = 0
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key in FLOAT_KEYS if key != "checkpoint_times"
+         for value in (math.nan, math.inf, -math.inf) if (key, value) != ("omega_lr", math.inf)],
+    )
+    def test_a_replaced_config_rejects_non_finite_numbers_by_name(self, key, value):
+        """Not only the parser: an infinite t_end built in code would never stop a run."""
+        with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
+            dataclasses.replace(parse_config(BASE), **{key: value})
+
+    def test_a_replaced_config_may_take_an_infinite_omega_lr(self):
+        assert dataclasses.replace(parse_config(BASE), omega_lr=math.inf).omega_lr == math.inf
+
+    @pytest.mark.parametrize("times", [(math.nan,), (-1.0,), (0.0,)], ids=["nan", "negative", "zero"])
+    def test_a_replaced_config_rejects_bad_checkpoint_times_by_name(self, times):
+        with pytest.raises(ConfigurationError, match="config key 'checkpoint_times'"):
+            dataclasses.replace(parse_config(BASE), checkpoint_times=times)
+
     def test_run_rejects_an_initial_state_of_another_grid_and_alpha(self, tmp_path):
         config = parse_config("n = 32\nt_end = 0.1\npreset = tg-blob\n")
         foreign = make_initial_data(parse_config(BASE + "alpha = 0.5\n"))

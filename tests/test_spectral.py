@@ -136,6 +136,16 @@ class TestGrid:
         assert keep[21, 0] and keep[0, 21]  # 21 <= 64/3
         assert not keep[22, 0] and not keep[0, 22]
 
+    def test_the_lattice_is_exact_at_every_size(self):
+        """Integer wavenumbers, a zero odd factor on the Nyquist line and 2 * (n // 3) + 1
+        kept lines at every even n up to 1024.  Scaled by `fftfreq`'s 1 / (n * (1 / n)),
+        the wavenumbers are off by an ulp at 35 of these n (98, 196, 206, ...)."""
+        for n in range(16, 1025, 2):
+            g = Grid(n)
+            assert g.k1[:, 0].tolist() == list(range(n // 2)) + list(range(-(n // 2), 0)), n
+            assert g.k1_odd[n // 2, 0] == 0, n
+            assert g.kmax == n // 3 and np.count_nonzero(g.dealias_keep[0]) == 2 * g.kmax + 1, n
+
     @pytest.mark.parametrize("n", range(16, 131, 2))
     def test_kept_and_cut_lines_match_the_mask(self, n):
         g = Grid(n)
@@ -539,7 +549,7 @@ def full_k_leray(v):
 class TestRealEdge:
     """The checked edge samples by half-spectrum `irfft2`; it must match the complex path."""
 
-    @pytest.mark.parametrize("n", [16, 32, 48, 96, 256])
+    @pytest.mark.parametrize("n", [16, 32, 48, 96, 98, 256])
     def test_checked_edge_matches_the_complex_transform(self, n):
         g = Grid(n)
         smooth = (random_scalar_field(g, 2.0, 1.0, (81, n)), random_divfree_velocity(g, 2.0, 1.0, (82, n)))
@@ -690,6 +700,15 @@ def fft_calls_in(node):
 
 
 class TestTransformLayer:
+    def test_runner_and_diagnostics_import_no_private_spectral_name(self):
+        """They sample theta by `SimState.physical_temperature`, which checks it first."""
+        for module in (bqsim.runner, bqsim.diagnostics):
+            tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
+            private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       and (node.module or "").endswith("spectral")
+                       for alias in node.names if alias.name.startswith("_")]
+            assert private == [], module.__name__
+
     def test_every_fft_call_sits_in_the_three_spectral_helpers(self):
         """A new caller of `numpy.fft` (a complex inverse, say) must go through spectral.py."""
         in_functions, total = {}, []

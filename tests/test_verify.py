@@ -12,6 +12,7 @@ from bqsim import (
     Grid,
     RatioReport,
     SUITES,
+    dealias,
     suite_passes,
     verify_block_commutator,
     verify_commutator_hs,
@@ -67,6 +68,11 @@ class TestSeededFields:
         low = abs(f.coeffs[1, 0])
         high = abs(f.coeffs[20, 0])
         assert high < low
+
+    def test_a_draw_fills_only_the_lines_dealias_keeps(self):
+        """At n = 474 a float mask `<= n / 3.0` dropped the |k| = 158 lines a draw fills."""
+        f = random_scalar_field(Grid(474), 2.5, 1.0, (6, 474))
+        assert np.array_equal(dealias(f).coeffs, f.coeffs)
 
     @pytest.mark.parametrize("n", [16, 48, 256])
     def test_cached_scatter_matches_the_per_call_construction(self, n):
