@@ -7,10 +7,10 @@ from the classical exp(-1/t) bump:
     chi(k)   = g(|k|)                                   low-frequency cutoff
     phi_q(k) = g(|k| / 2^(q+1)) - g(|k| / 2^q)          annulus 2^q < |k| < 2^(q+2)
 
-Because the sum telescopes, chi + sum_q phi_q == 1 at every wavevector once
-q reaches qmax = ceil(log2(n/2)) + 1, with no normalization step.  Block
-q = -1 denotes chi.  The homogeneous variants drop the zero mode and use
-annular bands only; the annulus g(|k|) - g(2|k|) (support 1/2 < |k| < 2)
+Because the sum telescopes, chi + sum_q phi_q == 1 at every wavevector once q reaches
+qmax = ceil(log2(n/2)) (2^(qmax+1) >= n exceeds every grid |k| <= n/sqrt(2)), with no
+normalization step.  Block q = -1 denotes chi.  The homogeneous variants drop the zero
+mode and use annular bands only; the annulus g(|k|) - g(2|k|) (support 1/2 < |k| < 2)
 covers the lowest nonzero torus modes in that case.
 
 Each grid has one filter bank, built on first use and cached
@@ -66,7 +66,7 @@ class DyadicFilterBank:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.qmin = -1
-        self.qmax = int(math.ceil(math.log2(grid.n / 2))) + 1
+        self.qmax = int(math.ceil(math.log2(grid.n / 2)))
         kmag = grid.kmag
         g_prev = smooth_transition(kmag)
         self.chi = g_prev.copy()
@@ -114,7 +114,7 @@ def partial_sum(f: SpectralField, q: int) -> SpectralField:
     """Low-pass sum S_q f = sum of blocks Delta_p with p <= q - 1.
 
     By telescoping the multiplier equals g(|k| / 2^q) for q >= 0, so
-    S_(qmax+1) f recovers f exactly.  For q <= -1 the sum is empty.
+    S_(qmax+1) f recovers f exactly (qmax = ceil(log2(n/2))).  For q <= -1 the sum is empty.
     """
     if q <= -1:
         return SpectralField(f.grid, np.zeros_like(f.coeffs))

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import dataclasses
 import math
 from collections import Counter
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import bqsim
 import bqsim.cli
+import oracle
 from bqsim import (
     BesovSpec,
     BlowUpError,
@@ -68,21 +70,30 @@ def grid64():
     return Grid(64)
 
 
-def complex_samples(f):
-    """Samples of f by the complex inverse FFT that the step and `grid_max_velocity` run."""
-    return np.real(np.fft.ifft2(f.coeffs)) * (f.grid.n * f.grid.n)
-
-
-def half_spectrum_samples(f):
-    """Samples of f by one `irfft2` that reads columns 0..n/2 (the real edge)."""
-    n = f.grid.n
-    return np.fft.irfft2(f.coeffs[:, : n // 2 + 1], (n, n)) * (n * n)
-
-
 def spectral_sin(grid, k, axis=0):
     x1, x2 = grid.nodes()
     x = x1 if axis == 0 else x2
     return forward_transform(PhysicalField(grid, np.sin(k * x)))
+
+
+def white_noise(grid, seed):
+    """A real field with every mode filled, the Nyquist row and column included."""
+    samples = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    return forward_transform(PhysicalField(grid, samples))
+
+
+PASS_SIZES, PASS_CASES = [16, 48, 50, 64, 256], ["dealiased", "one-mode-past-the-cut", "white-noise"]
+
+
+def pass_coeffs(g, case):
+    """Dealiased noise, the same with one mode pair past the cut, or white noise."""
+    c = dealias(white_noise(g, g.n)).coeffs
+    if case == "one-mode-past-the-cut":
+        c[g.cut.start, 2] = 0.25 - 0.5j
+        c[-g.cut.start, -2] = 0.25 + 0.5j
+    elif case == "white-noise":
+        c = white_noise(g, g.n + 1).coeffs
+    return c
 
 
 class TestGrid:
@@ -201,27 +212,20 @@ class TestTransforms:
         samples = inverse_transform(SpectralField(g, coeffs)).samples
         assert np.max(np.abs(samples)) < 1e-12
 
-    @pytest.mark.parametrize("n", [16, 48, 50, 64, 256])
-    @pytest.mark.parametrize("case", ["dealiased", "one-mode-past-the-cut", "white-noise"])
-    def test_passes_give_the_bytes_of_the_2d_transforms(self, n, case, fft_calls):
+    @pytest.mark.parametrize("n", PASS_SIZES)
+    @pytest.mark.parametrize("case", PASS_CASES)
+    def test_passes_give_the_bytes_of_the_2d_transforms(self, n, case):
         """Each 1-D pass is the one `ifft2`/`fft2` runs, in its order, so no bit moves;
-        the rows |k1| > n/3 are skipped only when they hold zeros."""
+        the rows |k1| > n/3 are skipped only when they hold zeros (rows `samples-*` of
+        `FFT_COUNTS`)."""
         g = Grid(n)
-        c = dealias(white_noise(g, n)).coeffs
-        if case == "one-mode-past-the-cut":
-            c[g.cut.start, 2] = 0.25 - 0.5j
-            c[-g.cut.start, -2] = 0.25 + 0.5j
-        elif case == "white-noise":
-            c = white_noise(g, n + 1).coeffs
-        fft_calls.clear()
+        c = pass_coeffs(g, case)
         samples = _samples(SpectralField(g, c))
-        assert fft_calls == ["ifft"] * (3 if case == "dealiased" else 2)
-        assert samples.tobytes() == (np.real(np.fft.ifft2(c)) * (n * n)).tobytes()
+        assert samples.tobytes() == oracle.ifft2(c).tobytes()
         x = PhysicalField(g, samples)
-        want = np.fft.fft2(samples) / (n * n)
-        assert forward_transform(x).coeffs.tobytes() == want.tobytes()
+        assert forward_transform(x).coeffs.tobytes() == oracle.fft2(samples).tobytes()
         got = dealiased_transform(x).coeffs
-        assert got.tobytes() == np.where(g.dealias_keep, want, 0).tobytes()
+        assert got.tobytes() == oracle.dealiased_fft2(g, samples).tobytes()
         # dealias multiplies by 0 + 0j, which can leave -0.0 outside the band: same values
         assert np.array_equal(got, dealias(forward_transform(x)).coeffs)
 
@@ -367,14 +371,12 @@ class TestLerayAndAdvection:
         g = grid64()
         v = random_divfree_velocity(g, 2.0, 1.0, (11,))
         f = random_scalar_field(g, 2.0, 1.0, (12,))
-        v1, v2 = (complex_samples(c) for c in v.components())
-        f1, f2 = (complex_samples(partial_derivative(f, a)) for a in (0, 1))
-        expected = dealias(forward_transform(PhysicalField(g, v1 * f1 + v2 * f2)))
+        v1, v2 = (oracle.ifft2(c.coeffs) for c in v.components())
         vp = VectorField(PhysicalField(g, v1), PhysicalField(g, v2))
-        assert np.array_equal(advect(vp, f).coeffs, expected.coeffs)
+        assert np.array_equal(advect(vp, f).coeffs, oracle.advect(g, (v1, v2), f.coeffs))
         assert grid_max_velocity(v) == float(np.max(np.hypot(v1, v2)))
-        # each derivative is sampled by the one half-spectrum transform
-        derivs = [half_spectrum_samples(partial_derivative(c, a))
+        # each derivative is sampled by the one half-spectrum transform of the checked edge
+        derivs = [inverse_transform(partial_derivative(c, a)).samples
                   for c in v.components() for a in (0, 1)]
         assert max_gradient(v) == max(float(np.max(np.abs(d))) for d in derivs)
         frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
@@ -510,24 +512,6 @@ class TestHalfLattice:
                 assert got.dtype == want.dtype and np.array_equal(got, want), kmax
 
 
-def white_noise(grid, seed):
-    """A real field with every mode filled, the Nyquist row and column included."""
-    samples = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
-    return forward_transform(PhysicalField(grid, samples))
-
-
-def complex_commutator_riesz(v, theta):
-    """`commutator_riesz` with every sample taken by the complex inverse FFT."""
-    g = theta.grid
-    th, rth = complex_samples(theta), complex_samples(riesz(theta))
-    out = []
-    for comp in v.components():
-        vi = complex_samples(comp)
-        first = riesz(dealias(forward_transform(PhysicalField(g, vi * th))))
-        out.append(first - dealias(forward_transform(PhysicalField(g, vi * rth))))
-    return VectorField(*out)
-
-
 def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -557,19 +541,20 @@ class TestRealEdge:
         for f, v in (smooth, noise):
             # white noise fills the Nyquist lines, where odd multipliers must vanish
             for scalar in (f, riesz(f), divergence(v)):
-                assert_close(inverse_transform(scalar).samples, complex_samples(scalar))
+                assert_close(inverse_transform(scalar).samples, oracle.ifft2(scalar.coeffs))
             for vector in (v, gradient(f), biot_savart(curl(v)), leray_project(v)):
                 for got, comp in zip(to_physical(vector).components(), vector.components()):
-                    assert_close(got.samples, complex_samples(comp))
-            derivs = [complex_samples(partial_derivative(c, a)) for c in v.components() for a in (0, 1)]
+                    assert_close(got.samples, oracle.ifft2(comp.coeffs))
+            derivs = [oracle.ifft2(partial_derivative(c, a).coeffs) for c in v.components() for a in (0, 1)]
             want = max(float(np.max(np.abs(d))) for d in derivs)
             assert max_gradient(v) == pytest.approx(want, rel=1e-12, abs=0)
             frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
             for p in (2.0, 3.0, math.inf):
                 assert gradient_lp_norm(v, p) == pytest.approx(lp_norm(frobenius, p), rel=1e-12, abs=0)
-            got, want = commutator_riesz(v, f), complex_commutator_riesz(v, f)
-            for a, b in zip(got.components(), want.components()):
-                assert_close(a.coeffs, b.coeffs)
+            got = commutator_riesz(v, f)
+            want = oracle.commutator_riesz(g, [c.coeffs for c in v.components()], f.coeffs)
+            for a, b in zip(got.components(), want):
+                assert_close(a.coeffs, b)
 
     @pytest.mark.parametrize("n", [16, 32, 96])
     def test_leray_projection_of_white_noise_is_real_divergence_free_and_idempotent(self, n):
@@ -600,32 +585,6 @@ class TestRealEdge:
         old = arrays()
         assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
-    def test_record_runs_one_complex_transform_and_the_step_stays_complex(self, fft_calls):
-        g = Grid(128)
-        omega, theta = (dealias(random_scalar_field(g, 2.0, 1.0, (4, k))) for k in (1, 2))
-        state = step(SimState(0.0, omega, theta, 1.0), 1e-3)
-        fft_calls.clear()
-        DiagnosticsTracker().record(state)
-        # the complex one is theta: a row pass in two blocks, then a column pass
-        assert Counter(fft_calls) == {"ifft": 3, "irfft2": 24}
-        fft_calls.clear()
-        state = step(state, 1e-3)
-        assert Counter(fft_calls) == {"ifft": 3 * 24, "fft": 3 * 8}
-        fft_calls.clear()
-        adaptive_dt(state, 0.5)
-        assert fft_calls == ["ifft"] * 3
-
-
-def rolled_defect(f):
-    """`hermitian_defect` as written before the half-plane check: the full plane against
-    its rolled mirror."""
-    c = f.coeffs
-    mirrored = np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1)))
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(c - mirrored))) / scale
-
 
 def defect_case(name, n=48):
     g = Grid(n)
@@ -650,7 +609,7 @@ class TestHalfPlaneDefect:
                                       "imaginary-inf"])
     def test_same_double_as_the_rolled_full_plane(self, case):
         f = defect_case(case)
-        got, want = hermitian_defect(f), rolled_defect(f)
+        got, want = hermitian_defect(f), oracle.rolled_defect(f.coeffs)
         assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
         assert math.isnan(got) == (case not in ("symmetric", "asymmetric-nyquist-row",
                                                 "asymmetric-everywhere", "largest-in-the-lower-half"))
@@ -699,6 +658,13 @@ def fft_calls_in(node):
             and not call.func.attr.endswith(("freq", "shift"))]
 
 
+def fft_imports_in(tree):
+    """Imports under an AST that reach `numpy.fft` (or scipy) by another name."""
+    return [m for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for m in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if m.startswith(("numpy.fft", "scipy")) or m == "fft"]
+
+
 class TestTransformLayer:
     def test_runner_and_diagnostics_import_no_private_spectral_name(self):
         """They sample theta by `SimState.physical_temperature`, which checks it first."""
@@ -714,16 +680,23 @@ class TestTransformLayer:
         in_functions, total = {}, []
         for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
+            assert fft_imports_in(tree) == [], path.name
             for node in ast.walk(tree):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
-                    assert not any(m.startswith(("numpy.fft", "scipy")) or m == "fft"
-                                   for m in modules), path.name
                 if isinstance(node, ast.FunctionDef) and fft_calls_in(node):
                     in_functions[(path.name, node.name)] = fft_calls_in(node)
             total += fft_calls_in(tree)
         assert in_functions == {("spectral.py", name): calls for name, calls in TRANSFORM_HELPERS.items()}
         assert sorted(total) == sorted(sum(TRANSFORM_HELPERS.values(), []))  # none at module level
+
+    def test_no_test_module_but_the_oracle_calls_numpy_fft(self):
+        """The tests hold one full-plane complex reference, `oracle.py`."""
+        callers = {}
+        for path in sorted(Path(__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            assert fft_imports_in(tree) == [], path.name
+            if fft_calls_in(tree):
+                callers[path.name] = sorted(set(fft_calls_in(tree)))
+        assert callers == {"oracle.py": ["fft2", "ifft2"]}
 
     def test_only_grid_reads_the_raw_wavevectors(self):
         """Operators take odd factors from `k1_odd`/`k2_odd`, which vanish on the Nyquist line,
@@ -737,6 +710,51 @@ class TestTransformLayer:
                         if isinstance(node, ast.Attribute) and node.attr in ("k1", "k2")
                         and id(node) not in in_grid]
         assert readers == []
+
+
+def random_state(n, steps):
+    """A random dealiased state, stepped `steps` times by dt = 1e-3."""
+    g = Grid(n)
+    state = SimState(0.0, *(dealias(random_scalar_field(g, 2.0, 1.0, (4, k))) for k in (1, 2)))
+    for _ in range(steps):
+        state = step(state, 1e-3)
+    return state
+
+
+#: Exact `numpy.fft` calls of each operation, pinned here and nowhere else:
+#: row -> (build the input, the operation on it, the calls the operation makes).
+#: A complex 2-D transform runs as 1-D passes: 3 on a dealiased field (rows in two blocks,
+#: then columns), 2 on any other.
+FFT_COUNTS = {
+    **{f"samples-{case}-n{n}": (lambda n=n, case=case: SpectralField(Grid(n), pass_coeffs(Grid(n), case)),
+                                _samples, {"ifft": 3 if case == "dealiased" else 2})
+       for n in PASS_SIZES for case in PASS_CASES},
+    # 8 transforms per RK stage (2 velocity, 4 gradient, 2 forward), 2 for the new state's
+    # velocity; a stepped state's stage 1 reuses the samples of the last blow-up test
+    "step-fresh": (lambda: random_state(64, 0), lambda s: step(s, 1e-3), {"ifft": 3 * 26, "fft": 3 * 8}),
+    "step-stepped": (lambda: random_state(64, 1), lambda s: step(s, 1e-3), {"ifft": 3 * 24, "fft": 3 * 8}),
+    "adaptive-dt": (lambda: random_state(64, 2), lambda s: adaptive_dt(s, 0.5), {"ifft": 3}),  # theta only
+    "velocity-of-a-copy": (lambda: random_state(64, 1).copy(), SimState.physical_velocity, {"ifft": 6}),
+    "velocity-of-a-replace": (lambda: dataclasses.replace(random_state(64, 1)), SimState.physical_velocity,
+                              {"ifft": 6}),
+    # theta by the complex path; two B^0_{inf,1} norms of 8 bands (q = -1..6) and 6 more samples
+    "record": (lambda: random_state(128, 1), lambda s: DiagnosticsTracker().record(s), {"ifft": 3, "irfft2": 22}),
+    # Parseval at p = 2, else one `irfft2` per band (q = -1..5) and component
+    **{f"besov-{kind}-p{p}-r{r}": (lambda field=field: field(random_state(64, 0)),
+                                   lambda f, p=p, r=r: besov_norm(f, BesovSpec(0.0, p, r)),
+                                   {"irfft2": 7 * comps} if p == math.inf else {})
+       for kind, field, comps in (("scalar", lambda s: s.theta_hat, 1), ("vector", SimState.velocity, 2))
+       for p in (2.0, math.inf) for r in (1.0, math.inf)},
+}
+
+
+@pytest.mark.parametrize("row", list(FFT_COUNTS))
+def test_numpy_fft_calls(row, fft_calls):
+    build, operation, want = FFT_COUNTS[row]
+    x = build()
+    fft_calls.clear()
+    operation(x)
+    assert Counter(fft_calls) == want
 
 
 FAILURE_KINDS = (BlowUpError, ConfigurationError, InvalidInputError, CheckpointError, OSError)
