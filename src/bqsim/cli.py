@@ -165,18 +165,18 @@ def _parse_besov(raw: str) -> BesovSpec:
 def _cmd_norms(args) -> int:
     spec = _parse_besov(args.besov) if args.besov else None
     state = read_checkpoint(args.checkpoint)
-    print(f"checkpoint: n={state.grid.n} alpha={state.alpha:g} t={state.t:.12g}")
     table = initial_norms(state)
     omega_phys = inverse_transform(state.omega_hat)
     table["l2_omega"] = lp_norm(omega_phys, 2)
     table["linf_omega"] = lp_norm(omega_phys, math.inf)
-    for key, value in table.items():
-        print(f"{key} = {value:.12g}")
     if spec is not None:
         label = f"besov({spec.s:g},{spec.p:g},{spec.r:g})"
-        print(f"{label}_omega = {besov_norm(state.omega_hat, spec):.12g}")
-        print(f"{label}_theta = {besov_norm(state.theta_hat, spec):.12g}")
-        print(f"{label}_v = {besov_norm(biot_savart(state.omega_hat), spec):.12g}")
+        table[f"{label}_omega"] = besov_norm(state.omega_hat, spec)
+        table[f"{label}_theta"] = besov_norm(state.theta_hat, spec)
+        table[f"{label}_v"] = besov_norm(biot_savart(state.omega_hat), spec)
+    print(f"checkpoint: n={state.grid.n} alpha={state.alpha:g} t={state.t:.12g}")
+    for key, value in table.items():
+        print(f"{key} = {value:.12g}")
     return 0
 
 

@@ -67,18 +67,16 @@ class DyadicFilterBank:
         self.grid = grid
         self.qmin = -1
         self.qmax = int(math.ceil(math.log2(grid.n / 2)))
-        kmag = grid.kmag
-        g_prev = smooth_transition(kmag)
-        self.chi = g_prev.copy()
+        self.chi = g_prev = smooth_transition(grid.kmag)
         phi = []
         for q in range(0, self.qmax + 1):
-            g_next = smooth_transition(kmag / 2.0 ** (q + 1))
+            g_next = smooth_transition(grid.kmag / 2.0 ** (q + 1))
             phi.append(g_next - g_prev)
             g_prev = g_next
         self.phi = phi
         # Annulus with support (1/2, 2) covering torus modes 1 <= |k| < 2; it
         # replaces chi when a decomposition must avoid the zero mode.
-        self.phi_low_annulus = self.chi - smooth_transition(2.0 * kmag)
+        self.phi_low_annulus = self.chi - smooth_transition(2.0 * grid.kmag)
 
     def block_multiplier(self, q: int) -> np.ndarray:
         if q == -1:
@@ -95,13 +93,9 @@ class DyadicFilterBank:
         yield from enumerate(self.phi)
 
 
+@functools.lru_cache(maxsize=None)
 def build_filter_bank(grid: Grid) -> DyadicFilterBank:
     """Return the (cached) filter bank for this grid."""
-    return _cached_bank(grid)
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_bank(grid: Grid) -> DyadicFilterBank:
     return DyadicFilterBank(grid)
 
 

@@ -30,14 +30,11 @@ place), so every bit is numpy's, and skip the lines |k_j| > kmax (`Grid.cut`): `
 their rows when these hold only zeros (as in every dealiased field), and
 `dealiased_transform` their columns, leaving +0.0 where `dealias` may leave -0.0.
 
-`Grid` keeps the wavevector arrays (and their odd forms) and the alpha-independent
-multipliers (Riesz, 1/|k|^2, the dealiasing mask) and no more: `verify` builds a fresh
-grid for every suite call, so each further n-by-n array kept on a grid raises
-the peak memory of a run.  `kmag_power` and `forcing_mult` build the alpha
-ones on request (`kmag_power` returns `kmag` itself at alpha = 1);
-`partial_derivative`, `biot_savart` and `leray_project` form their
-multipliers per call; the dyadic bands live in each grid's cached filter bank
-(`littlewood_paley.build_filter_bank`).
+`Grid` builds its lattice and dealiasing mask at once and its n-by-n multipliers (|k|,
+1/|k|^2, Riesz) on first read, keeping each.  `kmag_power` and `forcing_mult` build the
+alpha ones on request (`kmag_power` returns `kmag` itself at alpha = 1);
+`partial_derivative`, `biot_savart` and `leray_project` form their multipliers per call;
+the dyadic bands live in each grid's cached filter bank (`littlewood_paley.build_filter_bank`).
 
 Norms are torus norms: `lp_norm` uses grid quadrature with cell area
 (2*pi/n)^2 and `sobolev_norm` carries the matching Parseval factor, so
@@ -46,6 +43,7 @@ Norms are torus norms: `lp_norm` uses grid quadrature with cell area
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,30 +57,38 @@ HERMITIAN_ABS_FLOOR = 1e-11
 
 
 class Grid:
-    """Uniform n-by-n collocation grid with precomputed wavevector arrays."""
+    """Uniform n-by-n collocation grid with its wavevector arrays."""
 
     def __init__(self, n: int):
-        n = int(n)
         if n % 2 != 0 or n < 16:
-            raise ConfigurationError(f"grid size n must be even and >= 16, got {n}")
-        self.n = n
+            raise ConfigurationError(f"grid size n must be an even integer >= 16, got {n}")
+        self.n = n = int(n)
         self.cell_area = (2.0 * np.pi / n) ** 2
         k = np.r_[0 : n // 2, -(n // 2) : 0].astype(float)  # exact integers, FFT layout
         self.k1 = k[:, None]
         self.k2 = k[None, :]
         k_odd = np.where(k == -n // 2, 0.0, k)
         self.k1_odd, self.k2_odd = k_odd[:, None], k_odd[None, :]
-        self.kmag = np.hypot(np.broadcast_to(self.k1, (n, n)), np.broadcast_to(self.k2, (n, n)))
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / (self.k1**2 + self.k2**2)
-        inv[0, 0] = 0.0
-        self.inv_ksq = inv
-        self.riesz_mult = self.forcing_mult(1.0)
         # 2/3 rule: keep max(|k1|, |k2|) <= kmax; the lines it zeroes sit at indices `cut`.
         self.kmax = m = n // 3
         self.dealias_keep = np.maximum(np.abs(self.k1), np.abs(self.k2)) <= m
         self.kept, self.cut = (slice(None, m + 1), slice(n - m, None)), slice(m + 1, n - m)
         self.x = 2.0 * np.pi * np.arange(n) / n
+
+    @functools.cached_property
+    def kmag(self) -> np.ndarray:
+        return np.hypot(self.k1, self.k2)
+
+    @functools.cached_property
+    def inv_ksq(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / (self.k1**2 + self.k2**2)
+        inv[0, 0] = 0.0
+        return inv
+
+    @functools.cached_property
+    def riesz_mult(self) -> np.ndarray:
+        return self.forcing_mult(1.0)
 
     def kmag_power(self, alpha: float) -> np.ndarray:
         """The |k|^alpha multiplier for alpha in (0, 2]; `kmag` itself at alpha = 1."""

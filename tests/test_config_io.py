@@ -344,6 +344,17 @@ class TestCli:
         assert captured.out == ""
         assert "Besov" in captured.err
 
+    def test_asymmetric_checkpoint_exits_two_before_printing(self, tmp_path, capsys):
+        state = make_initial_data(parse_config(BASE.replace("n = 64", "n = 32")))
+        state.theta_hat.coeffs[1, 2] += 0.3
+        ckpt = tmp_path / "state.bqsf"
+        write_checkpoint(ckpt, state)
+        assert main(["norms", "--checkpoint", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: conjugate symmetry broken")
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 

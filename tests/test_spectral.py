@@ -105,6 +105,20 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(8)
 
+    def test_rejects_non_integer_size_and_takes_numpy_integers(self):
+        with pytest.raises(ConfigurationError):
+            Grid(64.5)
+        g = Grid(np.int64(64))
+        assert g.n == 64 and type(g.n) is int
+
+    def test_multipliers_are_built_on_first_read_and_kept(self):
+        g = Grid(1024)
+        square = [k for k, v in vars(g).items() if np.shape(v) == (1024, 1024)]
+        assert square == ["dealias_keep"]  # the one n-by-n array built at once is boolean
+        for name in ("kmag", "inv_ksq", "riesz_mult"):
+            first = getattr(g, name)
+            assert getattr(g, name) is first and vars(g)[name] is first
+
     def test_wavevectors_are_fft_ordered_integers(self):
         g = Grid(16)
         assert g.k1[0, 0] == 0 and g.k1[1, 0] == 1 and g.k1[-1, 0] == -1
