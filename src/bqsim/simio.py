@@ -1,4 +1,4 @@
-"""On-disk artifacts: binary checkpoints and self-describing diagnostics CSV.
+"""On-disk artifacts: binary checkpoints and every self-describing CSV table.
 
 Checkpoint layout (little-endian throughout):
 
@@ -70,26 +70,39 @@ def read_checkpoint(path) -> SimState:
         raise CheckpointError(f"{path}: {err}") from None
 
 
-def _format_float(x: float) -> str:
-    return "%.17g" % x
+def _write_table(path, header_lines, columns, rows, footer_lines=()) -> None:
+    """Write '#' header lines, the column row, the rows and '#' footer lines with LF
+    endings.  Values use %.17g, which round-trips float64 and prints an integer as
+    itself, so identical runs produce byte-identical files."""
+    lines = [f"# {entry}" for entry in header_lines]
+    lines.append(",".join(columns))
+    lines += [",".join("%.17g" % value for value in row) for row in rows]
+    lines += [f"# {entry}" for entry in footer_lines]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_diagnostics_csv(path, records, header_lines=()) -> None:
     """Write the diagnostic time series with a '#'-prefixed provenance header.
 
     `header_lines` should carry the config echo and seed so the artifact is
-    interpretable on its own.  Rows use %.17g, which round-trips float64, so
-    identical runs produce byte-identical files.
+    interpretable on its own.
     """
-    lines = []
-    lines.append("# diagnostics time series")
-    lines.append(f"# format_version = {FORMAT_VERSION}")
-    for entry in header_lines:
-        lines.append(f"# {entry}")
-    lines.append(",".join(RECORD_FIELDS))
-    for record in records:
-        lines.append(",".join(_format_float(getattr(record, name)) for name in RECORD_FIELDS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["diagnostics time series", f"format_version = {FORMAT_VERSION}", *header_lines]
+    rows = ([getattr(record, name) for name in RECORD_FIELDS] for record in records)
+    _write_table(path, header, RECORD_FIELDS, rows)
+
+
+def write_ratio_csv(path, report, header_lines=()) -> None:
+    """Write a `verify.RatioReport`: `header_lines` (the ensemble), suite and
+    params, one row per sample (ratio nan where excluded) and a '#' summary."""
+    params = " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
+    header = [*header_lines, f"suite: {report.suite}", f"params: {params}"]
+    header.append("note: torus discretization; plane-only phenomena out of scope")
+    rows = [(i, lhs, rhs, lhs / rhs if inc else np.nan)
+            for i, (lhs, rhs, inc) in enumerate(zip(report.lhs, report.rhs, report.included))]
+    summary = f"summary: max_ratio={report.max_ratio:.17g} median_ratio={report.median_ratio:.17g}"
+    _write_table(path, header, ("sample_id", "lhs", "rhs", "ratio"), rows,
+                 [f"{summary} excluded={report.excluded_count}"])
 
 
 def records_from_csv(path) -> list[DiagnosticsRecord]:

@@ -31,6 +31,7 @@ from .littlewood_paley import (
     commutator_riesz,
     dyadic_block,
 )
+from .simio import write_ratio_csv
 from .spectral import (
     Grid,
     PhysicalField,
@@ -128,23 +129,7 @@ class RatioReport:
         )
 
     def write_csv(self, path, header_lines=()):
-        lines = [f"# {h}" for h in header_lines]
-        lines.append(f"# suite: {self.suite}")
-        lines.append(
-            "# params: " + " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        )
-        lines.append("# note: torus discretization; plane-only phenomena out of scope")
-        lines.append("sample_id,lhs,rhs,ratio")
-        inc = self.included
-        for i in range(self.lhs.size):
-            ratio = f"{self.lhs[i] / self.rhs[i]:.17g}" if inc[i] else "nan"
-            lines.append(f"{i},{self.lhs[i]:.17g},{self.rhs[i]:.17g},{ratio}")
-        lines.append(
-            f"# summary: max_ratio={self.max_ratio:.17g} median_ratio={self.median_ratio:.17g} "
-            f"excluded={self.excluded_count}"
-        )
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_ratio_csv(path, self, header_lines)
 
 
 def _collect(suite, params, ens, one_sample) -> RatioReport:
