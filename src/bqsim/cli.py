@@ -143,7 +143,7 @@ def _cmd_verify(args) -> int:
     out = resolve_output_dir("out", args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{args.suite}.csv"
-    report.write_csv(csv_path, [f"seed = {ens.seed}", f"n = {ens.n}", f"count = {ens.count}"])
+    report.write_csv(csv_path, [f"{f.name} = {getattr(ens, f.name)}" for f in fields(ens)])
     print(report.summary())
     print(f"ratio table written to {csv_path}")
     ok = suite_passes(report)

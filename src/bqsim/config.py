@@ -182,7 +182,7 @@ def config_echo(config: RunConfig) -> list[str]:
         if f.name == "dt" and value is None:
             value = "adaptive"
         elif f.name == "checkpoint_times":
-            value = ",".join(f"{t:g}" for t in value) or "none"
+            value = ",".join(map(str, value)) or "none"
         lines.append(f"{f.name} = {value}")
     return lines
 

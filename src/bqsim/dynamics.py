@@ -199,12 +199,8 @@ def trajectory_gamma_residuals(states) -> list[tuple[float, float]]:
     times = [s.t for s in states]
     out = []
     for i, state in enumerate(states):
-        if i == 0:
-            dg = (gammas[1] - gammas[0]) * (1.0 / (times[1] - times[0]))
-        elif i == len(states) - 1:
-            dg = (gammas[-1] - gammas[-2]) * (1.0 / (times[-1] - times[-2]))
-        else:
-            dg = (gammas[i + 1] - gammas[i - 1]) * (1.0 / (times[i + 1] - times[i - 1]))
+        lo, hi = max(i - 1, 0), min(i + 1, len(states) - 1)
+        dg = (gammas[hi] - gammas[lo]) * (1.0 / (times[hi] - times[lo]))
         out.append((state.t, gamma_residual(state, dg)))
     return out
 

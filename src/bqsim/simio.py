@@ -106,20 +106,24 @@ def write_ratio_csv(path, report, header_lines=()) -> None:
 
 
 def records_from_csv(path) -> list[DiagnosticsRecord]:
-    """Read back a diagnostics CSV written by write_diagnostics_csv."""
+    """Read back a diagnostics CSV written by write_diagnostics_csv; reject any other row."""
     records = []
     header = None
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.startswith("#"):
             continue
         if header is None:
             header = line.split(",")
             if header != list(RECORD_FIELDS):
                 raise CheckpointError(f"{path}: unexpected diagnostics columns {header}")
             continue
-        values = [float(part) for part in line.split(",")]
-        records.append(DiagnosticsRecord(**dict(zip(header, values))))
+        try:
+            values = [float(part) for part in line.split(",")]
+        except ValueError as err:
+            raise CheckpointError(f"{path}, line {lineno}: {err}") from None
+        if len(values) != len(header):
+            raise CheckpointError(f"{path}, line {lineno}: {len(values)} values, not {len(header)}")
+        records.append(DiagnosticsRecord(*values))
     if header is None:
         raise CheckpointError(f"{path}: no diagnostics header found")
     return records

@@ -42,6 +42,7 @@ from .spectral import (
     fractional_dissipation,
     gradient,
     gradient_lp_norm,
+    integrate,
     inverse_transform,
     lp_norm,
     sobolev_norm,
@@ -169,7 +170,7 @@ def verify_commutator_hs(ens: EnsembleSpec, s: float = 0.5) -> RatioReport:
         v = velocity()
         theta = scalar()
         comm = commutator_riesz(v, theta)
-        lhs = float(np.hypot(sobolev_norm(comm.x1, s), sobolev_norm(comm.x2, s)))
+        lhs = vector_sobolev_norm(comm, s)
         rhs = gradient_lp_norm(v, 2) * besov_norm(
             theta, BesovSpec(s - 1.0, math.inf, 2.0)
         ) + lp_norm(to_physical(v), 2) * lp_norm(inverse_transform(theta), 2)
@@ -210,17 +211,17 @@ def verify_kernel_commutator(ens: EnsembleSpec, q: int = 3, p: float = 2.0) -> R
 
     def one(grid, scalar, velocity):
         h = band_kernel(grid, q)
-        xh_l1 = float(np.sum(centered_radius(grid) * np.abs(h.samples)) * grid.cell_area)
+        xh_l1 = integrate(PhysicalField(grid, centered_radius(grid) * np.abs(h.samples)))
         f = scalar(0)
         g = scalar(1)
         f_phys = inverse_transform(f).samples
-        g_phys = inverse_transform(g).samples
-        fg = dealiased_transform(PhysicalField(grid, f_phys * g_phys))
+        g_phys = inverse_transform(g)
+        fg = dealiased_transform(PhysicalField(grid, f_phys * g_phys.samples))
         conv_fg = inverse_transform(dyadic_block(fg, q)).samples
         conv_g = inverse_transform(dyadic_block(g, q)).samples
         f_convg = inverse_transform(dealiased_transform(PhysicalField(grid, f_phys * conv_g))).samples
         lhs = lp_norm(PhysicalField(grid, conv_fg - f_convg), p)
-        rhs = xh_l1 * lp_norm(to_physical(gradient(f)), p) * float(np.max(np.abs(g_phys)))
+        rhs = xh_l1 * lp_norm(to_physical(gradient(f)), p) * lp_norm(g_phys, math.inf)
         return lhs, rhs
 
     return _collect("kernel", {"q": q, "p": p}, ens, one)
@@ -287,7 +288,7 @@ def verify_generalized_bernstein(ens: EnsembleSpec, q: int = 3, r: float = 3.0) 
         uq_phys = inverse_transform(uq).samples
         dissip = inverse_transform(fractional_dissipation(uq, 1.0)).samples
         signed_power = np.sign(uq_phys) * np.abs(uq_phys) ** (r - 1.0)
-        lhs = float(np.sum(dissip * signed_power) * grid.cell_area)
+        lhs = integrate(PhysicalField(grid, dissip * signed_power))
         rhs = 2.0**q * lp_norm(PhysicalField(grid, uq_phys), r) ** r
         return lhs, rhs
 

@@ -145,6 +145,11 @@ class TestParseConfig:
             "random_amplitude = 0.5",
         ]
 
+    def test_echo_keeps_checkpoint_times_exact(self):
+        times = "checkpoint_times = 0.1234567, 0.1234568\n"
+        cfg = parse_config("n = 64\nt_end = 1\npreset = zero\n" + times)
+        assert "checkpoint_times = 0.1234567,0.1234568" in config_echo(cfg)
+
 
 class TestInitialData:
     def test_zero_preset(self):
@@ -286,6 +291,21 @@ class TestDiagnosticsCsv:
         with pytest.raises(CheckpointError):
             records_from_csv(path)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda row: row + ",99", lambda row: row.rsplit(",", 1)[0],
+         lambda row: row.rsplit(",", 1)[0] + ",abc"],
+        ids=["extra-value", "missing-value", "not-a-float"],
+    )
+    def test_reader_rejects_rows_the_writer_never_writes(self, tmp_path, mutate):
+        run(parse_config("n = 32\nt_end = 0.05\npreset = tg-blob\n"), output_dir=tmp_path)
+        path = tmp_path / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        lines[-1] = mutate(lines[-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match=f"diagnostics.csv, line {len(lines)}: "):
+            records_from_csv(path)
+
 
 class TestDeterminismAndResume:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):
@@ -368,6 +388,15 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "gen-bernstein.csv").exists()
+
+    def test_verify_header_records_the_whole_ensemble(self, tmp_path, capsys):
+        headers = set()
+        for i, extra in enumerate(([], ["--spectrum-gamma", "1.5"], ["--amplitude", "3"])):
+            out = tmp_path / f"run{i}"
+            argv = ["verify", "--suite", "kernel", "--n", "32", "--count", "2", *extra]
+            assert main([*argv, "--output-dir", str(out)]) in (0, 1)
+            headers.add((out / "kernel.csv").read_text().split("\nsample_id,")[0])
+        assert len(headers) == 3
 
     def test_verify_rejects_foreign_parameter(self, tmp_path, capsys):
         code = main([

@@ -726,6 +726,26 @@ class TestTransformLayer:
         assert readers == []
 
 
+class TestArtifactWriter:
+    def test_no_module_but_simio_writes_a_file(self):
+        """`simio` owns every artifact format, so it alone opens a file for writing."""
+        writers = []
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            if path.name == "simio.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                strings = [a.value for a in [*node.args, *(k.value for k in node.keywords)]
+                           if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+                opens_for_writing = name == "open" and any(
+                    set(s) <= set("rwaxbt+") and set(s) & set("wax+") for s in strings)
+                if name in ("write_text", "write_bytes") or opens_for_writing:
+                    writers.append((path.name, node.lineno))
+        assert writers == []
+
+
 def random_state(n, steps):
     """A random dealiased state, stepped `steps` times by dt = 1e-3."""
     g = Grid(n)
