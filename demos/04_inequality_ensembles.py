@@ -49,4 +49,4 @@ print("the kernel suite carries an absolute gate: the sampled constant may not e
 print(f"and the worst sampled ratio here is {report.max_ratio:.4f}")
 print()
 print("every report can be persisted and audited as CSV (one row per sample):")
-print("  report.write_csv(path) -> lhs, rhs, ratio, included columns + summary trailer")
+print("  report.write_csv(path) -> sample_id, lhs, rhs, ratio (nan if excluded) + '# summary' line")
