@@ -70,7 +70,6 @@ from .spectral import (
     SpectralField,
     VectorField,
     advect,
-    apply_multiplier,
     biot_savart,
     curl,
     dealias,

@@ -19,6 +19,7 @@ from .littlewood_paley import BesovSpec, besov_norm
 from .spectral import (
     Grid,
     SpectralField,
+    _wrap,
     biot_savart,
     curl,
     dealias,
@@ -195,8 +196,7 @@ def make_initial_data(config: RunConfig) -> SimState:
     is how linear-regime experiments are set up.
     """
     grid = Grid(config.n)
-    zero = SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
-    omega, theta = zero, zero
+    omega = theta = _wrap(grid, np.zeros((grid.n, grid.n), dtype=complex))
 
     if config.preset in ("taylor-green", "tg-blob"):
         omega = taylor_green_vorticity(grid, config.tg_amplitude)
@@ -213,8 +213,8 @@ def make_initial_data(config: RunConfig) -> SimState:
             random_scalar_field(grid, config.random_gamma, config.random_amplitude, (config.seed, 3))
         )
 
-    omega = dealias(omega) * config.amplitude
-    theta = dealias(theta) * config.amplitude
+    omega, theta = (SpectralField(grid, (dealias(f) * config.amplitude).coeffs)
+                    for f in (omega, theta))
     return SimState(0.0, omega, theta, config.alpha)
 
 

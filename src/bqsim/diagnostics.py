@@ -102,15 +102,17 @@ class DiagnosticsTracker:
         gam = gamma(state)
         gamma_phys = inverse_transform(gam)
         l2_v = lp_norm(v_phys, 2)
+        hdot_v_sq = {s: _squared(vector_sobolev_norm(v, s, homogeneous=True))
+                     for s in {0.5, 0.5 * state.alpha}}  # one norm at alpha = 1
 
         integrands = {
-            "hhalf_v_sq": _squared(vector_sobolev_norm(v, 0.5, homogeneous=True)),
+            "hhalf_v_sq": hdot_v_sq[0.5],
             "hhalf_gamma_sq": _squared(sobolev_norm(gam, 0.5, homogeneous=True)),
             "hhalf_omega_sq": _squared(sobolev_norm(state.omega_hat, 0.5, homogeneous=True)),
             "besov_omega": besov_norm(state.omega_hat, BesovSpec(0.0, math.inf, 1.0)),
             "lip_v": max_gradient(v),
             "energy": 0.5 * _squared(l2_v),
-            "dissipation": _squared(vector_sobolev_norm(v, 0.5 * state.alpha, homogeneous=True)),
+            "dissipation": hdot_v_sq[0.5 * state.alpha],
             "buoyancy_power": integrate(
                 PhysicalField(state.grid, theta_phys.samples * v_phys.x2.samples)
             ),

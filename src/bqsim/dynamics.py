@@ -29,10 +29,10 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     VectorField,
-    _check_real,
+    _apply_multiplier,
     _samples,
+    _wrap,
     advect,
-    apply_multiplier,
     biot_savart,
     divergence,
     fractional_dissipation,
@@ -70,9 +70,8 @@ class SimState:
         return biot_savart(self.omega_hat)
 
     def physical_velocity(self) -> VectorField:
-        """Velocity samples, kept for the vorticity array they came from (`copy()`
-        and `dataclasses.replace` start without them).  Unchecked: `step` and
-        `record` check the vorticity they are handed, and derive the rest."""
+        """Velocity samples, kept for the read-only vorticity array they came from
+        (`copy()` and `dataclasses.replace` start without them)."""
         coeffs = self.omega_hat.coeffs
         if self._velocity[0] is not coeffs:
             samples = (PhysicalField(self.grid, _samples(c)) for c in self.velocity().components())
@@ -80,13 +79,12 @@ class SimState:
         return self._velocity[1]
 
     def physical_temperature(self) -> PhysicalField:
-        """Checked temperature samples on the complex path (their last bits feed the
-        energy balance and the buoyant dt limit), made afresh on every call."""
-        _check_real(self.theta_hat)
+        """Temperature samples on the complex path (their last bits feed the energy
+        balance and the buoyant dt limit), made afresh on every call."""
         return PhysicalField(self.grid, _samples(self.theta_hat))
 
     def copy(self) -> "SimState":
-        return SimState(self.t, self.omega_hat.copy(), self.theta_hat.copy(), self.alpha)
+        return SimState(self.t, self.omega_hat, self.theta_hat, self.alpha)
 
 
 def gamma(state: SimState) -> SpectralField:
@@ -119,7 +117,7 @@ def step(state: SimState, dt: float) -> SimState:
 
     The vorticity is advanced in the frame of the exact dissipative
     semigroup exp(-|k|^alpha t); the temperature (no dissipation) sees a
-    plain RK4.  Bad input is checked once, on entry (InvalidInputError).  Raises
+    plain RK4.  Its input is valid by construction (see `spectral`).  Raises
     BlowUpError, carrying the pre-step state, when a stage or the update is
     non-finite or the velocity exceeds the blow-up threshold.
     """
@@ -130,28 +128,26 @@ def step(state: SimState, dt: float) -> SimState:
     e_half = np.exp(-0.5 * dt * grid.kmag_power(alpha))
     e_full = e_half * e_half
     w0, th0 = state.omega_hat, state.theta_hat
-    _check_real(w0)
-    _check_real(th0)
 
     try:
         n1w, n1t = rhs(state)
-        wa = apply_multiplier(w0 + (0.5 * dt) * n1w, e_half)
+        wa = _apply_multiplier(w0 + (0.5 * dt) * n1w, e_half)
         ta = th0 + (0.5 * dt) * n1t
         n2w, n2t = rhs(SimState(0.0, wa, ta, alpha))
-        wb = apply_multiplier(w0, e_half) + (0.5 * dt) * n2w
+        wb = _apply_multiplier(w0, e_half) + (0.5 * dt) * n2w
         tb = th0 + (0.5 * dt) * n2t
         n3w, n3t = rhs(SimState(0.0, wb, tb, alpha))
-        wc = apply_multiplier(w0, e_full) + dt * apply_multiplier(n3w, e_half)
+        wc = _apply_multiplier(w0, e_full) + dt * _apply_multiplier(n3w, e_half)
         tc = th0 + dt * n3t
         # Sums add left to right: folding stages 1-3 now frees them, same floats.
-        sum_w = apply_multiplier(n1w, e_full) + 2.0 * apply_multiplier(n2w + n3w, e_half)
+        sum_w = _apply_multiplier(n1w, e_full) + 2.0 * _apply_multiplier(n2w + n3w, e_half)
         sum_t = n1t + 2.0 * (n2t + n3t)
         del n1w, n1t, n2w, n2t, n3w, n3t, wa, ta, wb, tb
         n4w, n4t = rhs(SimState(0.0, wc, tc, alpha))
     except NonFiniteError as err:
         raise BlowUpError(f"non-finite RK stage in step from t={state.t:.6g}", state=state) from err
 
-    w1 = apply_multiplier(w0, e_full) + (dt / 6.0) * (sum_w + n4w)
+    w1 = _apply_multiplier(w0, e_full) + (dt / 6.0) * (sum_w + n4w)
     t1 = th0 + (dt / 6.0) * (sum_t + n4t)
 
     if not (np.all(np.isfinite(w1.coeffs)) and np.all(np.isfinite(t1.coeffs))):
@@ -183,7 +179,7 @@ def gamma_residual(state: SimState, dgamma_dt: SpectralField) -> float:
         dgamma_dt
         + advect(state.physical_velocity(), g)
         + fractional_dissipation(g, state.alpha)
-        - apply_multiplier(riesz(state.theta_hat), grid.kmag - grid.kmag_power(state.alpha))
+        - _apply_multiplier(riesz(state.theta_hat), grid.kmag - grid.kmag_power(state.alpha))
         - divergence(commutator_riesz(v, state.theta_hat))
     )
     return lp_norm(inverse_transform(residual), 2)
@@ -218,4 +214,4 @@ def linear_exact_solution(
     grid = omega0.grid
     decay = np.exp(-grid.kmag_power(alpha) * t)
     w_t = omega0.coeffs * decay + grid.forcing_mult(alpha) * (1.0 - decay) * theta0.coeffs
-    return SimState(t, SpectralField(grid, w_t), theta0.copy(), alpha)
+    return SimState(t, _wrap(grid, w_t), theta0, alpha)

@@ -22,7 +22,7 @@ class ConfigurationError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is unreadable: bad magic, wrong version, or truncated."""
+    """A checkpoint file is unreadable: bad magic, version, size or values, or truncated."""
 
 
 class BlowUpError(RuntimeError):

@@ -18,6 +18,8 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     VectorField,
+    _check_finite,
+    _wrap,
     dealiased_transform,
     leray_project,
 )
@@ -57,10 +59,11 @@ def random_scalar_field(
     modes, mirrors, envelope = _scatter(n, grid.kmax, spectrum_gamma)
     draws = np.random.default_rng(key).standard_normal((len(envelope), 2))
     c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * envelope
+    _check_finite(c)
     coeffs = np.zeros((n, n), dtype=complex)
     coeffs[modes] = c
     coeffs[mirrors] = np.conj(c)
-    return SpectralField(grid, coeffs)
+    return _wrap(grid, coeffs)
 
 
 def random_divfree_velocity(

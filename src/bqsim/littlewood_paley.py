@@ -34,11 +34,11 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     VectorField,
-    _check_real,
+    _apply_multiplier,
     _real_samples,
     _rescale_by,
+    _wrap,
     advect,
-    apply_multiplier,
     dealiased_transform,
     inverse_transform,
     lp_norm,
@@ -101,7 +101,7 @@ def build_filter_bank(grid: Grid) -> DyadicFilterBank:
 
 def dyadic_block(f: SpectralField, q: int) -> SpectralField:
     """Frequency-localized piece Delta_q f (q = -1 gives the low block)."""
-    return apply_multiplier(f, build_filter_bank(f.grid).block_multiplier(q))
+    return _apply_multiplier(f, build_filter_bank(f.grid).block_multiplier(q))
 
 
 def partial_sum(f: SpectralField, q: int) -> SpectralField:
@@ -111,8 +111,8 @@ def partial_sum(f: SpectralField, q: int) -> SpectralField:
     S_(qmax+1) f recovers f exactly (qmax = ceil(log2(n/2))).  For q <= -1 the sum is empty.
     """
     if q <= -1:
-        return SpectralField(f.grid, np.zeros_like(f.coeffs))
-    return apply_multiplier(f, smooth_transition(f.grid.kmag / 2.0**q))
+        return _wrap(f.grid, np.zeros_like(f.coeffs))
+    return _apply_multiplier(f, smooth_transition(f.grid.kmag / 2.0**q))
 
 
 @dataclass(frozen=True)
@@ -134,19 +134,15 @@ class BesovSpec:
 
 
 def _components(f):
-    """The scalar components of a scalar or vector f, each checked once."""
-    comps = f.components() if isinstance(f, VectorField) else (f,)
-    for comp in comps:
-        _check_real(comp)
-    return comps
+    """The scalar components of a scalar or vector f."""
+    return f.components() if isinstance(f, VectorField) else (f,)
 
 
 def _band_samples(f, homogeneous: bool = False):
     """Yield (q, physical Delta_q f), one `irfft2` of columns 0..n/2 per component of f."""
     comps, half = _components(f), np.s_[:, : f.grid.n // 2 + 1]
     for q, mult in build_filter_bank(f.grid).bands(homogeneous):
-        bands = [_real_samples(c.coeffs[half] * mult[half]) for c in comps]
-        bands = [PhysicalField(f.grid, b) for b in bands]
+        bands = [PhysicalField(f.grid, _real_samples(c.coeffs[half] * mult[half])) for c in comps]
         yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
 
 
@@ -217,9 +213,7 @@ def bony_decompose(u: SpectralField, w: SpectralField):
     distance <= 1.  The three parts sum to the dealiased pseudo-spectral
     product because the block pairing partitions all band pairs.
     """
-    if u.grid != w.grid:
-        raise InvalidInputError("fields live on different grids")
-    grid = u.grid
+    grid = u._same_grid(w)
     bu = [b.samples for _, b in _band_samples(u)]
     bw = [b.samples for _, b in _band_samples(w)]
     cum_u = np.cumsum(bu, axis=0)
@@ -276,7 +270,7 @@ def band_kernel(grid: Grid, q: int) -> PhysicalField:
     Fourier-series coefficients by the band multiplier.
     """
     coeffs = build_filter_bank(grid).block_multiplier(q).astype(complex) / (2.0 * np.pi) ** 2
-    return inverse_transform(SpectralField(grid, coeffs))
+    return inverse_transform(_wrap(grid, coeffs))
 
 
 def centered_radius(grid: Grid) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import RECORD_FIELDS, DiagnosticsRecord
 from .dynamics import SimState
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, InvalidInputError
 from .spectral import Grid, SpectralField
 
 MAGIC = b"BQSF"
@@ -43,8 +43,8 @@ def write_checkpoint(path, state: SimState) -> None:
 
 
 def read_checkpoint(path) -> SimState:
-    """Load a checkpoint, validating magic, version, payload size, n, alpha,
-    and that t and every coefficient are finite."""
+    """Load a checkpoint, validating magic, version, payload size, n, alpha, that t
+    and every coefficient are finite and that both fields are conjugate-symmetric."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes)")
@@ -58,15 +58,13 @@ def read_checkpoint(path) -> SimState:
         raise CheckpointError(
             f"{path}: payload size mismatch, expected {expected} bytes, got {len(blob)}"
         )
-    flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    if not (np.isfinite(t) and np.all(np.isfinite(flat))):
-        raise CheckpointError(f"{path}: non-finite time or coefficients")
-    omega = flat[: n * n].reshape(n, n).astype(complex)
-    theta = flat[n * n :].reshape(n, n).astype(complex)
-    try:
+    if not np.isfinite(t):
+        raise CheckpointError(f"{path}: non-finite time {t}")
+    omega, theta = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size).reshape(2, n, n)
+    try:  # the constructor copies the coefficients and checks them
         grid = Grid(int(n))
         return SimState(t, SpectralField(grid, omega), SpectralField(grid, theta), alpha)
-    except ConfigurationError as err:
+    except (ConfigurationError, InvalidInputError) as err:
         raise CheckpointError(f"{path}: {err}") from None
 
 

@@ -11,11 +11,13 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
     f(x) = sum_k  coeff(k) * exp(i k . x)
 
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
-(indices taken modulo n).  An operator checks each field its caller hands it
-once (`_check_real`) and samples what it derives from it by multipliers
-unchecked: real even multipliers (bands, |k|^s) keep the symmetry exactly, and so
-do odd ones (d/dx_j, Riesz, Biot-Savart), which vanish on their Nyquist line k_j = -n/2
-(`Grid.k1_odd`, `Grid.k2_odd`).  `advect` takes v
+(indices taken modulo n).  A `SpectralField` is checked once, when its constructor
+copies the coefficients (`_check_real`), and is read-only, so operators trust it and
+wrap what they derive unchecked (`_wrap`): sums, real scalars, transforms of real
+samples, real even multipliers (bands, |k|^s) and odd ones (d/dx_j, Riesz, Biot-Savart),
+which vanish on their Nyquist line k_j = -n/2 (`Grid.k1_odd`, `Grid.k2_odd`).  Only data
+from outside is checked for finiteness: the constructor, `read_checkpoint`, random
+draws and `make_initial_data`.  `advect` takes v
 physical, sampled once per state (`SimState.physical_velocity`) or caller, and
 trusts f, as `grid_max_velocity` trusts v.  Operators that divide by |k| map
 k = 0 to 0.  Sampling is one half-spectrum `irfft2` (`_real_samples`) except on
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,42 +135,50 @@ class PhysicalField:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralField:
-    """Fourier-series coefficients of a real scalar field, FFT layout."""
+    """Fourier-series coefficients of a real scalar field, FFT layout; valid and read-only."""
 
     grid: Grid
     coeffs: np.ndarray
+    __array_ufunc__ = None  # numpy operators defer to ours, which take real scalars only
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.grid.n, self.grid.n):
-            raise InvalidInputError(
-                f"coeffs shape {self.coeffs.shape} does not match grid n={self.grid.n}"
-            )
+        coeffs, n = np.array(self.coeffs, dtype=complex), self.grid.n  # a copy
+        if coeffs.shape != (n, n):
+            raise InvalidInputError(f"coeffs shape {coeffs.shape} does not match grid n={n}")
+        _check_real(coeffs)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def _check_same_grid(self, other):
+    def _same_grid(self, other) -> Grid:
         if self.grid != other.grid:
             raise InvalidInputError("fields live on different grids")
+        return self.grid
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return _wrap(self._same_grid(other), self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return _wrap(self._same_grid(other), self.coeffs - other.coeffs)
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
+        return _wrap(self.grid, -self.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
+        if not isinstance(scalar, numbers.Real):
+            return NotImplemented
+        return _wrap(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
+
+
+def _wrap(grid: Grid, coeffs: np.ndarray) -> SpectralField:
+    """Fresh coefficients derived from valid fields by a symmetry-preserving operation."""
+    f = object.__new__(SpectralField)
+    coeffs.flags.writeable = False
+    vars(f).update(grid=grid, coeffs=coeffs)
+    return f
 
 
 @dataclass
@@ -185,9 +196,9 @@ class VectorField:
         return (self.x1, self.x2)
 
 
-def apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
-    """Multiply coefficients by an array-valued Fourier multiplier."""
-    return SpectralField(f.grid, f.coeffs * mult)
+def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
+    """Multiply coefficients by a real even or Nyquist-zeroed odd Fourier multiplier."""
+    return _wrap(f.grid, f.coeffs * mult)
 
 
 def _forward(f: PhysicalField, columns) -> np.ndarray:
@@ -203,19 +214,19 @@ def _forward(f: PhysicalField, columns) -> np.ndarray:
 
 def forward_transform(f: PhysicalField) -> SpectralField:
     """FFT with the 1/n^2 normalization; rejects non-finite samples."""
-    return SpectralField(f.grid, _forward(f, (slice(None),)))
+    return _wrap(f.grid, _forward(f, (slice(None),)))
 
 
 def dealiased_transform(f: PhysicalField) -> SpectralField:
     """`dealias(forward_transform(f))`, transforming only the kept columns along axis 0."""
     c, cut = _forward(f, f.grid.kept), f.grid.cut
     c[cut], c[:, cut] = 0, 0
-    return SpectralField(f.grid, c)
+    return _wrap(f.grid, c)
 
 
-def hermitian_defect(f: SpectralField) -> float:
-    """Max deviation from coeff(-k) == conj(coeff(k)), relative to the field size."""
-    c, n = f.coeffs, f.grid.n
+def hermitian_defect(c: np.ndarray) -> float:
+    """Max deviation of an (n, n) array from coeff(-k) == conj(coeff(k)), relative to its size."""
+    n = c.shape[0]
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         return 0.0
@@ -226,18 +237,22 @@ def hermitian_defect(f: SpectralField) -> float:
     return float(np.max(np.abs(c[: n // 2 + 1] - np.conj(mirrored)))) / scale
 
 
-def _check_real(f: SpectralField) -> None:
-    """Raise InvalidInputError unless f holds finite, conjugate-symmetric coefficients.
+def _check_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("spectral coefficients contain non-finite values")
+
+
+def _check_real(c: np.ndarray) -> None:
+    """Raise InvalidInputError unless c holds finite, conjugate-symmetric coefficients.
 
     Asymmetry must be significant both relative to the field and in absolute
     terms: fields produced by near-cancelling differences (commutators) or by
     dyadic bands that annihilate the input inherit round-off noise from their
     O(1) ancestors, which is asymmetric but physically meaningless.
     """
-    defect = hermitian_defect(f)  # NaN whenever a coefficient is non-finite
-    if math.isnan(defect) and not np.all(np.isfinite(f.coeffs)):
-        raise InvalidInputError("spectral coefficients contain non-finite values")
-    if defect > HERMITIAN_TOL and float(np.max(np.abs(f.coeffs))) * defect > HERMITIAN_ABS_FLOOR:
+    _check_finite(c)  # first: the defect of an inf at a self-conjugate mode is inf - inf
+    defect = hermitian_defect(c)
+    if defect > HERMITIAN_TOL and float(np.max(np.abs(c))) * defect > HERMITIAN_ABS_FLOOR:
         raise InvalidInputError(
             f"conjugate symmetry broken: relative defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
@@ -259,8 +274,7 @@ def _real_samples(c: np.ndarray) -> np.ndarray:
 
 
 def inverse_transform(f: SpectralField) -> PhysicalField:
-    """Inverse FFT to real samples; rejects non-finite or asymmetric coefficients."""
-    _check_real(f)
+    """Inverse FFT to real samples."""
     return PhysicalField(f.grid, _real_samples(f.coeffs))
 
 
@@ -269,7 +283,7 @@ def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
     if axis not in (0, 1):
         raise ConfigurationError(f"axis must be 0 or 1, got {axis}")
     k = f.grid.k1_odd if axis == 0 else f.grid.k2_odd
-    return apply_multiplier(f, 1j * k)
+    return _apply_multiplier(f, 1j * k)
 
 
 def gradient(f: SpectralField) -> VectorField:
@@ -278,12 +292,12 @@ def gradient(f: SpectralField) -> VectorField:
 
 def fractional_dissipation(f: SpectralField, alpha: float) -> SpectralField:
     """Apply |D|^alpha, i.e. the |k|^alpha multiplier (zero mode -> 0)."""
-    return apply_multiplier(f, f.grid.kmag_power(alpha))
+    return _apply_multiplier(f, f.grid.kmag_power(alpha))
 
 
 def riesz(f: SpectralField) -> SpectralField:
     """First Riesz transform d1/|D|: multiplier i*k1/|k|, zero mode -> 0."""
-    return apply_multiplier(f, f.grid.riesz_mult)
+    return _apply_multiplier(f, f.grid.riesz_mult)
 
 
 def biot_savart(omega: SpectralField) -> VectorField:
@@ -299,8 +313,8 @@ def biot_savart(omega: SpectralField) -> VectorField:
         raise InvalidInputError(
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; velocity is undefined"
         )
-    v1 = apply_multiplier(omega, 1j * g.k2_odd * g.inv_ksq)
-    v2 = apply_multiplier(omega, -1j * g.k1_odd * g.inv_ksq)
+    v1 = _apply_multiplier(omega, 1j * g.k2_odd * g.inv_ksq)
+    v2 = _apply_multiplier(omega, -1j * g.k1_odd * g.inv_ksq)
     return VectorField(v1, v2)
 
 
@@ -319,10 +333,8 @@ def leray_project(v: VectorField) -> VectorField:
     inv_ksq = g.inv_ksq.copy()
     inv_ksq[h], inv_ksq[:, h] = inv_ksq[0], inv_ksq[:, 0]
     kdotv = g.k1_odd * v.x1.coeffs + g.k2_odd * v.x2.coeffs
-    return VectorField(
-        SpectralField(g, v.x1.coeffs - g.k1_odd * kdotv * inv_ksq),
-        SpectralField(g, v.x2.coeffs - g.k2_odd * kdotv * inv_ksq),
-    )
+    pairs = ((v.x1, g.k1_odd), (v.x2, g.k2_odd))
+    return VectorField(*(_wrap(g, c.coeffs - k * kdotv * inv_ksq) for c, k in pairs))
 
 
 def to_physical(v: VectorField) -> VectorField:
@@ -331,7 +343,7 @@ def to_physical(v: VectorField) -> VectorField:
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all coefficients with max(|k1|, |k2|) > `Grid.kmax` (idempotent)."""
-    return apply_multiplier(f, f.grid.dealias_keep)
+    return _apply_multiplier(f, f.grid.dealias_keep)
 
 
 def advect(v: VectorField, f: SpectralField) -> SpectralField:
@@ -339,7 +351,7 @@ def advect(v: VectorField, f: SpectralField) -> SpectralField:
 
     v is physical (`to_physical`, `SimState.physical_velocity`), so it is transformed
     once for all the fields it advects.  The spectral gradient of f goes to physical
-    space unchecked (trusted to be real), times v, transformed back and dealiased.
+    space, times v, transformed back and dealiased.
     """
     g = f.grid
     if not all(isinstance(c, PhysicalField) and c.grid == g for c in v.components()):
@@ -404,16 +416,13 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
 
 
 def grid_max_velocity(v: VectorField) -> float:
-    """Grid max of |v| from spectral components, trusted to be real (unchecked)."""
+    """Grid max of |v| from spectral components."""
     return float(np.max(np.hypot(_samples(v.x1), _samples(v.x2))))
 
 
 def _gradient_samples(v: VectorField):
-    """Yield the four velocity-derivative samples d_j v_i, checking each v_i once."""
-    for comp in v.components():
-        _check_real(comp)
-        for axis in (0, 1):
-            yield _real_samples(partial_derivative(comp, axis).coeffs)
+    """The four velocity-derivative samples d_j v_i, one at a time."""
+    return (_real_samples(partial_derivative(c, a).coeffs) for c in v.components() for a in (0, 1))
 
 
 def max_gradient(v: VectorField) -> float:

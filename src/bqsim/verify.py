@@ -208,10 +208,11 @@ def verify_kernel_commutator(ens: EnsembleSpec, q: int = 3, p: float = 2.0) -> R
     ||x h||_(L1) ||grad f||_(L^p) ||g||_(L^inf).  The underlying constant is
     exactly 1, so ratios should stay at or below 1 up to quadrature slack.
     """
+    grid = Grid(ens.n)
+    h = band_kernel(grid, q)
+    xh_l1 = integrate(PhysicalField(grid, centered_radius(grid) * np.abs(h.samples)))
 
     def one(grid, scalar, velocity):
-        h = band_kernel(grid, q)
-        xh_l1 = integrate(PhysicalField(grid, centered_radius(grid) * np.abs(h.samples)))
         f = scalar(0)
         g = scalar(1)
         f_phys = inverse_transform(f).samples

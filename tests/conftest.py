@@ -11,13 +11,14 @@ FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irff
 
 @pytest.fixture
 def symmetry_checks(monkeypatch):
-    """List that collects every field handed to `hermitian_defect` during the test."""
+    """List that collects every coefficient array handed to `hermitian_defect` during the
+    test: the `SpectralField` constructor hands it the array the new field keeps."""
     calls = []
     original = bqsim.spectral.hermitian_defect
 
-    def counted(f):
-        calls.append(f)
-        return original(f)
+    def counted(c):
+        calls.append(c)
+        return original(c)
 
     monkeypatch.setattr(bqsim.spectral, "hermitian_defect", counted)
     return calls

@@ -268,6 +268,28 @@ class TestCheckpointFormat:
         assert main(["norms", "--checkpoint", str(path)]) == 2
 
 
+class TestCheckedOnce:
+    """`hermitian_defect` runs once for each field built from outside data, in the
+    `SpectralField` constructor, and never again on that field's way through the solver."""
+
+    def test_each_field_from_outside_data_is_checked_once(self, tmp_path, symmetry_checks):
+        g = Grid(32)
+        field = SpectralField(g, random_scalar_field(g, 2.0, 1.0, (1,)).coeffs)
+        state = make_initial_data(parse_config(STAB))
+        write_checkpoint(tmp_path / "state.bqsf", state)
+        back = read_checkpoint(tmp_path / "state.bqsf")
+        built = [field, state.omega_hat, state.theta_hat, back.omega_hat, back.theta_hat]
+        assert [id(c) for c in symmetry_checks] == [id(f.coeffs) for f in built]
+
+    def test_a_whole_run_checks_its_two_initial_fields(self, tmp_path, symmetry_checks):
+        """Adaptive steps, a record after each and a checkpoint, from `make_initial_data`."""
+        config = "n = 32\nt_end = 0.05\npreset = tg-blob\ndiag_cadence = 1\ncheckpoint_times = 0.02\n"
+        result = run(parse_config(config), output_dir=tmp_path)
+        assert result.steps_taken > 1 and len(result.records) == result.steps_taken + 1
+        assert (tmp_path / "checkpoint_000.bqsf").exists()
+        assert len(symmetry_checks) == 2
+
+
 class TestDiagnosticsCsv:
     def test_roundtrip_is_exact(self, tmp_path):
         cfg = parse_config(BASE + "diag_cadence = 1\n")
@@ -364,16 +386,52 @@ class TestCli:
         assert captured.out == ""
         assert "Besov" in captured.err
 
+    @staticmethod
+    def asymmetric_checkpoint(tmp_path):
+        """An n = 32 tg-blob checkpoint whose Re theta[1, 2] is raised by 0.3 in the file."""
+        ckpt, n = tmp_path / "state.bqsf", 32
+        write_checkpoint(ckpt, make_initial_data(parse_config(BASE.replace("n = 64", f"n = {n}"))))
+        blob = bytearray(ckpt.read_bytes())
+        at = struct.calcsize("<4sIIdd") + 16 * (n * n + 1 * n + 2)  # after the n * n of omega
+        struct.pack_into("<d", blob, at, struct.unpack_from("<d", blob, at)[0] + 0.3)
+        ckpt.write_bytes(bytes(blob))
+        return ckpt
+
     def test_asymmetric_checkpoint_exits_two_before_printing(self, tmp_path, capsys):
-        state = make_initial_data(parse_config(BASE.replace("n = 64", "n = 32")))
-        state.theta_hat.coeffs[1, 2] += 0.3
-        ckpt = tmp_path / "state.bqsf"
-        write_checkpoint(ckpt, state)
+        ckpt = self.asymmetric_checkpoint(tmp_path)
         assert main(["norms", "--checkpoint", str(ckpt)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: conjugate symmetry broken")
+        assert line.startswith(f"error: {ckpt}: conjugate symmetry broken")
+
+    def test_asymmetric_checkpoint_is_not_resumed(self, tmp_path, capsys):
+        ckpt, out = self.asymmetric_checkpoint(tmp_path), tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 32\nt_end = 0.1\npreset = tg-blob\n")
+        argv = ["run", "--config", str(cfg), "--resume", str(ckpt), "--output-dir", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {ckpt}: conjugate symmetry broken")
+
+    @pytest.mark.parametrize("argv, config", [
+        ("run --config {cfg} --output-dir {out}",
+         "n = 32\nt_end = 0.1\npreset = taylor-green\ntg_amplitude = 1e308\namplitude = 1e10\n"),
+        ("verify --suite product --n 32 --spectrum-gamma -1000 --output-dir {out}", None),
+    ], ids=["initial-data", "random-draw"])
+    def test_overflowing_input_is_bad_input(self, tmp_path, capsys, argv, config):
+        """Where outside numbers enter (`make_initial_data`, `random_scalar_field`), an
+        overflow is bad input, reported before anything is written."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        if config is not None:
+            cfg.write_text(config)
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's warnings are not the report
+            assert main(argv.format(cfg=cfg, out=out).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == ["error: spectral coefficients contain non-finite values"]
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -31,6 +31,7 @@ from bqsim import (
     step,
     trajectory_gamma_residuals,
 )
+from bqsim.runner import adaptive_dt
 
 
 def grid64():
@@ -61,11 +62,17 @@ class TestSimState:
             SimState(0.0, zero_field(Grid(64)), zero_field(Grid(32)), alpha=1.0)
 
     def test_copy_is_independent(self):
+        """The copy shares the fields, which can be neither written nor rebound."""
         g = grid64()
         s = SimState(0.0, zero_field(g), zero_field(g), 1.0)
         c = s.copy()
-        c.omega_hat.coeffs[1, 0] = 1.0
-        assert s.omega_hat.coeffs[1, 0] == 0.0
+        c.t, c.omega_hat = 1.0, spectral(g, np.sin(g.nodes()[0]))
+        assert s.t == 0.0 and not s.omega_hat.coeffs.any()
+        with pytest.raises(ValueError, match="read-only"):
+            c.theta_hat.coeffs[1, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.theta_hat.coeffs = np.ones((64, 64), dtype=complex)
+        assert s.theta_hat.coeffs[1, 0] == 0.0
 
 
 class TestGamma:
@@ -229,18 +236,15 @@ class TestStep:
         coeffs = np.zeros((64, 64), dtype=complex)
         coeffs[1, 0] = 1.0  # missing the conjugate partner: a program fault, not a blow-up
         fields = {"omega": zero_field(g), "theta": zero_field(g)}
-        fields[broken] = SpectralField(g, coeffs)
-        state = SimState(0.0, fields["omega"], fields["theta"], 1.0)
         with pytest.raises(InvalidInputError, match="conjugate symmetry broken"):
-            step(state, 1e-3)
+            fields[broken] = SpectralField(g, coeffs)  # built, so no step ever sees it
 
     def test_nonfinite_input_is_bad_input_not_blowup(self):
         g = Grid(32)
-        theta = dealias(random_scalar_field(g, 2.0, 1.0, (3,)))
-        theta.coeffs[2, 1] = np.nan
-        state = SimState(0.0, zero_field(g), theta, 1.0)
+        theta = dealias(random_scalar_field(g, 2.0, 1.0, (3,))).coeffs.copy()
+        theta[2, 1] = np.nan
         with pytest.raises(InvalidInputError, match="non-finite"):
-            step(state, 1e-3)
+            SpectralField(g, theta)  # built, so no step ever sees it
 
     @pytest.mark.parametrize("preset, alpha", [("zero", 1.0), ("taylor-green", 1.0), ("blob", 1.0),
                                                ("tg-blob", 1.0), ("random", 1.0), ("random", 0.5)])
@@ -253,12 +257,11 @@ class TestStep:
             w, th = oracle.step(state.grid, w, th, 1e-2, alpha)
             assert np.array_equal(state.omega_hat.coeffs, w) and np.array_equal(state.theta_hat.coeffs, th)
 
-    def test_symmetry_is_checked_once_per_field_per_step(self, symmetry_checks):
-        g = grid64()
-        omega = dealias(random_scalar_field(g, 2.0, 1.0, (4,)))
-        state = SimState(0.0, omega, dealias(random_scalar_field(g, 2.0, 1.0, (5,))), 1.0)
-        step(state, 1e-3)
-        assert [id(f) for f in symmetry_checks] == [id(state.omega_hat), id(state.theta_hat)]
+    def test_step_and_adaptive_dt_check_no_field(self, symmetry_checks):
+        """A state's fields were checked when they were built; stepping checks none."""
+        state = random_state(64)
+        adaptive_dt(step(state, 1e-3), 0.5)
+        assert symmetry_checks == []
 
 
 def random_state(n, seed=4):
@@ -321,7 +324,11 @@ class TestVelocityReuse:
         state.omega_hat = dealias(random_scalar_field(state.grid, 2.0, 1.0, (9,)))
         assert same_samples(state.physical_velocity(), complex_velocity(state))
         assert not same_samples(state.physical_velocity(), old)
-        state.omega_hat.coeffs = state.omega_hat.coeffs * 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):  # the cache key cannot go stale
+            state.omega_hat.coeffs = state.omega_hat.coeffs * 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.omega_hat.coeffs[1, 2] *= 2.0
+        state.omega_hat = state.omega_hat * 2.0
         assert same_samples(state.physical_velocity(), complex_velocity(state))
 
 

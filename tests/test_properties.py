@@ -89,7 +89,7 @@ def test_parseval(key):
 @given(keys)
 def test_seeded_fields_are_hermitian_and_mean_free(key):
     f = seeded(key)
-    assert hermitian_defect(f) < 1e-13
+    assert hermitian_defect(f.coeffs) < 1e-13
     assert f.coeffs[0, 0] == 0.0
 
 

@@ -87,7 +87,7 @@ PASS_SIZES, PASS_CASES = [16, 48, 50, 64, 256], ["dealiased", "one-mode-past-the
 
 def pass_coeffs(g, case):
     """Dealiased noise, the same with one mode pair past the cut, or white noise."""
-    c = dealias(white_noise(g, g.n)).coeffs
+    c = dealias(white_noise(g, g.n)).coeffs.copy()
     if case == "one-mode-past-the-cut":
         c[g.cut.start, 2] = 0.25 - 0.5j
         c[-g.cut.start, -2] = 0.25 + 0.5j
@@ -214,10 +214,10 @@ class TestTransforms:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_inverse_rejects_nonfinite_coefficients(self, bad):
         g = Grid(32)
-        f = random_scalar_field(g, 2.0, 1.0, (3,))
-        f.coeffs[2, 1] = bad
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            inverse_transform(f)
+        c = random_scalar_field(g, 2.0, 1.0, (3,)).coeffs.copy()
+        c[2, 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):  # when the field is built
+            inverse_transform(SpectralField(g, c))
 
     def test_noise_level_asymmetry_is_tolerated(self):
         g = grid64()
@@ -245,7 +245,7 @@ class TestTransforms:
 
     def test_hermitian_defect_zero_field(self):
         g = grid64()
-        assert hermitian_defect(SpectralField(g, np.zeros((64, 64), dtype=complex))) == 0.0
+        assert hermitian_defect(np.zeros((64, 64), dtype=complex)) == 0.0
 
 
 class TestDerivatives:
@@ -389,7 +389,7 @@ class TestLerayAndAdvection:
         vp = VectorField(PhysicalField(g, v1), PhysicalField(g, v2))
         assert np.array_equal(advect(vp, f).coeffs, oracle.advect(g, (v1, v2), f.coeffs))
         assert grid_max_velocity(v) == float(np.max(np.hypot(v1, v2)))
-        # each derivative is sampled by the one half-spectrum transform of the checked edge
+        # each derivative is sampled by the one half-spectrum transform of `inverse_transform`
         derivs = [inverse_transform(partial_derivative(c, a)).samples
                   for c in v.components() for a in (0, 1)]
         assert max_gradient(v) == max(float(np.max(np.abs(d))) for d in derivs)
@@ -402,7 +402,7 @@ class TestLerayAndAdvection:
         coeffs = np.zeros((64, 64), dtype=complex)
         coeffs[21, 0] = 1.0
         coeffs[43, 0] = 1.0  # k1 = -21
-        coeffs[25, 0] = 1.0  # beyond n/3
+        coeffs[25, 0] = coeffs[39, 0] = 1.0  # k1 = +-25, beyond n/3
         out = dealias(SpectralField(g, coeffs))
         assert out.coeffs[21, 0] == 1.0 and out.coeffs[43, 0] == 1.0
         assert out.coeffs[25, 0] == 0.0
@@ -488,9 +488,11 @@ class TestNorms:
 
     @GRADIENT_NORMS
     def test_gradient_norms_check_each_velocity_component_once(self, norm, symmetry_checks):
-        v = random_divfree_velocity(grid64(), 2.0, 1.0, (13,))
+        """When it is built from outside data; the norm checks nothing again."""
+        drawn = random_divfree_velocity(grid64(), 2.0, 1.0, (13,))
+        v = VectorField(*(SpectralField(c.grid, c.coeffs) for c in drawn.components()))
         norm(v)
-        assert [id(f) for f in symmetry_checks] == [id(v.x1), id(v.x2)]
+        assert [id(c) for c in symmetry_checks] == [id(v.x1.coeffs), id(v.x2.coeffs)]
 
     @GRADIENT_NORMS
     @pytest.mark.parametrize("broken", [0, 1])
@@ -499,8 +501,8 @@ class TestNorms:
         coeffs = np.zeros((64, 64), dtype=complex)
         coeffs[1, 0] = 1.0  # missing the conjugate partner at -1
         comps = list(random_divfree_velocity(g, 2.0, 1.0, (13,)).components())
-        comps[broken] = SpectralField(g, coeffs)
         with pytest.raises(InvalidInputError, match="conjugate symmetry broken"):
+            comps[broken] = SpectralField(g, coeffs)  # built, so the norm never sees it
             norm(VectorField(*comps))
 
 
@@ -545,7 +547,7 @@ def full_k_leray(v):
 
 
 class TestRealEdge:
-    """The checked edge samples by half-spectrum `irfft2`; it must match the complex path."""
+    """`inverse_transform` samples by half-spectrum `irfft2`; it must match the complex path."""
 
     @pytest.mark.parametrize("n", [16, 32, 48, 96, 98, 256])
     def test_checked_edge_matches_the_complex_transform(self, n):
@@ -576,7 +578,8 @@ class TestRealEdge:
         v = VectorField(white_noise(g, n + 1), white_noise(g, n + 2))
         scale = max(float(np.max(np.abs(c.coeffs))) for c in v.components())
         once = leray_project(v)
-        to_physical(once)  # the checked edge takes it: it is real
+        for c in once.components():  # the checking constructor takes it: it is real
+            SpectralField(g, c.coeffs)
         assert np.max(np.abs(divergence(once).coeffs)) <= 1e-12 * scale
         for field in (once, biot_savart(curl(v))):  # divergence-free fields are kept
             for a, b in zip(field.components(), leray_project(field).components()):
@@ -601,20 +604,19 @@ class TestRealEdge:
 
 
 def defect_case(name, n=48):
-    g = Grid(n)
-    f = white_noise(g, 5)
-    c = f.coeffs
+    """A coefficient array: white noise, broken as the case names."""
+    c = white_noise(Grid(n), 5).coeffs.copy()
     if name == "asymmetric-nyquist-row":
         c[n // 2, 3] += 1e-3
     elif name == "asymmetric-everywhere":
         rng = np.random.default_rng(6)
-        f.coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     elif name == "largest-in-the-lower-half":
         c[-5, 7] = 50.0  # its mirror stays small, and the scale is taken below row n/2
     elif name != "symmetric":
         c[n - 3, 5] = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf,
                        "imaginary-inf": complex(0.0, np.inf)}[name]
-    return f
+    return c
 
 
 class TestHalfPlaneDefect:
@@ -622,8 +624,8 @@ class TestHalfPlaneDefect:
                                       "largest-in-the-lower-half", "nan", "inf", "minus-inf",
                                       "imaginary-inf"])
     def test_same_double_as_the_rolled_full_plane(self, case):
-        f = defect_case(case)
-        got, want = hermitian_defect(f), oracle.rolled_defect(f.coeffs)
+        c = defect_case(case)
+        got, want = hermitian_defect(c), oracle.rolled_defect(c)
         assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
         assert math.isnan(got) == (case not in ("symmetric", "asymmetric-nyquist-row",
                                                 "asymmetric-everywhere", "largest-in-the-lower-half"))
@@ -681,7 +683,7 @@ def fft_imports_in(tree):
 
 class TestTransformLayer:
     def test_runner_and_diagnostics_import_no_private_spectral_name(self):
-        """They sample theta by `SimState.physical_temperature`, which checks it first."""
+        """They sample theta by `SimState.physical_temperature` and trust every field."""
         for module in (bqsim.runner, bqsim.diagnostics):
             tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
             private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -724,6 +726,105 @@ class TestTransformLayer:
                         if isinstance(node, ast.Attribute) and node.attr in ("k1", "k2")
                         and id(node) not in in_grid]
         assert readers == []
+
+
+class TestCheckedOnce:
+    def test_only_the_spectral_field_constructor_calls_check_real(self):
+        """Fields are checked where they are built: no module but `spectral.py` names
+        `_check_real`, and there only `SpectralField.__post_init__` calls it."""
+        named, callers = [], []
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+            def scope(node):
+                names = []
+                while id(node) in parent:
+                    node = parent[id(node)]
+                    names += [node.name] if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else []
+                return ".".join(reversed(names))
+
+            for node in ast.walk(tree):
+                name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                if name != "_check_real" or isinstance(node, ast.FunctionDef):
+                    continue
+                if path.name != "spectral.py":
+                    named.append((path.name, getattr(node, "lineno", None)))
+                else:
+                    callers.append((scope(node), isinstance(parent[id(node)], ast.Call)))
+        assert named == []
+        assert callers == [("SpectralField.__post_init__", True)]
+
+    def test_fields_are_copied_and_read_only(self):
+        g = Grid(32)
+        c = random_scalar_field(g, 2.0, 1.0, (1,)).coeffs.copy()
+        f = SpectralField(g, c)
+        c[1, 2] += 1.0
+        assert f.coeffs is not c and f.coeffs[1, 2] != c[1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[1, 2] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.coeffs = c
+
+    def test_fields_scale_by_real_numbers_only(self):
+        f = random_scalar_field(Grid(32), 2.0, 1.0, (1,))
+        for scalar in (2, 2.5, np.float64(2.5), np.int64(2), True):
+            assert np.array_equal((scalar * f).coeffs, f.coeffs * scalar)
+            assert np.array_equal((f * scalar).coeffs, f.coeffs * scalar)
+        for bad in (1j, np.complex128(1.0), np.ones((32, 32))):
+            with pytest.raises(TypeError):
+                f * bad
+
+
+def derived_fields(n):
+    """name -> the `SpectralField`s that library call returns on random valid inputs at size n:
+    seeded draws up to the 2/3 cutoff and white noise in every mode."""
+    g = Grid(n)
+    f, w = random_scalar_field(g, 2.0, 1.0, (91, n)), white_noise(g, n)
+    v, noise = random_divfree_velocity(g, 2.5, 1.0, (92, n)), VectorField(white_noise(g, n + 1), white_noise(g, n + 2))
+    vp, samples = to_physical(v), PhysicalField(g, np.random.default_rng(n).standard_normal((n, n)))
+    state = SimState(0.0, dealias(curl(v)), dealias(f), 1.0)
+    qs = range(-1, bqsim.build_filter_bank(g).qmax + 1)
+    return {
+        "derivatives": [partial_derivative(x, a) for x in (f, w) for a in (0, 1)],
+        "gradient": [c for x in (f, w) for c in gradient(x).components()],
+        "divergence": [divergence(v), divergence(noise)],
+        "curl": [curl(v), curl(noise)],
+        "dissipation": [fractional_dissipation(x, a) for x in (f, w) for a in (0.5, 1.0, 2.0)],
+        "riesz": [riesz(f), riesz(w)],
+        "biot-savart": [c for x in (curl(v), curl(noise)) for c in biot_savart(x).components()],
+        "leray": [c for x in (v, noise) for c in leray_project(x).components()],
+        "dealias": [dealias(f), dealias(w)],
+        "advect": [advect(vp, f), advect(vp, w)],
+        "transforms": [forward_transform(samples), dealiased_transform(samples)],
+        "dyadic-blocks": [bqsim.dyadic_block(x, q) for x in (f, w) for q in qs],
+        "partial-sums": [bqsim.partial_sum(x, q) for x in (f, w) for q in range(-1, qs.stop + 1)],
+        "bony": [*bqsim.bony_decompose(f, w), *bqsim.bony_decompose(w, f)],
+        "commutator-riesz": [c for x in (v, noise) for c in commutator_riesz(x, f).components()],
+        "commutator-block": [bqsim.commutator_block(v, x, q) for x in (f, w) for q in qs],
+        "arithmetic": [f + w, f - w, -w, 2.5 * w, w * 3],
+        "gamma": [bqsim.gamma(state)],
+        "step": [*(lambda s: (s.omega_hat, s.theta_hat))(step(state, 1e-3))],
+        "linear-exact": [bqsim.linear_exact_solution(curl(v), f, a, 0.3).omega_hat for a in (0.5, 1.0)],
+        "random": [random_scalar_field(g, 1.5, 2.0, (93,)), *random_divfree_velocity(g, 1.5, 2.0, (94,)).components()],
+        "presets": [bqsim.taylor_green_vorticity(g), bqsim.gaussian_blob(g), bqsim.gaussian_blob(g, 0.3, 2.0, True)],
+    }
+
+
+@pytest.mark.parametrize("n", [32, 48, 98])
+def test_derived_fields_stay_valid(n):
+    """What the operators wrap unchecked, the checking constructor accepts: the tests stand in
+    for the run-time re-checks, so no operator needs to check its inputs again."""
+    rejected = []
+    for name, fields in derived_fields(n).items():
+        assert fields and all(isinstance(f, SpectralField) for f in fields), name
+        for f in fields:
+            assert not f.coeffs.flags.writeable, name
+            try:
+                SpectralField(f.grid, f.coeffs)
+            except InvalidInputError as err:
+                rejected.append((name, str(err)))
+    assert rejected == []
 
 
 class TestArtifactWriter:

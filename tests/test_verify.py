@@ -194,3 +194,10 @@ class TestRatioReport:
         text = report.summary()
         assert "excluded=1" in text
         assert "demo" in text
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_sample_checks_no_field(suite, symmetry_checks):
+    """Random draws are valid by construction, and every suite trusts what it derives."""
+    SUITES[suite](EnsembleSpec(seed=7, count=1, n=32))
+    assert symmetry_checks == []
