@@ -781,9 +781,11 @@ def derived_fields(n):
     seeded draws up to the 2/3 cutoff and white noise in every mode."""
     g = Grid(n)
     f, w = random_scalar_field(g, 2.0, 1.0, (91, n)), white_noise(g, n)
-    v, noise = random_divfree_velocity(g, 2.5, 1.0, (92, n)), VectorField(white_noise(g, n + 1), white_noise(g, n + 2))
+    v = random_divfree_velocity(g, 2.5, 1.0, (92, n))
+    noise = VectorField(white_noise(g, n + 1), white_noise(g, n + 2))
     vp, samples = to_physical(v), PhysicalField(g, np.random.default_rng(n).standard_normal((n, n)))
     state = SimState(0.0, dealias(curl(v)), dealias(f), 1.0)
+    stepped = step(state, 1e-3)
     qs = range(-1, bqsim.build_filter_bank(g).qmax + 1)
     return {
         "derivatives": [partial_derivative(x, a) for x in (f, w) for a in (0, 1)],
@@ -804,10 +806,12 @@ def derived_fields(n):
         "commutator-block": [bqsim.commutator_block(v, x, q) for x in (f, w) for q in qs],
         "arithmetic": [f + w, f - w, -w, 2.5 * w, w * 3],
         "gamma": [bqsim.gamma(state)],
-        "step": [*(lambda s: (s.omega_hat, s.theta_hat))(step(state, 1e-3))],
+        "step": [stepped.omega_hat, stepped.theta_hat],
         "linear-exact": [bqsim.linear_exact_solution(curl(v), f, a, 0.3).omega_hat for a in (0.5, 1.0)],
-        "random": [random_scalar_field(g, 1.5, 2.0, (93,)), *random_divfree_velocity(g, 1.5, 2.0, (94,)).components()],
-        "presets": [bqsim.taylor_green_vorticity(g), bqsim.gaussian_blob(g), bqsim.gaussian_blob(g, 0.3, 2.0, True)],
+        "random": [random_scalar_field(g, 1.5, 2.0, (93,)),
+                   *random_divfree_velocity(g, 1.5, 2.0, (94,)).components()],
+        "presets": [bqsim.taylor_green_vorticity(g), bqsim.gaussian_blob(g),
+                    bqsim.gaussian_blob(g, 0.3, 2.0, True)],
     }
 
 
