@@ -32,7 +32,7 @@ from .diagnostics import (
 from .errors import BlowUpError, CheckpointError, ConfigurationError, InvalidInputError
 from .littlewood_paley import BesovSpec, besov_norm
 from .runner import resolve_output_dir, run, stability_experiment
-from .simio import read_checkpoint
+from .simio import _read_checked
 from .spectral import biot_savart, inverse_transform, lp_norm
 from .verify import SUITES, EnsembleSpec, suite_passes
 
@@ -100,7 +100,7 @@ def _read_config(path):
 
 def _cmd_run(args) -> int:
     config = _read_config(args.config)
-    initial = read_checkpoint(args.resume) if args.resume else None
+    initial = _read_checked(args.resume) if args.resume else None
     result = run(config, output_dir=args.output_dir, initial_state=initial)
     final = result.records[-1]
     print(
@@ -164,7 +164,7 @@ def _parse_besov(raw: str) -> BesovSpec:
 
 def _cmd_norms(args) -> int:
     spec = _parse_besov(args.besov) if args.besov else None
-    state = read_checkpoint(args.checkpoint)
+    state = _read_checked(args.checkpoint)
     table = initial_norms(state)
     omega_phys = inverse_transform(state.omega_hat)
     table["l2_omega"] = lp_norm(omega_phys, 2)

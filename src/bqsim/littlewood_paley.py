@@ -134,7 +134,6 @@ class BesovSpec:
 
 
 def _components(f):
-    """The scalar components of a scalar or vector f."""
     return f.components() if isinstance(f, VectorField) else (f,)
 
 

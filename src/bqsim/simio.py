@@ -23,7 +23,7 @@ import numpy as np
 from .diagnostics import RECORD_FIELDS, DiagnosticsRecord
 from .dynamics import SimState
 from .errors import CheckpointError, ConfigurationError, InvalidInputError
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, _wrap
 
 MAGIC = b"BQSF"
 FORMAT_VERSION = 1
@@ -43,8 +43,8 @@ def write_checkpoint(path, state: SimState) -> None:
 
 
 def read_checkpoint(path) -> SimState:
-    """Load a checkpoint, validating magic, version, payload size, n, alpha, that t
-    and every coefficient are finite and that both fields are conjugate-symmetric."""
+    """Load a checkpoint, validating magic, version, payload size, n, alpha, and that t
+    and every coefficient are finite; `_read_checked` also checks conjugate symmetry."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes)")
@@ -58,13 +58,24 @@ def read_checkpoint(path) -> SimState:
         raise CheckpointError(
             f"{path}: payload size mismatch, expected {expected} bytes, got {len(blob)}"
         )
-    if not np.isfinite(t):
-        raise CheckpointError(f"{path}: non-finite time {t}")
-    omega, theta = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size).reshape(2, n, n)
-    try:  # the constructor copies the coefficients and checks them
+    flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
+    if not (np.isfinite(t) and np.all(np.isfinite(flat))):
+        raise CheckpointError(f"{path}: non-finite time or coefficients")
+    omega, theta = flat.reshape(2, n, n).astype(complex)
+    try:
         grid = Grid(int(n))
-        return SimState(t, SpectralField(grid, omega), SpectralField(grid, theta), alpha)
-    except (ConfigurationError, InvalidInputError) as err:
+        return SimState(t, _wrap(grid, omega), _wrap(grid, theta), alpha)
+    except ConfigurationError as err:
+        raise CheckpointError(f"{path}: {err}") from None
+
+
+def _read_checked(path) -> SimState:
+    """`read_checkpoint` with both fields rebuilt by the checking `SpectralField` constructor."""
+    s = read_checkpoint(path)
+    try:
+        return SimState(s.t, SpectralField(s.grid, s.omega_hat.coeffs),
+                        SpectralField(s.grid, s.theta_hat.coeffs), s.alpha)
+    except InvalidInputError as err:
         raise CheckpointError(f"{path}: {err}") from None
 
 

@@ -10,17 +10,15 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
 
     f(x) = sum_k  coeff(k) * exp(i k . x)
 
-Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k))
-(indices taken modulo n).  A `SpectralField` is checked once, when its constructor
-copies the coefficients (`_check_real`), and is read-only, so operators trust it and
-wrap what they derive unchecked (`_wrap`): sums, real scalars, transforms of real
-samples, real even multipliers (bands, |k|^s) and odd ones (d/dx_j, Riesz, Biot-Savart),
-which vanish on their Nyquist line k_j = -n/2 (`Grid.k1_odd`, `Grid.k2_odd`).  Only data
-from outside is checked for finiteness: the constructor, `read_checkpoint`, random
-draws and `make_initial_data`.  `advect` takes v
-physical, sampled once per state (`SimState.physical_velocity`) or caller, and
-trusts f, as `grid_max_velocity` trusts v.  Operators that divide by |k| map
-k = 0 to 0.  Sampling is one half-spectrum `irfft2` (`_real_samples`) except on
+Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k)) (indices
+taken modulo n).  The `SpectralField` constructor checks finiteness and this symmetry once
+(`_check_real`) on a read-only copy of its coefficients; operators trust every field and wrap
+what they derive unchecked (`_wrap`): sums, real scalars, transforms of real samples, real
+even multipliers (bands, |k|^s) and odd ones (d/dx_j, Riesz, Biot-Savart), which vanish on
+their Nyquist line k_j = -n/2 (`Grid.k1_odd`, `Grid.k2_odd`).  `read_checkpoint` and random
+draws check finiteness only (`simio._read_checked` adds the symmetry).  `advect` takes v
+physical, sampled once per state (`SimState.physical_velocity`) or caller.  Operators that
+divide by |k| map k = 0 to 0.  Sampling is one half-spectrum `irfft2` (`_real_samples`) except on
 the complex path, whose last bits feed the trajectory or the energy residual
 (E1 - E0) / dt, which magnifies them about 10^7-fold: `_samples` for the step's
 stages and `advect`, `SimState.physical_velocity`, `grid_max_velocity` (it sets
@@ -243,13 +241,8 @@ def _check_finite(a: np.ndarray) -> None:
 
 
 def _check_real(c: np.ndarray) -> None:
-    """Raise InvalidInputError unless c holds finite, conjugate-symmetric coefficients.
-
-    Asymmetry must be significant both relative to the field and in absolute
-    terms: fields produced by near-cancelling differences (commutators) or by
-    dyadic bands that annihilate the input inherit round-off noise from their
-    O(1) ancestors, which is asymmetric but physically meaningless.
-    """
+    """Raise InvalidInputError unless c holds finite, conjugate-symmetric coefficients; both
+    tolerances must be exceeded, as stepped states and user arrays carry round-off asymmetry."""
     _check_finite(c)  # first: the defect of an inf at a self-conjugate mode is inf - inf
     defect = hermitian_defect(c)
     if defect > HERMITIAN_TOL and float(np.max(np.abs(c))) * defect > HERMITIAN_ABS_FLOOR:

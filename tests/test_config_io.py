@@ -272,14 +272,28 @@ class TestCheckedOnce:
     """`hermitian_defect` runs once for each field built from outside data, in the
     `SpectralField` constructor, and never again on that field's way through the solver."""
 
-    def test_each_field_from_outside_data_is_checked_once(self, tmp_path, symmetry_checks):
+    def test_each_field_from_outside_data_is_checked_once(self, symmetry_checks):
         g = Grid(32)
         field = SpectralField(g, random_scalar_field(g, 2.0, 1.0, (1,)).coeffs)
         state = make_initial_data(parse_config(STAB))
-        write_checkpoint(tmp_path / "state.bqsf", state)
-        back = read_checkpoint(tmp_path / "state.bqsf")
-        built = [field, state.omega_hat, state.theta_hat, back.omega_hat, back.theta_hat]
+        built = [field, state.omega_hat, state.theta_hat]
         assert [id(c) for c in symmetry_checks] == [id(f.coeffs) for f in built]
+
+    def test_the_cli_checks_each_checkpoint_field_once(self, tmp_path, symmetry_checks):
+        """`read_checkpoint` checks finiteness only; `norms` and `run --resume` rebuild
+        both fields through the constructor."""
+        ckpt = tmp_path / "state.bqsf"
+        write_checkpoint(ckpt, make_initial_data(parse_config(STAB)))
+        symmetry_checks.clear()
+        read_checkpoint(ckpt)
+        assert symmetry_checks == []
+        assert main(["norms", "--checkpoint", str(ckpt)]) == 0
+        assert len(symmetry_checks) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(STAB)
+        argv = ["run", "--config", str(cfg), "--resume", str(ckpt), "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(symmetry_checks) == 4
 
     def test_a_whole_run_checks_its_two_initial_fields(self, tmp_path, symmetry_checks):
         """Adaptive steps, a record after each and a checkpoint, from `make_initial_data`."""
