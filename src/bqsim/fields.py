@@ -56,9 +56,10 @@ def random_scalar_field(
     half follows by symmetry.  `key` seeds the draw deterministically.
     """
     n = grid.n
-    modes, mirrors, envelope = _scatter(n, grid.kmax, spectrum_gamma)
-    draws = np.random.default_rng(key).standard_normal((len(envelope), 2))
-    c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * envelope
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        modes, mirrors, envelope = _scatter(n, grid.kmax, spectrum_gamma)
+        draws = np.random.default_rng(key).standard_normal((len(envelope), 2))
+        c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * envelope
     _check_finite(c)
     coeffs = np.zeros((n, n), dtype=complex)
     coeffs[modes] = c

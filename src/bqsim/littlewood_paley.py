@@ -17,7 +17,8 @@ Each grid has one filter bank, built on first use and cached
 (`build_filter_bank`); the operators here take it from their field's grid.
 
 Band L^p norms take p = 2 from Parseval, with no transform and with the coefficients
-scaled by their max; other p sample one band at a time by half-spectrum `irfft2`.
+scaled by their max; other p sample one band at a time, formed only over the half-spectrum
+columns it can occupy (`DyadicFilterBank.columns`), by `spectral._real_samples`.
 """
 
 from __future__ import annotations
@@ -67,16 +68,17 @@ class DyadicFilterBank:
         self.grid = grid
         self.qmin = -1
         self.qmax = int(math.ceil(math.log2(grid.n / 2)))
-        self.chi = g_prev = smooth_transition(grid.kmag)
-        phi = []
+        self.chi = low = smooth_transition(grid.kmag)
+        self.phi = []
         for q in range(0, self.qmax + 1):
-            g_next = smooth_transition(grid.kmag / 2.0 ** (q + 1))
-            phi.append(g_next - g_prev)
-            g_prev = g_next
-        self.phi = phi
+            high = smooth_transition(grid.kmag / 2.0 ** (q + 1))
+            self.phi.append(high - low)
+            low = high
         # Annulus with support (1/2, 2) covering torus modes 1 <= |k| < 2; it
         # replaces chi when a decomposition must avoid the zero mode.
         self.phi_low_annulus = self.chi - smooth_transition(2.0 * grid.kmag)
+        # Band q is zero where |k| >= 2^(q+2) (2 at q = -1): in half-spectrum columns from there.
+        self.columns = {q: min(2 ** (q + 2), grid.n // 2 + 1) for q in range(-1, self.qmax + 1)}
 
     def block_multiplier(self, q: int) -> np.ndarray:
         if q == -1:
@@ -138,15 +140,16 @@ def _components(f):
 
 
 def _band_samples(f, homogeneous: bool = False):
-    """Yield (q, physical Delta_q f), one `irfft2` of columns 0..n/2 per component of f."""
-    comps, half = _components(f), np.s_[:, : f.grid.n // 2 + 1]
-    for q, mult in build_filter_bank(f.grid).bands(homogeneous):
-        bands = [PhysicalField(f.grid, _real_samples(c.coeffs[half] * mult[half])) for c in comps]
+    """Yield (q, physical Delta_q f), each component formed over `bank.columns[q]` only."""
+    bank, comps = build_filter_bank(f.grid), _components(f)
+    for q, mult in bank.bands(homogeneous):
+        cols = np.s_[:, : bank.columns[q]]
+        bands = [PhysicalField(f.grid, _real_samples(c.coeffs[cols] * mult[cols])) for c in comps]
         yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
 
 
 def band_lp_norms(f, p: float, homogeneous: bool = False):
-    """Per-band L^p norms (q indices, norms of Delta_q f): Parseval at p = 2, else `irfft2`."""
+    """Per-band L^p norms (q indices, norms of Delta_q f): Parseval at p = 2, else sampled."""
     if p == 2:  # 2 pi sqrt(sum_k mult_q(k)^2 |coeff(k)|^2) over the components
         mags = [np.abs(c.coeffs) for c in _components(f)]
         top = max(float(np.max(m)) for m in mags) or 1.0  # scaled by it, squares stay finite
@@ -165,7 +168,7 @@ def besov_norm(f, spec: BesovSpec) -> float:
     Accepts a scalar SpectralField or a spectral VectorField (bands of a
     vector use the pointwise Euclidean magnitude).  The homogeneous variant
     never touches the zero mode: all of its band multipliers vanish at k = 0.
-    Band norms: Parseval at p = 2, one `irfft2` per band otherwise.
+    Band norms: Parseval at p = 2, otherwise each band sampled over the columns it occupies.
     """
     qs, norms = band_lp_norms(f, spec.p, spec.homogeneous)
     return _weighted_lr(2.0 ** (qs * spec.s) * norms, spec.r)
@@ -217,23 +220,10 @@ def bony_decompose(u: SpectralField, w: SpectralField):
     bw = [b.samples for _, b in _band_samples(w)]
     cum_u = np.cumsum(bu, axis=0)
     cum_w = np.cumsum(bw, axis=0)
-
-    t_uw = np.zeros((grid.n, grid.n))
-    t_wu = np.zeros((grid.n, grid.n))
-    for q in range(1, len(bw) - 1):
-        # bw[q + 1] is block q; cum_*[q - 1] is the partial sum over blocks -1 .. q-2
-        t_uw += cum_u[q - 1] * bw[q + 1]
-        t_wu += cum_w[q - 1] * bu[q + 1]
-
-    remainder = np.zeros((grid.n, grid.n))
-    for i in range(len(bw)):
-        close = bw[i].copy()
-        if i - 1 >= 0:
-            close += bw[i - 1]
-        if i + 1 < len(bw):
-            close += bw[i + 1]
-        remainder += bu[i] * close
-
+    # bw[q + 1] is block q; cum_*[q - 1] is the partial sum over blocks -1 .. q-2
+    t_uw = sum(cum_u[q - 1] * bw[q + 1] for q in range(1, len(bw) - 1))
+    t_wu = sum(cum_w[q - 1] * bu[q + 1] for q in range(1, len(bw) - 1))
+    remainder = sum(bu[i] * sum(bw[max(i - 1, 0) : i + 2]) for i in range(len(bw)))
     return tuple(dealiased_transform(PhysicalField(grid, s)) for s in (t_uw, t_wu, remainder))
 
 

@@ -18,13 +18,14 @@ even multipliers (bands, |k|^s) and odd ones (d/dx_j, Riesz, Biot-Savart), which
 their Nyquist line k_j = -n/2 (`Grid.k1_odd`, `Grid.k2_odd`).  `read_checkpoint` and random
 draws check finiteness only (`simio._read_checked` adds the symmetry).  `advect` takes v
 physical, sampled once per state (`SimState.physical_velocity`) or caller.  Operators that
-divide by |k| map k = 0 to 0.  Sampling is one half-spectrum `irfft2` (`_real_samples`) except on
-the complex path, whose last bits feed the trajectory or the energy residual
-(E1 - E0) / dt, which magnifies them about 10^7-fold: `_samples` for the step's
-stages and `advect`, `SimState.physical_velocity`, `grid_max_velocity` (it sets
-the benchmark's run amplitudes), `SimState.physical_temperature` (the record's
-buoyancy power and `adaptive_dt`'s max|theta|: the buoyant limit can set dt), and
-the forward transforms.
+divide by |k| map k = 0 to 0.  Sampling runs the two passes of a half-spectrum `irfft2`
+(`_real_samples`), the `ifft` over columns 0..kmax alone when those beyond are zero and none
+for a zero field: numpy's bytes but for the sign of a zero sample.  The complex path stays
+where the last bits feed the trajectory or the energy residual (E1 - E0) / dt, which
+magnifies them about 10^7-fold: `_samples` for the step's stages and `advect`,
+`SimState.physical_velocity`, `grid_max_velocity` (it sets the benchmark's run amplitudes),
+`SimState.physical_temperature` (the record's buoyancy power and `adaptive_dt`'s max|theta|:
+the buoyant limit can set dt), and the forward transforms.
 They run the 1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in
 place), so every bit is numpy's, and skip the lines |k_j| > kmax (`Grid.cut`): `_samples`
 their rows when these hold only zeros (as in every dealiased field), and
@@ -203,9 +204,10 @@ def _forward(f: PhysicalField, columns) -> np.ndarray:
     if not np.all(np.isfinite(f.samples)):
         raise NonFiniteError("physical samples contain non-finite values")
     a = f.samples.astype(complex)  # cast once: the row pass casting row by row is slower
-    np.fft.fft(a, axis=1, out=a)
-    for cols in columns:
-        np.fft.fft(a[:, cols], axis=0, out=a[:, cols])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail a finiteness check later
+        np.fft.fft(a, axis=1, out=a)
+        for cols in columns:
+            np.fft.fft(a[:, cols], axis=0, out=a[:, cols])
     a /= f.grid.n * f.grid.n
     return a
 
@@ -261,9 +263,17 @@ def _samples(f: SpectralField) -> np.ndarray:
 
 
 def _real_samples(c: np.ndarray) -> np.ndarray:
-    """Samples of c by one `irfft2`, which reads its columns 0..n/2."""
+    """Samples of c's columns 0..n/2 (zeros beyond a narrower c) by `irfft2`'s two passes, the
+    `ifft` over columns 0..kmax alone when those beyond are zero, and none when all are."""
     n = c.shape[0]
-    return np.fft.irfft2(c[:, : n // 2 + 1], (n, n)) * (n * n)
+    c = c[:, : n // 2 + 1]
+    if not c[:, n // 3 + 1 :].any():
+        c = c[:, : n // 3 + 1]
+        if not c.any():
+            return np.zeros((n, n))
+    s = np.fft.irfft(np.fft.ifft(c, axis=0), n, axis=1)
+    s *= n * n
+    return s
 
 
 def inverse_transform(f: SpectralField) -> PhysicalField:
@@ -300,9 +310,8 @@ def biot_savart(omega: SpectralField) -> VectorField:
     v1 = i k2 w / |k|^2 and v2 = -i k1 w / |k|^2.  The vorticity must be
     mean-free; the k = 0 velocity mode is set to zero.
     """
-    g = omega.grid
-    scale = float(np.max(np.abs(omega.coeffs)))
-    if abs(omega.coeffs[0, 0]) > 1e-12 * max(scale, 1.0):
+    g, mean = omega.grid, abs(omega.coeffs[0, 0])
+    if mean > 1e-12 and mean > 1e-12 * max(float(np.max(np.abs(omega.coeffs))), 1.0):
         raise InvalidInputError(
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; velocity is undefined"
         )

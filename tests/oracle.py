@@ -14,6 +14,13 @@ def ifft2(c):
     return np.real(np.fft.ifft2(c)) * (n * n)
 
 
+def irfft2(c):
+    """Samples of the full-plane coefficients c by numpy's `irfft2` of columns 0..n/2, each
+    column transformed (bqsim's sampler skips the ones that hold zeros)."""
+    n = c.shape[0]
+    return np.fft.irfft2(c[:, : n // 2 + 1], (n, n)) * (n * n)
+
+
 def fft2(samples):
     """Fourier-series coefficients of the samples."""
     n = samples.shape[0]

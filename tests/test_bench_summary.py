@@ -1,5 +1,5 @@
-"""The BENCH summary script on hand-made benchmark result records, and the bqsim names
-that the benchmark files reach."""
+"""The BENCH summary script on hand-made benchmark result records, the artifact digest of a
+benchmark pass, and the bqsim names that the benchmark files reach."""
 
 import ast
 import importlib
@@ -85,6 +85,19 @@ def test_records_of_two_revisions_are_refused(tmp_path):
     proc, _ = summarise(tmp_path, record(1.0, 20), record(1.1, 20, src_sha256="other"))
     assert proc.returncode != 0
     assert "2 revisions" in proc.stderr
+
+
+def test_artifact_digest_lists_the_same_bytes_on_every_pass():
+    """A pass writes deterministic artifacts, so byte identity is one `diff` of two listings."""
+    argv = [sys.executable, str(ROOT / "tools" / "artifact_digest.py"), "--seed", "0",
+            "--workload", "diagnose-n128"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=300) for _ in range(2)]
+    assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, "")] * 2
+    listing = [line.split("  ") for line in runs[0].stdout.splitlines()]
+    assert [path for _, path in listing] == ["diagnose-n128/out/diagnostics.csv",
+                                             "diagnose-n128/out/final.bqsf"]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in listing)
+    assert runs[1].stdout == runs[0].stdout
 
 
 #: The benchmark files, which a change to bqsim may not edit.

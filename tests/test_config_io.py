@@ -4,7 +4,10 @@ import ast
 import contextlib
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,7 @@ from bqsim.cli import main
 from bqsim.fields import random_scalar_field
 from bqsim.runner import perturbed_initial_state, stability_experiment
 
+ROOT = Path(__file__).resolve().parents[1]
 BASE = "n = 64\nt_end = 0.1\npreset = tg-blob\n"
 FLOAT_KEYS = [
     "t_end", "alpha", "cfl", "dt", "omega_lr", "checkpoint_times", "amplitude",
@@ -430,11 +434,14 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: {ckpt}: conjugate symmetry broken")
 
-    @pytest.mark.parametrize("argv, config", [
+    OVERFLOWING = pytest.mark.parametrize("argv, config", [
         ("run --config {cfg} --output-dir {out}",
          "n = 32\nt_end = 0.1\npreset = taylor-green\ntg_amplitude = 1e308\namplitude = 1e10\n"),
         ("verify --suite product --n 32 --spectrum-gamma -1000 --output-dir {out}", None),
-    ], ids=["initial-data", "random-draw"])
+        ("verify --suite product --n 32 --amplitude 1e300 --spectrum-gamma -50 --output-dir {out}", None),
+    ], ids=["initial-data", "random-draw", "random-draw-product"])
+
+    @OVERFLOWING
     def test_overflowing_input_is_bad_input(self, tmp_path, capsys, argv, config):
         """Where outside numbers enter (`make_initial_data`, `random_scalar_field`), an
         overflow is bad input, reported before anything is written."""
@@ -446,6 +453,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.splitlines() == ["error: spectral coefficients contain non-finite values"]
+
+    @OVERFLOWING
+    @pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["warn", "warnings-are-errors"])
+    def test_overflowing_input_prints_only_the_error_line(self, tmp_path, argv, config, warnings):
+        """numpy's floating-point warnings reach no stderr: the transforms and the draw that
+        overflow are checked for finiteness where outside numbers enter."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        if config is not None:
+            cfg.write_text(config)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, *warnings, "-m", "bqsim.cli", *argv.format(cfg=cfg, out=out).split()],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == ["error: spectral coefficients contain non-finite values"]
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

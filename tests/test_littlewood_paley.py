@@ -109,6 +109,15 @@ class TestFilterBank:
             total = total + dyadic_block(f, q).coeffs
         assert np.max(np.abs(total - f.coeffs)) < 1e-12
 
+    @pytest.mark.parametrize("n", [16, 48, 98, 128])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_each_band_is_zero_from_its_column_bound_on(self, n, homogeneous):
+        """`_band_samples` forms band q over the half-spectrum columns below `columns[q]` only."""
+        bank = build_filter_bank(Grid(n))
+        for q, mult in bank.bands(homogeneous):
+            assert bank.columns[q] == min(2 ** (q + 2), n // 2 + 1)
+            assert not mult[:, bank.columns[q] : n // 2 + 1].any(), q
+
     def test_homogeneous_bands_skip_the_mean(self):
         g = Grid(64)
         bank = build_filter_bank(g)
@@ -355,9 +364,12 @@ def broken_field(grid):
 
 
 def checked_samples(c):
-    """`inverse_transform` of the field that `_real_samples(c)` samples, so the check sees
-    every line it reads."""
-    return inverse_transform(SpectralField(Grid(c.shape[0]), oracle.hermitian_completion(c))).samples
+    """`inverse_transform` of the field that `_real_samples(c)` samples (columns 0..n/2, zero
+    beyond a narrower c), so the check sees every line it reads."""
+    n = c.shape[0]
+    half = np.zeros((n, n // 2 + 1), dtype=complex)
+    half[:, : c.shape[1]] = c[:, : n // 2 + 1]
+    return inverse_transform(SpectralField(Grid(n), oracle.hermitian_completion(half))).samples
 
 
 def result_arrays(result):
@@ -435,8 +447,32 @@ def oracle_band(f, mult):
     return PhysicalField(f.grid, oracle.ifft2(f.coeffs * mult))
 
 
+def oracle_band_samples(f, homogeneous=False):
+    """`_band_samples` by the oracle: each band's full-plane product, sampled by numpy's
+    `irfft2` of every column 0..n/2."""
+    comps = f.components() if isinstance(f, VectorField) else (f,)
+    for q, mult in build_filter_bank(f.grid).bands(homogeneous):
+        bands = [PhysicalField(f.grid, oracle.irfft2(c.coeffs * mult)) for c in comps]
+        yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
+
+
 class TestBandLayer:
     """Parseval band norms at p = 2 and half-spectrum `irfft2` bands otherwise."""
+
+    @pytest.mark.parametrize("n", [16, 48, 96, 98, 128])
+    def test_band_operators_match_the_oracle_band_loop_to_the_byte(self, n, monkeypatch):
+        """Bands are formed over their columns and sampled over the columns they occupy, none
+        for the top band of a dealiased field; white noise occupies every column."""
+        _, (f, v, noise) = band_fields(n)
+        fields = (f, v, noise, dealias(noise), VectorField(noise, dealias(noise)))
+        calls = [lambda g=g, p=p, h=h: band_lp_norms(g, p, h)
+                 for g in fields for p in (1.0, 3.0, math.inf) for h in (False, True)]
+        calls += [lambda g=g, r=r: besov_norm(g, BesovSpec(0.5, math.inf, r))
+                  for g in fields for r in (1.0, 2.0)]
+        calls += [lambda a=a, b=b: bony_decompose(a, b) for a in (f, noise, dealias(noise)) for b in (f, noise)]
+        fast = [[a.tobytes() for a in result_arrays(call())] for call in calls]
+        monkeypatch.setattr(bqsim.littlewood_paley, "_band_samples", oracle_band_samples)
+        assert fast == [[a.tobytes() for a in result_arrays(call())] for call in calls]
 
     @pytest.mark.parametrize("n", [16, 48, 96, 256])
     @pytest.mark.parametrize("homogeneous", [False, True])

@@ -53,7 +53,7 @@ from bqsim import (
 )
 from bqsim.fields import _half_lattice, random_divfree_velocity, random_scalar_field
 from bqsim.runner import adaptive_dt
-from bqsim.spectral import _samples, dealiased_transform, hermitian_defect
+from bqsim.spectral import _real_samples, _samples, dealiased_transform, hermitian_defect
 
 # ||sin x1||_{L^2([0,2pi)^2)} = sqrt(2 pi^2) = pi sqrt(2)
 L2_SIN = 4.442882938158366
@@ -340,6 +340,21 @@ class TestBiotSavart:
         with pytest.raises(InvalidInputError):
             biot_savart(SpectralField(g, coeffs))
 
+    @pytest.mark.parametrize("mean, top, rejected", [
+        (1e-12, 1e3, False), (5e-10, 1e3, False), (2e-9, 1e3, True),
+        (1e-12, 0.5, False), (1.1e-12, 0.5, True), (-3e-12, 2.0, True), (0.0, 0.0, False),
+    ])
+    def test_mean_is_measured_against_the_largest_coefficient_or_one(self, mean, top, rejected):
+        """The mean passes when |mean| <= 1e-12 max(max|omega_hat|, 1)."""
+        g = grid64()
+        coeffs = np.zeros((64, 64), dtype=complex)
+        coeffs[0, 0], coeffs[3, 1], coeffs[-3, -1] = mean, top, top
+        if rejected:
+            with pytest.raises(InvalidInputError, match=f"vorticity has nonzero mean {mean:.3e}"):
+                biot_savart(SpectralField(g, coeffs))
+        else:
+            biot_savart(SpectralField(g, coeffs))
+
 
 class TestLerayAndAdvection:
     def test_leray_removes_gradient_part(self):
@@ -549,6 +564,29 @@ def full_k_leray(v):
 class TestRealEdge:
     """`inverse_transform` samples by half-spectrum `irfft2`; it must match the complex path."""
 
+    @pytest.mark.parametrize("n", [16, 48, 96, 98, 128])
+    def test_sampler_gives_the_bytes_of_the_unpruned_irfft2(self, n):
+        """`_real_samples` runs the axis-0 pass over columns 0..kmax when those beyond hold
+        zeros, and no pass for a zero band (rows `record` and `besov-*` of `FFT_COUNTS`)."""
+        g = Grid(n)
+        bank = bqsim.build_filter_bank(g)
+        noise = white_noise(g, n)
+        inputs, zero_bands = [], 0
+        for f in (noise, dealias(noise), random_scalar_field(g, 2.0, 1.0, (83, n)), random_state(n, 1).omega_hat):
+            inputs += [(c, c) for c in (f.coeffs, partial_derivative(f, 0).coeffs, riesz(f).coeffs)]
+            for homogeneous in (False, True):
+                for q, mult in bank.bands(homogeneous):
+                    cols = np.s_[:, : bank.columns[q]]  # `_band_samples` forms only these
+                    inputs += [(f.coeffs * mult, f.coeffs * mult), (f.coeffs * mult, f.coeffs[cols] * mult[cols])]
+        for full, given in inputs:
+            got, want = _real_samples(given), oracle.irfft2(full)
+            if full.any():
+                assert got.tobytes() == want.tobytes()
+            else:  # numpy's passes over signed zeros can leave a -0.0; the sampler runs none
+                zero_bands += 1
+                assert got.tobytes() == np.zeros((n, n)).tobytes() and not want.any()
+        assert zero_bands > 0  # the top band of each dealiased field
+
     @pytest.mark.parametrize("n", [16, 32, 48, 96, 98, 256])
     def test_checked_edge_matches_the_complex_transform(self, n):
         g = Grid(n)
@@ -663,7 +701,7 @@ class TestNormRange:
         assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w2s * power)))
 
 
-TRANSFORM_HELPERS = {"_forward": ["fft", "fft"], "_samples": ["ifft", "ifft"], "_real_samples": ["irfft2"]}
+TRANSFORM_HELPERS = {"_forward": ["fft", "fft"], "_samples": ["ifft", "ifft"], "_real_samples": ["irfft", "ifft"]}
 
 
 def fft_calls_in(node):
@@ -712,7 +750,7 @@ class TestTransformLayer:
             assert fft_imports_in(tree) == [], path.name
             if fft_calls_in(tree):
                 callers[path.name] = sorted(set(fft_calls_in(tree)))
-        assert callers == {"oracle.py": ["fft2", "ifft2"]}
+        assert callers == {"oracle.py": ["fft2", "ifft2", "irfft2"]}
 
     def test_only_grid_reads_the_raw_wavevectors(self):
         """Operators take odd factors from `k1_odd`/`k2_odd`, which vanish on the Nyquist line,
@@ -876,12 +914,15 @@ FFT_COUNTS = {
     "velocity-of-a-copy": (lambda: random_state(64, 1).copy(), SimState.physical_velocity, {"ifft": 6}),
     "velocity-of-a-replace": (lambda: dataclasses.replace(random_state(64, 1)), SimState.physical_velocity,
                               {"ifft": 6}),
-    # theta by the complex path; two B^0_{inf,1} norms of 8 bands (q = -1..6) and 6 more samples
-    "record": (lambda: random_state(128, 1), lambda s: DiagnosticsTracker().record(s), {"ifft": 3, "irfft2": 22}),
-    # Parseval at p = 2, else one `irfft2` per band (q = -1..5) and component
+    # A real sample is an `ifft` pass and an `irfft` pass, and none for a zero band.
+    # theta by the complex path; two B^0_{inf,1} norms of 8 bands (q = -1..6), whose top band
+    # is zero on a dealiased state, and 6 more samples
+    "record": (lambda: random_state(128, 1), lambda s: DiagnosticsTracker().record(s),
+               {"ifft": 3 + 20, "irfft": 20}),
+    # Parseval at p = 2, else one sample per band (q = -1..4; q = 5 is zero) and component
     **{f"besov-{kind}-p{p}-r{r}": (lambda field=field: field(random_state(64, 0)),
                                    lambda f, p=p, r=r: besov_norm(f, BesovSpec(0.0, p, r)),
-                                   {"irfft2": 7 * comps} if p == math.inf else {})
+                                   {"ifft": 6 * comps, "irfft": 6 * comps} if p == math.inf else {})
        for kind, field, comps in (("scalar", lambda s: s.theta_hat, 1), ("vector", SimState.velocity, 2))
        for p in (2.0, math.inf) for r in (1.0, math.inf)},
 }
