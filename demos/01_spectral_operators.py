@@ -15,7 +15,7 @@ x1, x2 = grid.nodes()
 
 
 def spectral(samples):
-    return bq.forward_transform(bq.PhysicalField(grid, samples))
+    return bq.forward_transform(grid, samples)
 
 
 def err(a, b):
@@ -24,39 +24,39 @@ def err(a, b):
 
 print("=== transforms round-trip ===")
 f = spectral(np.cos(3 * x1) * np.sin(2 * x2))
-back = bq.inverse_transform(f).samples
+back = bq.inverse_transform(f)
 print(f"n = {grid.n}, round-trip max error = {err(back, np.cos(3 * x1) * np.sin(2 * x2)):.3e}")
 
 print()
 print("=== derivative and dissipation multipliers ===")
 # d/dx1 cos(3 x1) = -3 sin(3 x1)  (axis 0 is the x1 direction)
-d1 = bq.inverse_transform(bq.partial_derivative(spectral(np.cos(3 * x1)), 0)).samples
+d1 = bq.inverse_transform(bq.partial_derivative(spectral(np.cos(3 * x1)), 0))
 print(f"d/dx1 cos(3x1)  vs -3 sin(3x1):   {err(d1, -3 * np.sin(3 * x1)):.3e}")
 # |D|^alpha acts on the |k| = 5 mode cos(3 x1 + 4 x2) as multiplication by 5^alpha
 mode = spectral(np.cos(3 * x1 + 4 * x2))
 for alpha in (0.5, 1.0, 2.0):
-    out = bq.inverse_transform(bq.fractional_dissipation(mode, alpha)).samples
+    out = bq.inverse_transform(bq.fractional_dissipation(mode, alpha))
     print(f"|D|^{alpha} on |k|=5 mode vs 5^{alpha} * mode: {err(out, 5.0**alpha * np.cos(3 * x1 + 4 * x2)):.3e}")
 
 print()
 print("=== Riesz transform d1/|D| ===")
 # On cos(k x1) the symbol i k1/|k| evaluates to +/- i, so R cos = -sin.
 for k in (1, 3, 7):
-    out = bq.inverse_transform(bq.riesz(spectral(np.cos(k * x1)))).samples
+    out = bq.inverse_transform(bq.riesz(spectral(np.cos(k * x1))))
     print(f"R cos({k}x1) vs -sin({k}x1): {err(out, -np.sin(k * x1)):.3e}")
 # Modes transverse to x1 are annihilated (k1 = 0).
-out = bq.inverse_transform(bq.riesz(spectral(np.cos(4 * x2)))).samples
+out = bq.inverse_transform(bq.riesz(spectral(np.cos(4 * x2))))
 print(f"R cos(4x2) vs 0:           {err(out, 0.0):.3e}")
 
 print()
 print("=== Biot-Savart: velocity from vorticity ===")
 # The shear vorticity sin x1 induces v = (0, -cos x1).
 v = bq.biot_savart(spectral(np.sin(x1)))
-print(f"v1 vs 0:        {err(bq.inverse_transform(v.x1).samples, 0.0):.3e}")
-print(f"v2 vs -cos x1:  {err(bq.inverse_transform(v.x2).samples, -np.cos(x1)):.3e}")
+print(f"v1 vs 0:        {err(bq.inverse_transform(v.x1), 0.0):.3e}")
+print(f"v2 vs -cos x1:  {err(bq.inverse_transform(v.x2), -np.cos(x1)):.3e}")
 # The recovered velocity is divergence-free and curl inverts the map.
-div = bq.inverse_transform(bq.divergence(v)).samples
-back = bq.inverse_transform(bq.curl(v)).samples
+div = bq.inverse_transform(bq.divergence(v))
+back = bq.inverse_transform(bq.curl(v))
 print(f"div v:          {err(div, 0.0):.3e}")
 print(f"curl v vs omega: {err(back, np.sin(x1)):.3e}")
 

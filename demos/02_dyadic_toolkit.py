@@ -18,7 +18,7 @@ x1, x2 = grid.nodes()
 
 
 def spectral(samples):
-    return bq.forward_transform(bq.PhysicalField(grid, samples))
+    return bq.forward_transform(grid, samples)
 
 
 print("=== the filter bank ===")
@@ -61,7 +61,7 @@ print("=== paraproduct split of a product ===")
 u = bq.random_scalar_field(grid, 3.0, 1.0, (11, 0))
 w = bq.random_scalar_field(grid, 3.0, 1.0, (12, 0))
 low, high, resonant = bq.bony_decompose(u, w)
-product = bq.dealias(spectral(bq.inverse_transform(u).samples * bq.inverse_transform(w).samples))
+product = bq.dealias(spectral(bq.inverse_transform(u) * bq.inverse_transform(w)))
 recon = low.coeffs + high.coeffs + resonant.coeffs
 print(f"low-freq(u) x high(w) part:  L2 = {bq.lp_norm(bq.inverse_transform(low), 2):.6f}")
 print(f"high(u) x low-freq(w) part:  L2 = {bq.lp_norm(bq.inverse_transform(high), 2):.6f}")
@@ -85,4 +85,4 @@ print("=== band kernels ===")
 # Each block is a convolution against a smooth kernel; its Fourier samples
 # reproduce the annular multiplier.
 kernel = bq.band_kernel(grid, 2)
-print(f"band-2 kernel: real, mass {bq.integrate(kernel):.3e}, peak {np.max(kernel.samples):.4f}")
+print(f"band-2 kernel: real, mass {bq.integrate(kernel):.3e}, peak {np.max(kernel):.4f}")

@@ -66,7 +66,6 @@ from .runner import (
 from .simio import read_checkpoint, records_from_csv, write_checkpoint, write_diagnostics_csv
 from .spectral import (
     Grid,
-    PhysicalField,
     SpectralField,
     VectorField,
     advect,

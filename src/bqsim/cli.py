@@ -31,7 +31,7 @@ from .diagnostics import (
 )
 from .errors import BlowUpError, CheckpointError, ConfigurationError, InvalidInputError
 from .littlewood_paley import BesovSpec, besov_norm
-from .runner import resolve_output_dir, run, stability_experiment
+from .runner import GAMMA_FIT_TOL, resolve_output_dir, run, stability_experiment
 from .simio import _read_checked
 from .spectral import biot_savart, inverse_transform, lp_norm
 from .verify import SUITES, EnsembleSpec, suite_passes
@@ -187,8 +187,8 @@ def _cmd_stability(args) -> int:
         f"delta={report.delta:g} -> X_delta(T)={report.x_delta[-1]:.6g},"
         f" X_delta/4(T)={report.x_quarter[-1]:.6g}"
     )
-    print(f"separation exponent gamma_fit = {report.gamma_fit:.6g}")
-    ok = report.gamma_fit > 0
+    print(f"separation exponent gamma_fit = {report.gamma_fit:.6g} (1 +- {GAMMA_FIT_TOL:g})")
+    ok = abs(report.gamma_fit - 1.0) <= GAMMA_FIT_TOL
     print(("PASS" if ok else "FAIL") + " stability")
     return 0 if ok else 1
 

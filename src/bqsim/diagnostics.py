@@ -18,7 +18,6 @@ from .dynamics import SimState, gamma
 from .errors import ConfigurationError
 from .littlewood_paley import BesovSpec, besov_norm
 from .spectral import (
-    PhysicalField,
     SpectralField,
     biot_savart,
     integrate,
@@ -113,9 +112,7 @@ class DiagnosticsTracker:
             "lip_v": max_gradient(v),
             "energy": 0.5 * _squared(l2_v),
             "dissipation": hdot_v_sq[0.5 * state.alpha],
-            "buoyancy_power": integrate(
-                PhysicalField(state.grid, theta_phys.samples * v_phys.x2.samples)
-            ),
+            "buoyancy_power": integrate(theta_phys * v_phys[1]),
         }
 
         if self._prev is None:

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import BlowUpError, ConfigurationError, NonFiniteError
 from .littlewood_paley import commutator_riesz
 from .spectral import (
-    PhysicalField,
     SpectralField,
     VectorField,
     _apply_multiplier,
@@ -69,19 +68,18 @@ class SimState:
     def velocity(self) -> VectorField:
         return biot_savart(self.omega_hat)
 
-    def physical_velocity(self) -> VectorField:
-        """Velocity samples, kept for the read-only vorticity array they came from
+    def physical_velocity(self) -> tuple:
+        """Velocity samples (v1, v2), kept for the read-only vorticity array they came from
         (`copy()` and `dataclasses.replace` start without them)."""
         coeffs = self.omega_hat.coeffs
         if self._velocity[0] is not coeffs:
-            samples = (PhysicalField(self.grid, _samples(c)) for c in self.velocity().components())
-            self._velocity = (coeffs, VectorField(*samples))
+            self._velocity = (coeffs, tuple(_samples(c) for c in self.velocity().components()))
         return self._velocity[1]
 
-    def physical_temperature(self) -> PhysicalField:
+    def physical_temperature(self) -> np.ndarray:
         """Temperature samples on the complex path (their last bits feed the energy
         balance and the buoyant dt limit), made afresh on every call."""
-        return PhysicalField(self.grid, _samples(self.theta_hat))
+        return _samples(self.theta_hat)
 
     def copy(self) -> "SimState":
         return SimState(self.t, self.omega_hat, self.theta_hat, self.alpha)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .spectral import (
     Grid,
-    PhysicalField,
     SpectralField,
     VectorField,
     _check_finite,
@@ -79,7 +78,7 @@ def random_divfree_velocity(
 def taylor_green_vorticity(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """Cellular vorticity sin(x1) sin(x2)."""
     x1, x2 = grid.nodes()
-    return dealiased_transform(PhysicalField(grid, amplitude * np.sin(x1) * np.sin(x2)))
+    return dealiased_transform(grid, amplitude * np.sin(x1) * np.sin(x2))
 
 
 def gaussian_blob(
@@ -94,4 +93,4 @@ def gaussian_blob(
     samples = amplitude * np.exp(-r2 / width**2)
     if mean_subtract:
         samples = samples - np.mean(samples)
-    return dealiased_transform(PhysicalField(grid, samples))
+    return dealiased_transform(grid, samples)

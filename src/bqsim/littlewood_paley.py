@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError
 from .spectral import (
     Grid,
-    PhysicalField,
     SpectralField,
     VectorField,
     _apply_multiplier,
@@ -140,12 +139,13 @@ def _components(f):
 
 
 def _band_samples(f, homogeneous: bool = False):
-    """Yield (q, physical Delta_q f), each component formed over `bank.columns[q]` only."""
+    """Yield (q, samples of Delta_q f: an array, or a pair for a vector), each component
+    formed over `bank.columns[q]` only."""
     bank, comps = build_filter_bank(f.grid), _components(f)
     for q, mult in bank.bands(homogeneous):
         cols = np.s_[:, : bank.columns[q]]
-        bands = [PhysicalField(f.grid, _real_samples(c.coeffs[cols] * mult[cols])) for c in comps]
-        yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
+        bands = tuple(_real_samples(c.coeffs[cols] * mult[cols]) for c in comps)
+        yield q, bands if isinstance(f, VectorField) else bands[0]
 
 
 def band_lp_norms(f, p: float, homogeneous: bool = False):
@@ -216,15 +216,15 @@ def bony_decompose(u: SpectralField, w: SpectralField):
     product because the block pairing partitions all band pairs.
     """
     grid = u._same_grid(w)
-    bu = [b.samples for _, b in _band_samples(u)]
-    bw = [b.samples for _, b in _band_samples(w)]
+    bu = [b for _, b in _band_samples(u)]
+    bw = [b for _, b in _band_samples(w)]
     cum_u = np.cumsum(bu, axis=0)
     cum_w = np.cumsum(bw, axis=0)
     # bw[q + 1] is block q; cum_*[q - 1] is the partial sum over blocks -1 .. q-2
     t_uw = sum(cum_u[q - 1] * bw[q + 1] for q in range(1, len(bw) - 1))
     t_wu = sum(cum_w[q - 1] * bu[q + 1] for q in range(1, len(bw) - 1))
     remainder = sum(bu[i] * sum(bw[max(i - 1, 0) : i + 2]) for i in range(len(bw)))
-    return tuple(dealiased_transform(PhysicalField(grid, s)) for s in (t_uw, t_wu, remainder))
+    return tuple(dealiased_transform(grid, s) for s in (t_uw, t_wu, remainder))
 
 
 def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
@@ -235,13 +235,13 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     R(v . grad theta) - v . grad(R theta).
     """
     grid = theta.grid
-    th = inverse_transform(theta).samples
+    th = inverse_transform(theta)
     rth = _real_samples(riesz(theta).coeffs)
     out = []
     for comp in v.components():
-        vi = inverse_transform(comp).samples
-        first = riesz(dealiased_transform(PhysicalField(grid, vi * th)))
-        second = dealiased_transform(PhysicalField(grid, vi * rth))
+        vi = inverse_transform(comp)
+        first = riesz(dealiased_transform(grid, vi * th))
+        second = dealiased_transform(grid, vi * rth)
         out.append(first - second)
     return VectorField(out[0], out[1])
 
@@ -252,7 +252,7 @@ def commutator_block(v: VectorField, f: SpectralField, q: int) -> SpectralField:
     return dyadic_block(advect(vp, f), q) - advect(vp, dyadic_block(f, q))
 
 
-def band_kernel(grid: Grid, q: int) -> PhysicalField:
+def band_kernel(grid: Grid, q: int) -> np.ndarray:
     """Physical-space convolution kernel realizing block q.
 
     Normalized so that torus convolution with the kernel multiplies

@@ -11,13 +11,16 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
     f(x) = sum_k  coeff(k) * exp(i k . x)
 
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k)) (indices
-taken modulo n).  The `SpectralField` constructor checks finiteness and this symmetry once
+taken modulo n).  Samples are plain (n, n) float arrays, a vector's a pair (v1, v2) of them;
+`VectorField` holds spectral components only.  Samples from outside (the forward transforms,
+`lp_norm`, `integrate`) are checked for that shape once, where they enter (`_square`).  The
+`SpectralField` constructor checks finiteness and this symmetry once
 (`_check_real`) on a read-only copy of its coefficients; operators trust every field and wrap
 what they derive unchecked (`_wrap`): sums, real scalars, transforms of real samples, real
 even multipliers (bands, |k|^s) and odd ones (d/dx_j, Riesz, Biot-Savart), which vanish on
 their Nyquist line k_j = -n/2 (`Grid.k1_odd`, `Grid.k2_odd`).  `read_checkpoint` and random
-draws check finiteness only (`simio._read_checked` adds the symmetry).  `advect` takes v
-physical, sampled once per state (`SimState.physical_velocity`) or caller.  Operators that
+draws check finiteness only (`simio._read_checked` adds the symmetry).  `advect` takes the
+velocity samples, made once per state (`SimState.physical_velocity`) or caller.  Operators that
 divide by |k| map k = 0 to 0.  Sampling runs the two passes of a half-spectrum `irfft2`
 (`_real_samples`), the `ifft` over columns 0..kmax alone when those beyond are zero and none
 for a zero field: numpy's bytes but for the sign of a zero sample.  The complex path stays
@@ -37,9 +40,9 @@ alpha ones on request (`kmag_power` returns `kmag` itself at alpha = 1);
 `partial_derivative`, `biot_savart` and `leray_project` form their multipliers per call;
 the dyadic bands live in each grid's cached filter bank (`littlewood_paley.build_filter_bank`).
 
-Norms are torus norms: `lp_norm` uses grid quadrature with cell area
-(2*pi/n)^2 and `sobolev_norm` carries the matching Parseval factor, so
-``lp_norm(f, 2) == sobolev_norm(fft(f), 0)`` up to roundoff.
+Norms are torus norms: `lp_norm` uses grid quadrature with cell area (2*pi/n)^2, n the
+samples' own, and `sobolev_norm` carries the matching Parseval factor, so
+``lp_norm(f, 2) == sobolev_norm(forward_transform(grid, f), 0)`` up to roundoff.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ class Grid:
         if n % 2 != 0 or n < 16:
             raise ConfigurationError(f"grid size n must be an even integer >= 16, got {n}")
         self.n = n = int(n)
-        self.cell_area = (2.0 * np.pi / n) ** 2
         k = np.r_[0 : n // 2, -(n // 2) : 0].astype(float)  # exact integers, FFT layout
         self.k1 = k[:, None]
         self.k2 = k[None, :]
@@ -119,21 +121,6 @@ class Grid:
         return f"Grid(n={self.n})"
 
 
-@dataclass
-class PhysicalField:
-    """Real samples of a scalar field at the grid nodes."""
-
-    grid: Grid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.shape != (self.grid.n, self.grid.n):
-            raise InvalidInputError(
-                f"samples shape {self.samples.shape} does not match grid n={self.grid.n}"
-            )
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Fourier-series coefficients of a real scalar field, FFT layout; valid and read-only."""
@@ -182,10 +169,10 @@ def _wrap(grid: Grid, coeffs: np.ndarray) -> SpectralField:
 
 @dataclass
 class VectorField:
-    """Two-component field; both components physical or both spectral."""
+    """Two spectral components; their samples are a pair of arrays (`to_physical`)."""
 
-    x1: object
-    x2: object
+    x1: SpectralField
+    x2: SpectralField
 
     @property
     def grid(self) -> Grid:
@@ -200,28 +187,42 @@ def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
     return _wrap(f.grid, f.coeffs * mult)
 
 
-def _forward(f: PhysicalField, columns) -> np.ndarray:
-    if not np.all(np.isfinite(f.samples)):
+def _square(samples, n=None) -> np.ndarray:
+    """Samples from outside as an (n, n) float array, n the grid's or, if None, any."""
+    a = np.asarray(samples, dtype=np.float64)
+    if not (a.ndim == 2 and a.shape[0] == a.shape[1] > 0) or n not in (None, a.shape[0]):
+        want = "(n, n)" if n is None else f"({n}, {n})"
+        raise InvalidInputError(f"samples must be an {want} array, got shape {a.shape}")
+    return a
+
+
+def _cell_area(a: np.ndarray) -> float:
+    return (2.0 * np.pi / a.shape[0]) ** 2
+
+
+def _forward(grid: Grid, samples, columns) -> np.ndarray:
+    samples = _square(samples, grid.n)
+    if not np.all(np.isfinite(samples)):
         raise NonFiniteError("physical samples contain non-finite values")
-    a = f.samples.astype(complex)  # cast once: the row pass casting row by row is slower
+    a = samples.astype(complex)  # cast once: the row pass casting row by row is slower
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail a finiteness check later
         np.fft.fft(a, axis=1, out=a)
         for cols in columns:
             np.fft.fft(a[:, cols], axis=0, out=a[:, cols])
-    a /= f.grid.n * f.grid.n
+    a /= grid.n * grid.n
     return a
 
 
-def forward_transform(f: PhysicalField) -> SpectralField:
-    """FFT with the 1/n^2 normalization; rejects non-finite samples."""
-    return _wrap(f.grid, _forward(f, (slice(None),)))
+def forward_transform(grid: Grid, samples) -> SpectralField:
+    """FFT of (n, n) real samples with the 1/n^2 normalization; rejects non-finite samples."""
+    return _wrap(grid, _forward(grid, samples, (slice(None),)))
 
 
-def dealiased_transform(f: PhysicalField) -> SpectralField:
-    """`dealias(forward_transform(f))`, transforming only the kept columns along axis 0."""
-    c, cut = _forward(f, f.grid.kept), f.grid.cut
+def dealiased_transform(grid: Grid, samples) -> SpectralField:
+    """`dealias(forward_transform(grid, samples))`, transforming only the kept columns."""
+    c, cut = _forward(grid, samples, grid.kept), grid.cut
     c[cut], c[:, cut] = 0, 0
-    return _wrap(f.grid, c)
+    return _wrap(grid, c)
 
 
 def hermitian_defect(c: np.ndarray) -> float:
@@ -276,9 +277,9 @@ def _real_samples(c: np.ndarray) -> np.ndarray:
     return s
 
 
-def inverse_transform(f: SpectralField) -> PhysicalField:
-    """Inverse FFT to real samples."""
-    return PhysicalField(f.grid, _real_samples(f.coeffs))
+def inverse_transform(f: SpectralField) -> np.ndarray:
+    """Inverse FFT to the (n, n) real samples."""
+    return _real_samples(f.coeffs)
 
 
 def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
@@ -339,8 +340,9 @@ def leray_project(v: VectorField) -> VectorField:
     return VectorField(*(_wrap(g, c.coeffs - k * kdotv * inv_ksq) for c, k in pairs))
 
 
-def to_physical(v: VectorField) -> VectorField:
-    return VectorField(inverse_transform(v.x1), inverse_transform(v.x2))
+def to_physical(v: VectorField) -> tuple:
+    """The samples (v1, v2) of both components."""
+    return inverse_transform(v.x1), inverse_transform(v.x2)
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -348,41 +350,44 @@ def dealias(f: SpectralField) -> SpectralField:
     return _apply_multiplier(f, f.grid.dealias_keep)
 
 
-def advect(v: VectorField, f: SpectralField) -> SpectralField:
+def advect(v: tuple, f: SpectralField) -> SpectralField:
     """Dealiased advection term v . grad f for a divergence-free velocity.
 
-    v is physical (`to_physical`, `SimState.physical_velocity`), so it is transformed
-    once for all the fields it advects.  The spectral gradient of f goes to physical
-    space, times v, transformed back and dealiased.
+    v is the pair of velocity samples (`to_physical`, `SimState.physical_velocity`), so it
+    is transformed once for all the fields it advects.  The spectral gradient of f goes to
+    physical space, times v, transformed back and dealiased.
     """
     g = f.grid
-    if not all(isinstance(c, PhysicalField) and c.grid == g for c in v.components()):
-        raise InvalidInputError("advect needs a physical velocity on the grid of f")
+    if not (isinstance(v, tuple) and len(v) == 2
+            and all(isinstance(c, np.ndarray) and c.shape == (g.n, g.n) for c in v)):
+        raise InvalidInputError("advect needs velocity samples (v1, v2) on the grid of f")
     f1, f2 = _samples(partial_derivative(f, 0)), _samples(partial_derivative(f, 1))
-    product = PhysicalField(g, v.x1.samples * f1 + v.x2.samples * f2)
-    return dealiased_transform(product)
+    # Named so that it is freed with f1 and f2: the order of those frees decides how often
+    # glibc trims the heap and refaults it, about 500 page faults per step at n = 256.
+    product = v[0] * f1 + v[1] * f2
+    return dealiased_transform(g, product)
 
 
 def lp_norm(f, p) -> float:
-    """Lebesgue norm by grid quadrature; accepts a scalar or vector field.
+    """Lebesgue norm by grid quadrature of (n, n) samples, or of a pair (v1, v2) of them.
 
-    For p = inf this is the grid max of |f|; otherwise
-    (sum |f|^p * cell_area)^(1/p).  Vector fields use the pointwise
-    Euclidean magnitude.
+    For p = inf this is the grid max of |f|; otherwise (sum |f|^p * cell area)^(1/p)
+    with cell area (2 pi / n)^2.  A pair uses the pointwise Euclidean magnitude.
     """
-    if isinstance(f, VectorField):
-        mag = np.hypot(f.x1.samples, f.x2.samples)
-        f = PhysicalField(f.grid, mag)
     if not (p == math.inf or p >= 1):
         raise ConfigurationError(f"Lebesgue exponent p must satisfy p >= 1, got {p}")
-    a = np.abs(f.samples)
+    if isinstance(f, tuple) and len(f) == 2:
+        v1 = _square(f[0])
+        f = np.hypot(v1, _square(f[1], len(v1)))
+    a = np.abs(_square(f))
     if p == math.inf:
         return float(np.max(a))
+    area = _cell_area(a)
     with np.errstate(over="ignore"):
-        total = np.sum(a**p) * f.grid.cell_area
+        total = np.sum(a**p) * area
     top = _rescale_by(total, a)
     if top:
-        return float(top * (np.sum((a / top) ** p) * f.grid.cell_area) ** (1.0 / p))
+        return float(top * (np.sum((a / top) ** p) * area) ** (1.0 / p))
     return float(total ** (1.0 / p))
 
 
@@ -435,7 +440,7 @@ def max_gradient(v: VectorField) -> float:
 def gradient_lp_norm(v: VectorField, p) -> float:
     """L^p norm of the pointwise Frobenius magnitude of the velocity gradient."""
     acc = sum(d * d for d in _gradient_samples(v))
-    return lp_norm(PhysicalField(v.grid, np.sqrt(acc)), p)
+    return lp_norm(np.sqrt(acc), p)
 
 
 def vector_sobolev_norm(v: VectorField, s: float, homogeneous: bool = False) -> float:
@@ -444,6 +449,7 @@ def vector_sobolev_norm(v: VectorField, s: float, homogeneous: bool = False) -> 
     )
 
 
-def integrate(f: PhysicalField) -> float:
-    """Box integral by grid quadrature."""
-    return float(np.sum(f.samples) * f.grid.cell_area)
+def integrate(samples) -> float:
+    """Box integral of (n, n) samples by grid quadrature."""
+    a = _square(samples)
+    return float(np.sum(a) * _cell_area(a))

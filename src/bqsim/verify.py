@@ -34,7 +34,6 @@ from .littlewood_paley import (
 from .simio import write_ratio_csv
 from .spectral import (
     Grid,
-    PhysicalField,
     advect,
     dealiased_transform,
     divergence,
@@ -209,19 +208,18 @@ def verify_kernel_commutator(ens: EnsembleSpec, q: int = 3, p: float = 2.0) -> R
     exactly 1, so ratios should stay at or below 1 up to quadrature slack.
     """
     grid = Grid(ens.n)
-    h = band_kernel(grid, q)
-    xh_l1 = integrate(PhysicalField(grid, centered_radius(grid) * np.abs(h.samples)))
+    xh_l1 = integrate(centered_radius(grid) * np.abs(band_kernel(grid, q)))
 
     def one(grid, scalar, velocity):
         f = scalar(0)
         g = scalar(1)
-        f_phys = inverse_transform(f).samples
+        f_phys = inverse_transform(f)
         g_phys = inverse_transform(g)
-        fg = dealiased_transform(PhysicalField(grid, f_phys * g_phys.samples))
-        conv_fg = inverse_transform(dyadic_block(fg, q)).samples
-        conv_g = inverse_transform(dyadic_block(g, q)).samples
-        f_convg = inverse_transform(dealiased_transform(PhysicalField(grid, f_phys * conv_g))).samples
-        lhs = lp_norm(PhysicalField(grid, conv_fg - f_convg), p)
+        fg = dealiased_transform(grid, f_phys * g_phys)
+        conv_fg = inverse_transform(dyadic_block(fg, q))
+        conv_g = inverse_transform(dyadic_block(g, q))
+        f_convg = inverse_transform(dealiased_transform(grid, f_phys * conv_g))
+        lhs = lp_norm(conv_fg - f_convg, p)
         rhs = xh_l1 * lp_norm(to_physical(gradient(f)), p) * lp_norm(g_phys, math.inf)
         return lhs, rhs
 
@@ -241,12 +239,10 @@ def verify_power_map(ens: EnsembleSpec, beta: float = 4.0, s: float = 0.5) -> Ra
 
     def one(grid, scalar, velocity):
         u = scalar()
-        u_phys = inverse_transform(u).samples
+        u_phys = inverse_transform(u)
         powered = np.sign(u_phys) * np.abs(u_phys) ** (beta - 1.0)
-        lhs = sobolev_norm(
-            forward_transform(PhysicalField(grid, powered)), s, homogeneous=True
-        )
-        rhs = lp_norm(PhysicalField(grid, u_phys), 2.0 * beta) ** (beta - 2.0) * sobolev_norm(
+        lhs = sobolev_norm(forward_transform(grid, powered), s, homogeneous=True)
+        rhs = lp_norm(u_phys, 2.0 * beta) ** (beta - 2.0) * sobolev_norm(
             u, s + 1.0 - 2.0 / beta, homogeneous=True
         )
         return lhs, rhs
@@ -286,11 +282,11 @@ def verify_generalized_bernstein(ens: EnsembleSpec, q: int = 3, r: float = 3.0) 
     def one(grid, scalar, velocity):
         u = scalar()
         uq = dyadic_block(u, q)
-        uq_phys = inverse_transform(uq).samples
-        dissip = inverse_transform(fractional_dissipation(uq, 1.0)).samples
+        uq_phys = inverse_transform(uq)
+        dissip = inverse_transform(fractional_dissipation(uq, 1.0))
         signed_power = np.sign(uq_phys) * np.abs(uq_phys) ** (r - 1.0)
-        lhs = integrate(PhysicalField(grid, dissip * signed_power))
-        rhs = 2.0**q * lp_norm(PhysicalField(grid, uq_phys), r) ** r
+        lhs = integrate(dissip * signed_power)
+        rhs = 2.0**q * lp_norm(uq_phys, r) ** r
         return lhs, rhs
 
     return _collect("gen-bernstein", {"q": q, "r": r}, ens, one)

@@ -20,7 +20,7 @@ from bqsim.diagnostics import (
     linear_gamma_smoothing_integral,
 )
 from bqsim.dynamics import linear_exact_solution
-from bqsim.runner import run, stability_experiment
+from bqsim.runner import GAMMA_FIT_TOL, run, stability_experiment
 from bqsim.verify import KERNEL_RATIO_LIMIT, SUITES, EnsembleSpec
 
 N = 128
@@ -47,11 +47,11 @@ def test_criterion_1_spectral_exactness():
     x1, x2 = grid.nodes()
 
     def spectral(samples):
-        return bq.forward_transform(bq.PhysicalField(grid, samples))
+        return bq.forward_transform(grid, samples)
 
     worst = 0.0
     # Riesz transform of cos x1 is -sin x1.
-    got = bq.inverse_transform(bq.riesz(spectral(np.cos(x1)))).samples
+    got = bq.inverse_transform(bq.riesz(spectral(np.cos(x1))))
     worst = max(worst, float(np.max(np.abs(got + np.sin(x1)))))
     # |D|^alpha on a |k| = 5 mode scales it by 5^alpha.
     mode = spectral(np.cos(3 * x1 + 4 * x2))
@@ -61,8 +61,8 @@ def test_criterion_1_spectral_exactness():
         worst = max(worst, float(err / (5.0**alpha * np.max(np.abs(mode.coeffs)))))
     # Biot-Savart velocity of the shear vorticity sin x1 is (0, -cos x1).
     vel = bq.biot_savart(spectral(np.sin(x1)))
-    worst = max(worst, float(np.max(np.abs(bq.inverse_transform(vel.x1).samples))))
-    worst = max(worst, float(np.max(np.abs(bq.inverse_transform(vel.x2).samples + np.cos(x1)))))
+    worst = max(worst, float(np.max(np.abs(bq.inverse_transform(vel.x1)))))
+    worst = max(worst, float(np.max(np.abs(bq.inverse_transform(vel.x2) + np.cos(x1)))))
     wall = time.perf_counter() - start
 
     ok = worst <= 1e-10 and wall < 1.0
@@ -145,9 +145,7 @@ def test_criterion_5_partition_and_bony():
     for u, w in zip(fields, fields[1:] + fields[:1]):
         low, high, resonant = bq.bony_decompose(u, w)
         product = bq.dealias(
-            bq.forward_transform(
-                bq.PhysicalField(grid, bq.inverse_transform(u).samples * bq.inverse_transform(w).samples)
-            )
+            bq.forward_transform(grid, bq.inverse_transform(u) * bq.inverse_transform(w))
         )
         err = np.max(np.abs(low.coeffs + high.coeffs + resonant.coeffs - product.coeffs))
         worst_bony = max(worst_bony, float(err / np.max(np.abs(product.coeffs))))
@@ -271,15 +269,15 @@ def test_criterion_8_stability():
     monotone = bool(np.all(np.diff(x) <= 1e-6 * x[0]))
 
     # a Lipschitz flow map separates the delta and delta/4 runs 4-fold: the fit reads 1
-    ok = abs(report.gamma_fit - 1.0) <= 0.05 and monotone
+    ok = abs(report.gamma_fit - 1.0) <= GAMMA_FIT_TOL and monotone
     announce(
         8,
         "stability / continuous dependence",
         ok,
-        f"fitted Holder exponent {report.gamma_fit:.3f} (1 +- 0.05), linear-regime separation "
+        f"fitted Holder exponent {report.gamma_fit:.3f} (1 +- {GAMMA_FIT_TOL}), linear-regime separation "
         f"{x[0]:.2e} -> {x[-1]:.2e} non-increasing (slack 1e-6)",
     )
-    assert abs(report.gamma_fit - 1.0) <= 0.05, report.gamma_fit
+    assert abs(report.gamma_fit - 1.0) <= GAMMA_FIT_TOL, report.gamma_fit
     assert monotone
 
 

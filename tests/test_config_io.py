@@ -35,7 +35,7 @@ from bqsim import (
 )
 from bqsim.cli import main
 from bqsim.fields import random_scalar_field
-from bqsim.runner import perturbed_initial_state, stability_experiment
+from bqsim.runner import StabilityReport, perturbed_initial_state, stability_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 BASE = "n = 64\nt_end = 0.1\npreset = tg-blob\n"
@@ -578,6 +578,19 @@ class TestCli:
         cfg.write_text("n = 32\nt_end = 0.1\npreset = tg-blob\ndt = 0.01\n")
         assert main(["stability", "--config", str(cfg), "--delta", "1e-4"]) == 0
         assert "gamma_fit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gamma_fit, code", [
+        (0.5, 1), (0.94, 1), (0.96, 0), (1.0, 0), (1.04, 0), (1.06, 1), (-1.0, 1), (math.nan, 1),
+    ])
+    def test_stability_verdict_is_a_lipschitz_fit(self, tmp_path, capsys, monkeypatch,
+                                                  gamma_fit, code):
+        """Only |gamma_fit - 1| <= 0.05 passes: a mis-scaled perturbation reads 0.5."""
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text(STAB)
+        report = StabilityReport(1e-4, gamma_fit, (0.0,), (1e-4,), (2.5e-5,))
+        monkeypatch.setattr(bqsim.cli, "stability_experiment", lambda config, delta: report)
+        assert main(["stability", "--config", str(cfg), "--delta", "1e-4"]) == code
+        assert ("PASS" if code == 0 else "FAIL") + " stability" in capsys.readouterr().out
 
 
 STAB = "n = 32\nt_end = 0.1\npreset = tg-blob\ndt = 0.01\n"

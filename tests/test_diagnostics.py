@@ -11,7 +11,6 @@ from bqsim import (
     DiagnosticsTracker,
     Grid,
     InvalidInputError,
-    PhysicalField,
     RECORD_FIELDS,
     SimState,
     SpectralField,
@@ -43,7 +42,7 @@ def zero_field(grid):
 
 def spectral_sin(grid, k=1):
     x1, _ = grid.nodes()
-    return forward_transform(PhysicalField(grid, np.sin(k * x1)))
+    return forward_transform(grid, np.sin(k * x1))
 
 
 def decay_states(grid, times):

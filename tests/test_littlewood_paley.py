@@ -12,7 +12,6 @@ from bqsim import (
     Grid,
     InvalidInputError,
     ConfigurationError,
-    PhysicalField,
     SpectralField,
     VectorField,
     band_kernel,
@@ -149,7 +148,7 @@ class TestBankFromGrid:
             mult = fresh.block_multiplier(q)
             assert np.array_equal(dyadic_block(f, q).coeffs, f.coeffs * mult)
             kernel = inverse_transform(SpectralField(g, mult.astype(complex) / (2.0 * np.pi) ** 2))
-            assert np.array_equal(band_kernel(g, q).samples, kernel.samples)
+            assert np.array_equal(band_kernel(g, q), kernel)
         for q in range(0, fresh.qmax + 2):
             expected = f.coeffs * smooth_transition(g.kmag / 2.0**q)
             assert np.array_equal(partial_sum(f, q).coeffs, expected)
@@ -249,11 +248,7 @@ class TestBony:
         w = random_scalar_field(g, 1.5, 1.0, (31, 2))
         t_uw, t_wu, remainder = bony_decompose(u, w)
         product = dealias(
-            forward_transform(
-                PhysicalField(
-                    g, inverse_transform(u).samples * inverse_transform(w).samples
-                )
-            )
+            forward_transform(g, inverse_transform(u) * inverse_transform(w))
         )
         total = t_uw.coeffs + t_wu.coeffs + remainder.coeffs
         scale = np.max(np.abs(product.coeffs))
@@ -287,14 +282,12 @@ class TestCommutators:
         v = random_divfree_velocity(g, 2.5, 1.0, (42,))
         theta = random_scalar_field(g, 2.0, 1.0, (42, 9))
         comm = commutator_riesz(v, theta)
-        theta_phys = inverse_transform(theta).samples
-        rtheta_phys = inverse_transform(riesz(theta)).samples
+        theta_phys = inverse_transform(theta)
+        rtheta_phys = inverse_transform(riesz(theta))
         for comp, vel in zip(comm.components(), v.components()):
-            vel_phys = inverse_transform(vel).samples
-            direct = riesz(
-                dealias(forward_transform(PhysicalField(g, vel_phys * theta_phys)))
-            ).coeffs - dealias(
-                forward_transform(PhysicalField(g, vel_phys * rtheta_phys))
+            vel_phys = inverse_transform(vel)
+            direct = riesz(dealias(forward_transform(g, vel_phys * theta_phys))).coeffs - dealias(
+                forward_transform(g, vel_phys * rtheta_phys)
             ).coeffs
             assert np.max(np.abs(comp.coeffs - direct)) < 1e-13
 
@@ -315,10 +308,10 @@ class TestBandKernel:
         f = random_scalar_field(g, 2.0, 1.0, (51, 1))
         q = 2
         kernel = band_kernel(g, q)
-        f_phys = inverse_transform(f).samples
+        f_phys = inverse_transform(f)
         # torus convolution multiplies Fourier-series coefficients by (2 pi)^2
-        conv = oracle.ifft2(oracle.fft2(kernel.samples) * oracle.fft2(f_phys)) * (2 * np.pi) ** 2
-        block = inverse_transform(dyadic_block(f, q)).samples
+        conv = oracle.ifft2(oracle.fft2(kernel) * oracle.fft2(f_phys)) * (2 * np.pi) ** 2
+        block = inverse_transform(dyadic_block(f, q))
         assert np.max(np.abs(conv - block)) < 1e-12
 
     def test_kernel_has_unit_band_mass_profile(self):
@@ -326,7 +319,7 @@ class TestBandKernel:
         bank = build_filter_bank(g)
         kernel = band_kernel(g, 3)
         # Fourier coefficients of the kernel reproduce the multiplier
-        coeffs = oracle.fft2(kernel.samples) * (2 * np.pi) ** 2
+        coeffs = oracle.fft2(kernel) * (2 * np.pi) ** 2
         assert np.max(np.abs(coeffs - bank.block_multiplier(3))) < 1e-12
 
     def test_centered_radius_folds_coordinates(self):
@@ -369,7 +362,7 @@ def checked_samples(c):
     n = c.shape[0]
     half = np.zeros((n, n // 2 + 1), dtype=complex)
     half[:, : c.shape[1]] = c[:, : n // 2 + 1]
-    return inverse_transform(SpectralField(Grid(n), oracle.hermitian_completion(half))).samples
+    return inverse_transform(SpectralField(Grid(n), oracle.hermitian_completion(half)))
 
 
 def result_arrays(result):
@@ -434,7 +427,7 @@ class TestSymmetryCheckedOncePerInput:
 def band_fields(n):
     """A scalar and a vector field up to the dealiasing cutoff, and white noise in every mode."""
     g = Grid(n)
-    noise = forward_transform(PhysicalField(g, np.random.default_rng(n).standard_normal((n, n))))
+    noise = forward_transform(g, np.random.default_rng(n).standard_normal((n, n)))
     fields = (random_scalar_field(g, 2.0, 1.0, (71, n)), random_divfree_velocity(g, 2.5, 1.0, (72, n)))
     return g, fields + (noise,)
 
@@ -443,8 +436,8 @@ def oracle_band(f, mult):
     """The band of f under `mult` (`dyadic_block`, or the homogeneous low annulus), sampled
     by the oracle's full-plane complex inverse transform."""
     if isinstance(f, VectorField):
-        return VectorField(*(oracle_band(c, mult) for c in f.components()))
-    return PhysicalField(f.grid, oracle.ifft2(f.coeffs * mult))
+        return tuple(oracle_band(c, mult) for c in f.components())
+    return oracle.ifft2(f.coeffs * mult)
 
 
 def oracle_band_samples(f, homogeneous=False):
@@ -452,8 +445,8 @@ def oracle_band_samples(f, homogeneous=False):
     `irfft2` of every column 0..n/2."""
     comps = f.components() if isinstance(f, VectorField) else (f,)
     for q, mult in build_filter_bank(f.grid).bands(homogeneous):
-        bands = [PhysicalField(f.grid, oracle.irfft2(c.coeffs * mult)) for c in comps]
-        yield q, VectorField(*bands) if isinstance(f, VectorField) else bands[0]
+        bands = tuple(oracle.irfft2(c.coeffs * mult) for c in comps)
+        yield q, bands if isinstance(f, VectorField) else bands[0]
 
 
 class TestBandLayer:
@@ -493,13 +486,10 @@ class TestBandLayer:
             bands = dict(build_filter_bank(g).bands(homogeneous))
             for q, band in _band_samples(f, homogeneous):
                 expected = oracle_band(f, bands[q])
-                pairs = (
-                    zip(band.components(), expected.components())
-                    if isinstance(f, VectorField) else [(band, expected)]
-                )
+                pairs = zip(band, expected) if isinstance(f, VectorField) else [(band, expected)]
                 for got, want in pairs:
-                    err = np.max(np.abs(got.samples - want.samples))
-                    assert err <= 1e-12 * np.max(np.abs(want.samples))
+                    err = np.max(np.abs(got - want))
+                    assert err <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "corrupt, message",

@@ -4,7 +4,6 @@ import ast
 import builtins
 import dataclasses
 import math
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from bqsim import (
     Grid,
     InvalidInputError,
     ConfigurationError,
-    PhysicalField,
     SimState,
     SpectralField,
     VectorField,
@@ -73,13 +71,13 @@ def grid64():
 def spectral_sin(grid, k, axis=0):
     x1, x2 = grid.nodes()
     x = x1 if axis == 0 else x2
-    return forward_transform(PhysicalField(grid, np.sin(k * x)))
+    return forward_transform(grid, np.sin(k * x))
 
 
 def white_noise(grid, seed):
     """A real field with every mode filled, the Nyquist row and column included."""
     samples = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
-    return forward_transform(PhysicalField(grid, samples))
+    return forward_transform(grid, samples)
 
 
 PASS_SIZES, PASS_CASES = [16, 48, 50, 64, 256], ["dealiased", "one-mode-past-the-cut", "white-noise"]
@@ -187,15 +185,26 @@ class TestTransforms:
         g = grid64()
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((64, 64))
-        back = inverse_transform(forward_transform(PhysicalField(g, samples)))
-        assert np.max(np.abs(back.samples - samples)) < 1e-12
+        back = inverse_transform(forward_transform(g, samples))
+        assert np.max(np.abs(back - samples)) < 1e-12
 
     def test_forward_rejects_nonfinite(self):
         g = grid64()
         bad = np.zeros((64, 64))
         bad[3, 3] = np.nan
         with pytest.raises(InvalidInputError):
-            forward_transform(PhysicalField(g, bad))
+            forward_transform(g, bad)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 32), (2, 64, 64), (64,), ()])
+    @pytest.mark.parametrize("transform", [forward_transform, dealiased_transform])
+    def test_forward_transforms_reject_samples_of_another_shape(self, transform, shape):
+        with pytest.raises(InvalidInputError, match=r"samples must be an \(64, 64\) array"):
+            transform(grid64(), np.zeros(shape))
+
+    def test_forward_transforms_take_integer_samples_as_floats(self):
+        g, ones = grid64(), np.ones((64, 64), dtype=int)
+        for transform in (forward_transform, dealiased_transform):
+            assert np.array_equal(transform(g, ones).coeffs, transform(g, ones * 1.0).coeffs)
 
     def test_single_mode_coefficients(self):
         g = grid64()
@@ -223,7 +232,7 @@ class TestTransforms:
         g = grid64()
         coeffs = np.zeros((64, 64), dtype=complex)
         coeffs[1, 0] = 1e-17  # below float64 noise of any O(1) ancestor
-        samples = inverse_transform(SpectralField(g, coeffs)).samples
+        samples = inverse_transform(SpectralField(g, coeffs))
         assert np.max(np.abs(samples)) < 1e-12
 
     @pytest.mark.parametrize("n", PASS_SIZES)
@@ -236,12 +245,11 @@ class TestTransforms:
         c = pass_coeffs(g, case)
         samples = _samples(SpectralField(g, c))
         assert samples.tobytes() == oracle.ifft2(c).tobytes()
-        x = PhysicalField(g, samples)
-        assert forward_transform(x).coeffs.tobytes() == oracle.fft2(samples).tobytes()
-        got = dealiased_transform(x).coeffs
+        assert forward_transform(g, samples).coeffs.tobytes() == oracle.fft2(samples).tobytes()
+        got = dealiased_transform(g, samples).coeffs
         assert got.tobytes() == oracle.dealiased_fft2(g, samples).tobytes()
         # dealias multiplies by 0 + 0j, which can leave -0.0 outside the band: same values
-        assert np.array_equal(got, dealias(forward_transform(x)).coeffs)
+        assert np.array_equal(got, dealias(forward_transform(g, samples)).coeffs)
 
     def test_hermitian_defect_zero_field(self):
         g = grid64()
@@ -253,12 +261,12 @@ class TestDerivatives:
         g = grid64()
         x1, _ = g.nodes()
         df = inverse_transform(partial_derivative(spectral_sin(g, 3), 0))
-        assert np.max(np.abs(df.samples - 3 * np.cos(3 * x1))) < 1e-10
+        assert np.max(np.abs(df - 3 * np.cos(3 * x1))) < 1e-10
 
     def test_partial_derivative_other_axis_is_zero(self):
         g = grid64()
         df = inverse_transform(partial_derivative(spectral_sin(g, 3), 1))
-        assert np.max(np.abs(df.samples)) < 1e-12
+        assert np.max(np.abs(df)) < 1e-12
 
     def test_partial_derivative_rejects_bad_axis(self):
         with pytest.raises(ConfigurationError):
@@ -267,10 +275,10 @@ class TestDerivatives:
     def test_gradient_components(self):
         g = grid64()
         x1, x2 = g.nodes()
-        f = forward_transform(PhysicalField(g, np.sin(2 * x1) * np.cos(x2)))
+        f = forward_transform(g, np.sin(2 * x1) * np.cos(x2))
         grad = gradient(f)
-        g1 = inverse_transform(grad.x1).samples
-        g2 = inverse_transform(grad.x2).samples
+        g1 = inverse_transform(grad.x1)
+        g2 = inverse_transform(grad.x2)
         assert np.max(np.abs(g1 - 2 * np.cos(2 * x1) * np.cos(x2))) < 1e-10
         assert np.max(np.abs(g2 + np.sin(2 * x1) * np.sin(x2))) < 1e-10
 
@@ -280,14 +288,14 @@ class TestMultiplierOperators:
         g = grid64()
         x1, _ = g.nodes()
         out = inverse_transform(fractional_dissipation(spectral_sin(g, 3), 1.0))
-        assert np.max(np.abs(out.samples - 3 * np.sin(3 * x1))) < 1e-10
+        assert np.max(np.abs(out - 3 * np.sin(3 * x1))) < 1e-10
 
     def test_dissipation_alpha_two_is_minus_laplacian(self):
         g = grid64()
         x1, x2 = g.nodes()
-        f = forward_transform(PhysicalField(g, np.sin(3 * x1) * np.sin(4 * x2)))
+        f = forward_transform(g, np.sin(3 * x1) * np.sin(4 * x2))
         out = inverse_transform(fractional_dissipation(f, 2.0))
-        assert np.max(np.abs(out.samples - 25 * np.sin(3 * x1) * np.sin(4 * x2))) < 1e-9
+        assert np.max(np.abs(out - 25 * np.sin(3 * x1) * np.sin(4 * x2))) < 1e-9
 
     def test_dissipation_rejects_bad_alpha(self):
         for alpha in (0.0, 2.5, math.nan):
@@ -305,27 +313,27 @@ class TestMultiplierOperators:
         g = grid64()
         x1, _ = g.nodes()
         out = inverse_transform(riesz(spectral_sin(g, 3)))
-        assert np.max(np.abs(out.samples - np.cos(3 * x1))) < 1e-10
+        assert np.max(np.abs(out - np.cos(3 * x1))) < 1e-10
 
     def test_riesz_annihilates_transverse_modes(self):
         g = grid64()
         out = inverse_transform(riesz(spectral_sin(g, 5, axis=1)))
-        assert np.max(np.abs(out.samples)) < 1e-12
+        assert np.max(np.abs(out)) < 1e-12
 
 
 class TestBiotSavart:
     def test_shear_oracle(self):
         g = grid64()
         x1, _ = g.nodes()
-        v = to_physical(biot_savart(spectral_sin(g, 1)))
-        assert np.max(np.abs(v.x1.samples)) < 1e-12
-        assert np.max(np.abs(v.x2.samples + np.cos(x1))) < 1e-12
+        v1, v2 = to_physical(biot_savart(spectral_sin(g, 1)))
+        assert np.max(np.abs(v1)) < 1e-12
+        assert np.max(np.abs(v2 + np.cos(x1))) < 1e-12
 
     def test_velocity_is_divergence_free(self):
         g = grid64()
         w = random_scalar_field(g, 2.0, 1.0, (1, 2))
         div = inverse_transform(divergence(biot_savart(w)))
-        assert np.max(np.abs(div.samples)) < 1e-11
+        assert np.max(np.abs(div)) < 1e-11
 
     def test_curl_inverts_biot_savart(self):
         g = grid64()
@@ -390,10 +398,11 @@ class TestLerayAndAdvection:
         g = grid64()
         v = random_divfree_velocity(g, 2.0, 1.0, (11,))
         f = random_scalar_field(g, 2.0, 1.0, (12,))
+        vp = to_physical(v)
         foreign = to_physical(random_divfree_velocity(Grid(32), 2.0, 1.0, (11,)))
-        mixed = VectorField(to_physical(v).x1, v.x2)
-        for bad in (v, mixed, foreign):
-            with pytest.raises(InvalidInputError, match="physical velocity on the grid of f"):
+        mixed = (vp[0], v.x2)
+        for bad in (v, mixed, foreign, vp[0], np.stack(vp), list(vp), vp + vp[:1]):
+            with pytest.raises(InvalidInputError, match=r"velocity samples \(v1, v2\) on the grid of f"):
                 advect(bad, f)
 
     def test_unchecked_operators_match_the_checked_transform_bit_for_bit(self):
@@ -401,14 +410,12 @@ class TestLerayAndAdvection:
         v = random_divfree_velocity(g, 2.0, 1.0, (11,))
         f = random_scalar_field(g, 2.0, 1.0, (12,))
         v1, v2 = (oracle.ifft2(c.coeffs) for c in v.components())
-        vp = VectorField(PhysicalField(g, v1), PhysicalField(g, v2))
-        assert np.array_equal(advect(vp, f).coeffs, oracle.advect(g, (v1, v2), f.coeffs))
+        assert np.array_equal(advect((v1, v2), f).coeffs, oracle.advect(g, (v1, v2), f.coeffs))
         assert grid_max_velocity(v) == float(np.max(np.hypot(v1, v2)))
         # each derivative is sampled by the one half-spectrum transform of `inverse_transform`
-        derivs = [inverse_transform(partial_derivative(c, a)).samples
-                  for c in v.components() for a in (0, 1)]
+        derivs = [inverse_transform(partial_derivative(c, a)) for c in v.components() for a in (0, 1)]
         assert max_gradient(v) == max(float(np.max(np.abs(d))) for d in derivs)
-        frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
+        frobenius = np.sqrt(sum(d * d for d in derivs))
         for p in (2.0, 3.0, math.inf):
             assert gradient_lp_norm(v, p) == lp_norm(frobenius, p)
 
@@ -427,33 +434,56 @@ class TestNorms:
     def test_l2_of_sine(self):
         g = grid64()
         x1, _ = g.nodes()
-        assert lp_norm(PhysicalField(g, np.sin(x1)), 2) == pytest.approx(L2_SIN, rel=1e-13)
+        assert lp_norm(np.sin(x1), 2) == pytest.approx(L2_SIN, rel=1e-13)
 
     def test_l4_of_sine(self):
         g = grid64()
         x1, _ = g.nodes()
         # int sin^4 x1 over the box = (3/4) pi * 2 pi
         expected = (1.5 * math.pi**2) ** 0.25
-        assert lp_norm(PhysicalField(g, np.sin(x1)), 4) == pytest.approx(expected, rel=1e-13)
+        assert lp_norm(np.sin(x1), 4) == pytest.approx(expected, rel=1e-13)
         # 1e100**4 overflows, yet the constant 1e100 has the finite L^4 norm
         # 1e100 * (4 pi^2)^(1/4) on the torus.
-        big = PhysicalField(Grid(32), np.full((32, 32), 1e100))
+        big = np.full((32, 32), 1e100)
         assert lp_norm(big, 4) == pytest.approx(2.5066282746310002e100, rel=1e-15)
 
     def test_linf_of_sine(self):
         g = grid64()
         x1, _ = g.nodes()
-        assert lp_norm(PhysicalField(g, np.sin(x1)), math.inf) == pytest.approx(1.0, rel=1e-12)
+        assert lp_norm(np.sin(x1), math.inf) == pytest.approx(1.0, rel=1e-12)
 
     def test_lp_rejects_bad_exponent(self):
-        g = grid64()
         with pytest.raises(ConfigurationError):
-            lp_norm(PhysicalField(g, np.zeros((64, 64))), 0.5)
+            lp_norm(np.zeros((64, 64)), 0.5)
+
+    @pytest.mark.parametrize("samples", [
+        np.zeros((64, 32)), np.zeros((2, 64, 64)), [np.zeros((64, 64))] * 2, np.zeros(64),
+        np.zeros((0, 0)), 1.0, (np.zeros((64, 64)),) * 3,
+    ], ids=["non-square", "stack", "list-of-two", "1-d", "empty", "scalar", "triple"])
+    @pytest.mark.parametrize("measure", [lambda a: lp_norm(a, 2), lambda a: lp_norm(a, math.inf),
+                                         integrate], ids=["l2", "linf", "integrate"])
+    def test_lp_norm_and_integrate_reject_samples_that_are_not_square(self, measure, samples):
+        with pytest.raises(InvalidInputError, match=r"samples must be an \(n, n\) array"):
+            measure(samples)
+
+    @pytest.mark.parametrize("pair", [
+        (np.zeros((64, 64)), np.zeros((32, 32))), (np.zeros((64, 64)), np.zeros((64, 32))),
+        (np.zeros((2, 64, 64)), np.zeros((64, 64))),
+    ], ids=["other-n", "non-square", "stack"])
+    def test_lp_norm_rejects_a_pair_of_unlike_samples(self, pair):
+        with pytest.raises(InvalidInputError, match="samples must be an"):
+            lp_norm(pair, 2)
+
+    def test_norms_read_n_off_the_samples(self):
+        """Cell area (2 pi / n)^2 for any n, and integer samples are taken as floats."""
+        for n in (3, 16, 64):
+            assert integrate(np.ones((n, n), dtype=int)) == pytest.approx(4 * math.pi**2, rel=1e-14)
+            assert lp_norm(np.ones((n, n)), 2) == pytest.approx(2 * math.pi, rel=1e-14)
 
     def test_vector_lp_uses_pointwise_magnitude(self):
         g = grid64()
         x1, _ = g.nodes()
-        v = VectorField(PhysicalField(g, np.sin(x1)), PhysicalField(g, np.cos(x1)))
+        v = (np.sin(x1), np.cos(x1))
         # |v| == 1 pointwise
         assert lp_norm(v, 2) == pytest.approx(2 * math.pi, rel=1e-13)
         assert lp_norm(v, math.inf) == pytest.approx(1.0, rel=1e-13)
@@ -498,7 +528,7 @@ class TestNorms:
     def test_integrate_sine_squared(self):
         g = grid64()
         x1, _ = g.nodes()
-        val = integrate(PhysicalField(g, np.sin(x1) ** 2))
+        val = integrate(np.sin(x1) ** 2)
         assert val == pytest.approx(2 * math.pi**2, rel=1e-13)
 
     @GRADIENT_NORMS
@@ -595,14 +625,14 @@ class TestRealEdge:
         for f, v in (smooth, noise):
             # white noise fills the Nyquist lines, where odd multipliers must vanish
             for scalar in (f, riesz(f), divergence(v)):
-                assert_close(inverse_transform(scalar).samples, oracle.ifft2(scalar.coeffs))
+                assert_close(inverse_transform(scalar), oracle.ifft2(scalar.coeffs))
             for vector in (v, gradient(f), biot_savart(curl(v)), leray_project(v)):
-                for got, comp in zip(to_physical(vector).components(), vector.components()):
-                    assert_close(got.samples, oracle.ifft2(comp.coeffs))
+                for got, comp in zip(to_physical(vector), vector.components()):
+                    assert_close(got, oracle.ifft2(comp.coeffs))
             derivs = [oracle.ifft2(partial_derivative(c, a).coeffs) for c in v.components() for a in (0, 1)]
             want = max(float(np.max(np.abs(d))) for d in derivs)
             assert max_gradient(v) == pytest.approx(want, rel=1e-12, abs=0)
-            frobenius = PhysicalField(g, np.sqrt(sum(d * d for d in derivs)))
+            frobenius = np.sqrt(sum(d * d for d in derivs))
             for p in (2.0, 3.0, math.inf):
                 assert gradient_lp_norm(v, p) == pytest.approx(lp_norm(frobenius, p), rel=1e-12, abs=0)
             got = commutator_riesz(v, f)
@@ -693,9 +723,10 @@ class TestNormRange:
 
     def test_in_range_norms_keep_the_plain_expression_bit_for_bit(self):
         f = self.field()
-        a = np.abs(inverse_transform(f).samples)
+        a = np.abs(inverse_transform(f))
+        cell_area = (2.0 * math.pi / f.grid.n) ** 2
         for p in (2, 3, 4):
-            assert lp_norm(inverse_transform(f), p) == float((np.sum(a**p) * f.grid.cell_area) ** (1.0 / p))
+            assert lp_norm(inverse_transform(f), p) == float((np.sum(a**p) * cell_area) ** (1.0 / p))
         power = np.abs(f.coeffs) ** 2
         w2s = (1.0 + f.grid.kmag**2) ** 0.5
         assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w2s * power)))
@@ -821,7 +852,7 @@ def derived_fields(n):
     f, w = random_scalar_field(g, 2.0, 1.0, (91, n)), white_noise(g, n)
     v = random_divfree_velocity(g, 2.5, 1.0, (92, n))
     noise = VectorField(white_noise(g, n + 1), white_noise(g, n + 2))
-    vp, samples = to_physical(v), PhysicalField(g, np.random.default_rng(n).standard_normal((n, n)))
+    vp, samples = to_physical(v), np.random.default_rng(n).standard_normal((n, n))
     state = SimState(0.0, dealias(curl(v)), dealias(f), 1.0)
     stepped = step(state, 1e-3)
     qs = range(-1, bqsim.build_filter_bank(g).qmax + 1)
@@ -836,7 +867,7 @@ def derived_fields(n):
         "leray": [c for x in (v, noise) for c in leray_project(x).components()],
         "dealias": [dealias(f), dealias(w)],
         "advect": [advect(vp, f), advect(vp, w)],
-        "transforms": [forward_transform(samples), dealiased_transform(samples)],
+        "transforms": [forward_transform(g, samples), dealiased_transform(g, samples)],
         "dyadic-blocks": [bqsim.dyadic_block(x, q) for x in (f, w) for q in qs],
         "partial-sums": [bqsim.partial_sum(x, q) for x in (f, w) for q in range(-1, qs.stop + 1)],
         "bony": [*bqsim.bony_decompose(f, w), *bqsim.bony_decompose(w, f)],
@@ -898,31 +929,44 @@ def random_state(n, steps):
     return state
 
 
-#: Exact `numpy.fft` calls of each operation, pinned here and nowhere else:
-#: row -> (build the input, the operation on it, the calls the operation makes).
+def dealiased_lines(n):
+    """Lines of one complex 2-D transform of a dealiased field: the rows and columns |k_j| <=
+    kmax along one axis, every line along the other."""
+    return n + 2 * (n // 3) + 1
+
+
+#: Exact `numpy.fft` work of each operation, pinned here and nowhere else: row -> (build
+#: the input, the operation on it, {name: (calls, lines)}), lines summed over the calls.
 #: A complex 2-D transform runs as 1-D passes: 3 on a dealiased field (rows in two blocks,
 #: then columns), 2 on any other.
 FFT_COUNTS = {
     **{f"samples-{case}-n{n}": (lambda n=n, case=case: SpectralField(Grid(n), pass_coeffs(Grid(n), case)),
-                                _samples, {"ifft": 3 if case == "dealiased" else 2})
+                                _samples, {"ifft": (3, dealiased_lines(n)) if case == "dealiased" else (2, 2 * n)})
        for n in PASS_SIZES for case in PASS_CASES},
     # 8 transforms per RK stage (2 velocity, 4 gradient, 2 forward), 2 for the new state's
     # velocity; a stepped state's stage 1 reuses the samples of the last blow-up test
-    "step-fresh": (lambda: random_state(64, 0), lambda s: step(s, 1e-3), {"ifft": 3 * 26, "fft": 3 * 8}),
-    "step-stepped": (lambda: random_state(64, 1), lambda s: step(s, 1e-3), {"ifft": 3 * 24, "fft": 3 * 8}),
-    "adaptive-dt": (lambda: random_state(64, 2), lambda s: adaptive_dt(s, 0.5), {"ifft": 3}),  # theta only
-    "velocity-of-a-copy": (lambda: random_state(64, 1).copy(), SimState.physical_velocity, {"ifft": 6}),
+    "step-fresh": (lambda: random_state(64, 0), lambda s: step(s, 1e-3),
+                   {"ifft": (3 * 26, 26 * dealiased_lines(64)), "fft": (3 * 8, 8 * dealiased_lines(64))}),
+    "step-stepped": (lambda: random_state(64, 1), lambda s: step(s, 1e-3),
+                     {"ifft": (3 * 24, 24 * dealiased_lines(64)), "fft": (3 * 8, 8 * dealiased_lines(64))}),
+    "adaptive-dt": (lambda: random_state(64, 2), lambda s: adaptive_dt(s, 0.5),
+                    {"ifft": (3, dealiased_lines(64))}),  # theta only
+    "velocity-of-a-copy": (lambda: random_state(64, 1).copy(), SimState.physical_velocity,
+                           {"ifft": (6, 2 * dealiased_lines(64))}),
     "velocity-of-a-replace": (lambda: dataclasses.replace(random_state(64, 1)), SimState.physical_velocity,
-                              {"ifft": 6}),
-    # A real sample is an `ifft` pass and an `irfft` pass, and none for a zero band.
+                              {"ifft": (6, 2 * dealiased_lines(64))}),
+    # A real sample is an `ifft` pass over the columns 0..kmax = 42 it can occupy, or fewer for
+    # a band (2^(q+2) of them), then an `irfft` pass over the n rows; none for a zero band.
     # theta by the complex path; two B^0_{inf,1} norms of 8 bands (q = -1..6), whose top band
-    # is zero on a dealiased state, and 6 more samples
+    # is zero on a dealiased state (2 + 4 + 8 + 16 + 32 + 43 + 43 columns), and 6 more samples
     "record": (lambda: random_state(128, 1), lambda s: DiagnosticsTracker().record(s),
-               {"ifft": 3 + 20, "irfft": 20}),
-    # Parseval at p = 2, else one sample per band (q = -1..4; q = 5 is zero) and component
+               {"ifft": (3 + 20, dealiased_lines(128) + 2 * 148 + 6 * 43), "irfft": (20, 20 * 128)}),
+    # Parseval at p = 2, else one sample per band (q = -1..4 over 2 + 4 + 8 + 16 + 22 + 22
+    # columns, kmax = 21; q = 5 is zero) and component
     **{f"besov-{kind}-p{p}-r{r}": (lambda field=field: field(random_state(64, 0)),
                                    lambda f, p=p, r=r: besov_norm(f, BesovSpec(0.0, p, r)),
-                                   {"ifft": 6 * comps, "irfft": 6 * comps} if p == math.inf else {})
+                                   {"ifft": (6 * comps, 74 * comps), "irfft": (6 * comps, 6 * 64 * comps)}
+                                   if p == math.inf else {})
        for kind, field, comps in (("scalar", lambda s: s.theta_hat, 1), ("vector", SimState.velocity, 2))
        for p in (2.0, math.inf) for r in (1.0, math.inf)},
 }
@@ -934,7 +978,12 @@ def test_numpy_fft_calls(row, fft_calls):
     x = build()
     fft_calls.clear()
     operation(x)
-    assert Counter(fft_calls) == want
+    got = {}
+    for name, length, lines in fft_calls:
+        assert length == x.grid.n, (name, length, lines)  # every pass runs along a grid line
+        calls, total = got.get(name, (0, 0))
+        got[name] = (calls + 1, total + lines)
+    assert got == want
 
 
 FAILURE_KINDS = (BlowUpError, ConfigurationError, InvalidInputError, CheckpointError, OSError)
