@@ -9,7 +9,9 @@ State variables are the spectral vorticity w and temperature theta with
 The stepper is a classical integrating-factor RK4: the dissipative
 multiplier exp(-|k|^alpha dt) is applied exactly, so a pure-dissipation
 problem incurs no splitting error; advection and buoyancy ride in the
-nonlinear stage evaluations, dealiased by construction.
+nonlinear stage evaluations (`_tendencies`, which `rhs` wraps).  It advances the
+dealiased part of a state: the stages and the update are plain arrays of the kept
+(2 kmax + 1)^2 block (`Grid.block`), gathered once per step and scattered once.
 
 The combination gamma = w - R theta (R the first Riesz transform) absorbs
 the buoyancy forcing when alpha = 1: it satisfies a transport-dissipation
@@ -28,6 +30,7 @@ from .littlewood_paley import commutator_riesz
 from .spectral import (
     SpectralField,
     VectorField,
+    _advect,
     _apply_multiplier,
     _samples,
     _wrap,
@@ -37,7 +40,6 @@ from .spectral import (
     fractional_dissipation,
     inverse_transform,
     lp_norm,
-    partial_derivative,
     riesz,
 )
 
@@ -91,15 +93,26 @@ def gamma(state: SimState) -> SpectralField:
 
 
 def rhs(state: SimState):
-    """Non-dissipative tendencies (domega, dtheta); |D|^alpha is excluded.
+    """Non-dissipative tendencies (domega, dtheta) of the dealiased state; |D|^alpha is excluded.
 
     domega = -v.grad(omega) + d1 theta,  dtheta = -v.grad(theta), with the
-    advection products dealiased.
+    advection products dealiased (`_tendencies` on the kept blocks).
     """
-    v = state.physical_velocity()
-    domega = -advect(v, state.omega_hat) + partial_derivative(state.theta_hat, 0)
-    dtheta = -advect(v, state.theta_hat)
-    return domega, dtheta
+    g = state.grid
+    blocks = (g.block(f.coeffs) for f in (state.omega_hat, state.theta_hat))
+    return tuple(_wrap(g, g.plane(d)) for d in _tendencies(g, *blocks))
+
+
+def _block_velocity(g, w: np.ndarray) -> tuple:
+    """Velocity samples of the vorticity block w."""
+    return tuple(_samples(w * mult, g) for mult in g.block_mults[2:])
+
+
+def _tendencies(g, w: np.ndarray, th: np.ndarray, v=None):
+    """Tendency blocks of the kept blocks (w, th), v the samples of w's velocity if known."""
+    if v is None:
+        v = _block_velocity(g, w)
+    return -_advect(g, v, w) + th * g.block_mults[0], -_advect(g, v, th)
 
 
 def cfl_dt(state: SimState, cfl_number: float = 0.5) -> float:
@@ -111,48 +124,51 @@ def cfl_dt(state: SimState, cfl_number: float = 0.5) -> float:
 
 
 def step(state: SimState, dt: float) -> SimState:
-    """One integrating-factor RK4 step of size dt.
+    """One integrating-factor RK4 step of size dt of the state's dealiased part.
 
     The vorticity is advanced in the frame of the exact dissipative
     semigroup exp(-|k|^alpha t); the temperature (no dissipation) sees a
-    plain RK4.  Its input is valid by construction (see `spectral`).  Raises
+    plain RK4.  Stages and update run on the kept blocks (`_tendencies`), gathered
+    once; the new state holds +0.0 beyond the 2/3 cutoff and its velocity samples.  Raises
     BlowUpError, carrying the pre-step state, when a stage or the update is
     non-finite or the velocity exceeds the blow-up threshold.
     """
     if not 0 < dt < np.inf:
         raise ConfigurationError(f"step size dt must be positive and finite, got {dt}")
-    grid = state.grid
-    alpha = state.alpha
-    e_half = np.exp(-0.5 * dt * grid.kmag_power(alpha))
+    g = state.grid
+    e_half = np.exp(-0.5 * dt * g.block(g.kmag_power(state.alpha)))
     e_full = e_half * e_half
-    w0, th0 = state.omega_hat, state.theta_hat
+    c = state.omega_hat.coeffs  # a dealiased state's own velocity samples serve stage 1
+    v = None if c[g.cut].any() or c[:, g.cut].any() else state.physical_velocity()
+    w0, th0 = g.block(c), g.block(state.theta_hat.coeffs)
 
     try:
-        n1w, n1t = rhs(state)
-        wa = _apply_multiplier(w0 + (0.5 * dt) * n1w, e_half)
+        n1w, n1t = _tendencies(g, w0, th0, v)
+        wa = (w0 + (0.5 * dt) * n1w) * e_half
         ta = th0 + (0.5 * dt) * n1t
-        n2w, n2t = rhs(SimState(0.0, wa, ta, alpha))
-        wb = _apply_multiplier(w0, e_half) + (0.5 * dt) * n2w
+        n2w, n2t = _tendencies(g, wa, ta)
+        wb = w0 * e_half + (0.5 * dt) * n2w
         tb = th0 + (0.5 * dt) * n2t
-        n3w, n3t = rhs(SimState(0.0, wb, tb, alpha))
-        wc = _apply_multiplier(w0, e_full) + dt * _apply_multiplier(n3w, e_half)
+        n3w, n3t = _tendencies(g, wb, tb)
+        wc = w0 * e_full + dt * (n3w * e_half)
         tc = th0 + dt * n3t
         # Sums add left to right: folding stages 1-3 now frees them, same floats.
-        sum_w = _apply_multiplier(n1w, e_full) + 2.0 * _apply_multiplier(n2w + n3w, e_half)
+        sum_w = n1w * e_full + 2.0 * ((n2w + n3w) * e_half)
         sum_t = n1t + 2.0 * (n2t + n3t)
         del n1w, n1t, n2w, n2t, n3w, n3t, wa, ta, wb, tb
-        n4w, n4t = rhs(SimState(0.0, wc, tc, alpha))
+        n4w, n4t = _tendencies(g, wc, tc)
     except NonFiniteError as err:
         raise BlowUpError(f"non-finite RK stage in step from t={state.t:.6g}", state=state) from err
 
-    w1 = _apply_multiplier(w0, e_full) + (dt / 6.0) * (sum_w + n4w)
+    w1 = w0 * e_full + (dt / 6.0) * (sum_w + n4w)
     t1 = th0 + (dt / 6.0) * (sum_t + n4t)
 
-    if not (np.all(np.isfinite(w1.coeffs)) and np.all(np.isfinite(t1.coeffs))):
+    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(t1))):
         raise BlowUpError(
             f"non-finite coefficients after step from t={state.t:.6g}", state=state
         )
-    new = SimState(state.t + dt, w1, t1, alpha)
+    new = SimState(state.t + dt, _wrap(g, g.plane(w1)), _wrap(g, g.plane(t1)), state.alpha)
+    new._velocity = (new.omega_hat.coeffs, _block_velocity(g, w1))
     vmax = lp_norm(new.physical_velocity(), np.inf)
     if vmax > VELOCITY_BLOWUP_THRESHOLD:
         raise BlowUpError(

@@ -25,20 +25,24 @@ divide by |k| map k = 0 to 0.  Sampling runs the two passes of a half-spectrum `
 (`_real_samples`), the `ifft` over columns 0..kmax alone when those beyond are zero and none
 for a zero field: numpy's bytes but for the sign of a zero sample.  The complex path stays
 where the last bits feed the trajectory or the energy residual (E1 - E0) / dt, which
-magnifies them about 10^7-fold: `_samples` for the step's stages and `advect`,
-`SimState.physical_velocity`, `grid_max_velocity` (it sets the benchmark's run amplitudes),
-`SimState.physical_temperature` (the record's buoyancy power and `adaptive_dt`'s max|theta|:
-the buoyant limit can set dt), and the forward transforms.
-They run the 1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in
-place), so every bit is numpy's, and skip the lines |k_j| > kmax (`Grid.cut`): `_samples`
-their rows when these hold only zeros (as in every dealiased field), and
-`dealiased_transform` their columns, leaving +0.0 where `dealias` may leave -0.0.
+magnifies them about 10^7-fold: `advect` and the step, `SimState.physical_velocity`,
+`grid_max_velocity` (it sets the benchmark's run amplitudes), `SimState.physical_temperature`
+(the record's buoyancy power and `adaptive_dt`'s max|theta|: the buoyant limit can set dt),
+and the forward transforms.  `_samples` and `_forward` run the 1-D passes of `ifft2`/`fft2`
+in numpy's order (axis 1, then axis 0 in place), so every bit is numpy's, and skip the lines
+|k_j| > kmax (`Grid.cut`): the rows of a field that holds only zeros there, and the columns
+of a dealiased product.  Dealiased work runs on plain arrays of the kept block, the
+coefficients |k_j| <= kmax in the FFT layout of size 2 kmax + 1 (`Grid.block`): `_samples`
+pads a block's rows, `_forward` returns one, and `_advect`, the kernel of `advect` and of the
+step, maps blocks to a block; `Grid.plane` scatters one into +0.0, where `dealias` may leave
+-0.0.
 
 `Grid` builds its lattice and dealiasing mask at once and its n-by-n multipliers (|k|,
-1/|k|^2, Riesz) on first read, keeping each.  `kmag_power` and `forcing_mult` build the
-alpha ones on request (`kmag_power` returns `kmag` itself at alpha = 1);
-`partial_derivative`, `biot_savart` and `leray_project` form their multipliers per call;
-the dyadic bands live in each grid's cached filter bank (`littlewood_paley.build_filter_bank`).
+1/|k|^2, Riesz) and kept blocks of i k_j and Biot-Savart on first read, keeping each.
+`kmag_power` and `forcing_mult` build the alpha ones on request (`kmag_power` returns `kmag`
+itself at alpha = 1); `partial_derivative`, `biot_savart` and `leray_project` form their
+multipliers per call; the dyadic bands live in each grid's cached filter bank
+(`littlewood_paley.build_filter_bank`).
 
 Norms are torus norms: `lp_norm` uses grid quadrature with cell area (2*pi/n)^2, n the
 samples' own, and `sobolev_norm` carries the matching Parseval factor, so
@@ -77,6 +81,9 @@ class Grid:
         self.kmax = m = n // 3
         self.dealias_keep = np.maximum(np.abs(self.k1), np.abs(self.k2)) <= m
         self.kept, self.cut = (slice(None, m + 1), slice(n - m, None)), slice(m + 1, n - m)
+        # (plane, block) slices of the kept block's quadrants, FFT layout of size 2m + 1
+        lines = list(zip(self.kept, (slice(None, m + 1), slice(m + 1, None))))
+        self.quadrants = [((r, k), (br, bk)) for r, br in lines for k, bk in lines]
         self.x = 2.0 * np.pi * np.arange(n) / n
 
     @functools.cached_property
@@ -89,6 +96,28 @@ class Grid:
             inv = 1.0 / (self.k1**2 + self.k2**2)
         inv[0, 0] = 0.0
         return inv
+
+    @functools.cached_property
+    def block_mults(self) -> tuple:
+        """Kept blocks of i k1 and i k2 (a column and a row) and (i k2, -i k1) / |k|^2, each formed
+        as `partial_derivative` or `biot_savart` forms it."""
+        k1 = self.block(np.broadcast_to(self.k1_odd, (self.n, self.n)))[:, :1]
+        inv_ksq = self.block(self.inv_ksq)
+        return 1j * k1, 1j * k1.T, 1j * k1.T * inv_ksq, -1j * k1 * inv_ksq
+
+    def block(self, c: np.ndarray) -> np.ndarray:
+        """The kept (2m + 1)^2 block of an (n, n) array, m = kmax."""
+        b = np.empty((2 * self.kmax + 1,) * 2, c.dtype)
+        for plane, block in self.quadrants:
+            b[block] = c[plane]
+        return b
+
+    def plane(self, b: np.ndarray) -> np.ndarray:
+        """The (n, n) array that holds the block b on the kept lines and +0.0 elsewhere."""
+        a = np.zeros((self.n, self.n), b.dtype)
+        for plane, block in self.quadrants:
+            a[plane] = b[block]
+        return a
 
     @functools.cached_property
     def riesz_mult(self) -> np.ndarray:
@@ -200,29 +229,30 @@ def _cell_area(a: np.ndarray) -> float:
     return (2.0 * np.pi / a.shape[0]) ** 2
 
 
-def _forward(grid: Grid, samples, columns) -> np.ndarray:
+def _forward(grid: Grid, samples, block=False) -> np.ndarray:
+    """Coefficients of (n, n) real samples by `fft2`'s passes, or their kept block alone."""
     samples = _square(samples, grid.n)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteError("physical samples contain non-finite values")
     a = samples.astype(complex)  # cast once: the row pass casting row by row is slower
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail a finiteness check later
         np.fft.fft(a, axis=1, out=a)
-        for cols in columns:
+        for cols in grid.kept if block else (slice(None),):
             np.fft.fft(a[:, cols], axis=0, out=a[:, cols])
+    if block:
+        a = grid.block(a)
     a /= grid.n * grid.n
     return a
 
 
 def forward_transform(grid: Grid, samples) -> SpectralField:
     """FFT of (n, n) real samples with the 1/n^2 normalization; rejects non-finite samples."""
-    return _wrap(grid, _forward(grid, samples, (slice(None),)))
+    return _wrap(grid, _forward(grid, samples))
 
 
 def dealiased_transform(grid: Grid, samples) -> SpectralField:
     """`dealias(forward_transform(grid, samples))`, transforming only the kept columns."""
-    c, cut = _forward(grid, samples, grid.kept), grid.cut
-    c[cut], c[:, cut] = 0, 0
-    return _wrap(grid, c)
+    return _wrap(grid, grid.plane(_forward(grid, samples, True)))
 
 
 def hermitian_defect(c: np.ndarray) -> float:
@@ -254,11 +284,15 @@ def _check_real(c: np.ndarray) -> None:
         )
 
 
-def _samples(f: SpectralField) -> np.ndarray:
-    c, g = f.coeffs, f.grid
-    a = np.empty_like(c)
-    a[g.cut] = 0
-    for rows in (slice(None),) if c[g.cut].any() else g.kept:
+def _samples(f, grid=None) -> np.ndarray:
+    """Complex-path samples of the field f, or of the kept block f on `grid` padded with +0.0."""
+    if grid is None:
+        c, g, a = f.coeffs, f.grid, np.empty_like(f.coeffs)
+        a[g.cut] = 0
+    else:
+        c = a = grid.plane(f)
+        g = grid
+    for rows in (slice(None),) if grid is None and c[g.cut].any() else g.kept:
         np.fft.ifft(c[rows], axis=1, out=a[rows])
     return np.real(np.fft.ifft(a, axis=0, out=a)) * (g.n * g.n)
 
@@ -351,21 +385,27 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def advect(v: tuple, f: SpectralField) -> SpectralField:
-    """Dealiased advection term v . grad f for a divergence-free velocity.
+    """Dealiased advection term v . grad f of f's dealiased part, for a divergence-free velocity.
 
     v is the pair of velocity samples (`to_physical`, `SimState.physical_velocity`), so it
     is transformed once for all the fields it advects.  The spectral gradient of f goes to
-    physical space, times v, transformed back and dealiased.
+    physical space, times v, transformed back and dealiased (`_advect` on f's kept block).
     """
     g = f.grid
     if not (isinstance(v, tuple) and len(v) == 2
             and all(isinstance(c, np.ndarray) and c.shape == (g.n, g.n) for c in v)):
         raise InvalidInputError("advect needs velocity samples (v1, v2) on the grid of f")
-    f1, f2 = _samples(partial_derivative(f, 0)), _samples(partial_derivative(f, 1))
+    return _wrap(g, g.plane(_advect(g, v, g.block(f.coeffs))))
+
+
+def _advect(g: Grid, v: tuple, b: np.ndarray) -> np.ndarray:
+    """The kept block of the dealiased v . grad f, from velocity samples v and f's kept block b."""
+    ik1, ik2 = g.block_mults[:2]
+    f1, f2 = _samples(b * ik1, g), _samples(b * ik2, g)
     # Named so that it is freed with f1 and f2: the order of those frees decides how often
     # glibc trims the heap and refaults it, about 500 page faults per step at n = 256.
     product = v[0] * f1 + v[1] * f2
-    return dealiased_transform(g, product)
+    return _forward(g, product, True)
 
 
 def lp_norm(f, p) -> float:

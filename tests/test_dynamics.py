@@ -244,16 +244,38 @@ class TestStep:
         with pytest.raises(InvalidInputError, match="non-finite"):
             SpectralField(g, theta)  # built, so no step ever sees it
 
+    @pytest.mark.parametrize("n", [16, 64, 98])  # kmax = 5, the smallest block; 98 = 2 (mod 3)
     @pytest.mark.parametrize("preset, alpha", [("zero", 1.0), ("taylor-green", 1.0), ("blob", 1.0),
                                                ("tg-blob", 1.0), ("random", 1.0), ("random", 0.5)])
-    def test_step_is_the_oracle_step_bit_for_bit(self, preset, alpha):
-        """Folding the RK4 sums, pruning passes and reusing samples must move no bit."""
-        state = make_initial_data(parse_config(f"n = 64\nt_end = 1\npreset = {preset}\nalpha = {alpha}\n"))
+    def test_step_is_the_oracle_step_bit_for_bit(self, preset, alpha, n):
+        """Folding the RK4 sums, stepping the kept block, pruning passes and reusing samples
+        must move no bit."""
+        state = make_initial_data(parse_config(f"n = {n}\nt_end = 1\npreset = {preset}\nalpha = {alpha}\n"))
         w, th = state.omega_hat.coeffs, state.theta_hat.coeffs
         for _ in range(3):
             state = step(state, 1e-2)
             w, th = oracle.step(state.grid, w, th, 1e-2, alpha)
             assert np.array_equal(state.omega_hat.coeffs, w) and np.array_equal(state.theta_hat.coeffs, th)
+
+    def test_step_advances_the_dealiased_part_of_its_input(self):
+        """Content beyond the 2/3 cutoff is dropped: the step sees only the kept block."""
+        g, rng = Grid(48), np.random.default_rng(5)
+        omega, theta = (forward_transform(g, x - x.mean()) for x in rng.standard_normal((2, 48, 48)))
+        state = SimState(0.25, omega, theta, 0.5)  # white noise: every mode filled
+        assert np.any(omega.coeffs[~g.dealias_keep]) and np.any(theta.coeffs[~g.dealias_keep])
+        out = step(state, 1e-3)
+        want = step(SimState(0.25, dealias(omega), dealias(theta), 0.5), 1e-3)
+        assert np.array_equal(out.omega_hat.coeffs, want.omega_hat.coeffs)
+        assert np.array_equal(out.theta_hat.coeffs, want.theta_hat.coeffs)
+        for c in (out.omega_hat.coeffs, out.theta_hat.coeffs):
+            outside = np.ascontiguousarray(c[~g.dealias_keep]).view(float)
+            assert not np.any(outside) and not np.any(np.signbit(outside))
+        state.physical_velocity()  # samples that hold the content beyond the cutoff
+        assert np.array_equal(step(state, 1e-3).omega_hat.coeffs, want.omega_hat.coeffs)
+        loud = SimState(0.25, omega * 1e7, theta, 0.5)
+        with pytest.raises(BlowUpError) as excinfo:
+            step(loud, 1e-3)
+        assert excinfo.value.state is loud
 
     def test_step_and_adaptive_dt_check_no_field(self, symmetry_checks):
         """A state's fields were checked when they were built; stepping checks none."""
