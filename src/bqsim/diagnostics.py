@@ -350,7 +350,7 @@ def osgood_bound(a: float, times, gamma_values, mu: str = "gronwall") -> np.ndar
     smallness condition a <= e^(1 - exp(G)) holds; points where it fails
     are reported as vacuous (+inf).  a = 0 propagates to the zero bound.
     """
-    if a < 0:
+    if not a >= 0:  # NaN too
         raise ConfigurationError(f"initial size a must be nonnegative, got {a}")
     t = np.asarray(times, dtype=float)
     g = np.asarray(gamma_values, dtype=float)
@@ -377,8 +377,10 @@ def linear_gamma_smoothing_integral(gamma0: SpectralField, t: float) -> float:
 
     With gamma(tau) = exp(-|k| tau) gamma0 per mode, the time integral of the
     squared homogeneous H^(1/2) norm is
-    (2 pi)^2 sum_k (1 - exp(-2 |k| t)) |gamma0(k)|^2 / 2.
+    (2 pi)^2 sum_k (1 - exp(-2 |k| t)) |gamma0(k)|^2 / 2, for t >= 0.
     """
+    if not t >= 0:  # NaN too
+        raise ConfigurationError(f"time t must be nonnegative, got {t}")
     grid = gamma0.grid
     power = np.abs(gamma0.coeffs) ** 2
     nz = grid.kmag > 0

@@ -49,7 +49,8 @@ VELOCITY_BLOWUP_THRESHOLD = 1e6
 
 @dataclass
 class SimState:
-    """Spectral state (t, vorticity, temperature) plus the dissipation order."""
+    """Spectral state (t, vorticity, temperature) plus the dissipation order; its samples are
+    those of its dealiased part, the part the step reads."""
 
     t: float
     omega_hat: SpectralField
@@ -71,17 +72,17 @@ class SimState:
         return biot_savart(self.omega_hat)
 
     def physical_velocity(self) -> tuple:
-        """Velocity samples (v1, v2), kept for the read-only vorticity array they came from
-        (`copy()` and `dataclasses.replace` start without them)."""
-        coeffs = self.omega_hat.coeffs
+        """Velocity samples (v1, v2) of the dealiased vorticity, kept for the read-only array
+        they came from (`copy()` and `dataclasses.replace` start without them)."""
+        coeffs, g = self.omega_hat.coeffs, self.grid
         if self._velocity[0] is not coeffs:
-            self._velocity = (coeffs, tuple(_samples(c) for c in self.velocity().components()))
+            self._velocity = (coeffs, _block_velocity(g, g.block(coeffs)))
         return self._velocity[1]
 
     def physical_temperature(self) -> np.ndarray:
-        """Temperature samples on the complex path (their last bits feed the energy
-        balance and the buoyant dt limit), made afresh on every call."""
-        return _samples(self.theta_hat)
+        """Samples of the dealiased temperature on the complex path (their last bits feed the
+        energy balance and the buoyant dt limit), made afresh on every call."""
+        return _samples(self.grid.block(self.theta_hat.coeffs), self.grid)
 
     def copy(self) -> "SimState":
         return SimState(self.t, self.omega_hat, self.theta_hat, self.alpha)
@@ -96,11 +97,11 @@ def rhs(state: SimState):
     """Non-dissipative tendencies (domega, dtheta) of the dealiased state; |D|^alpha is excluded.
 
     domega = -v.grad(omega) + d1 theta,  dtheta = -v.grad(theta), with the
-    advection products dealiased (`_tendencies` on the kept blocks).
+    advection products dealiased (`_tendencies` on the kept blocks and `physical_velocity`).
     """
     g = state.grid
     blocks = (g.block(f.coeffs) for f in (state.omega_hat, state.theta_hat))
-    return tuple(_wrap(g, g.plane(d)) for d in _tendencies(g, *blocks))
+    return tuple(_wrap(g, g.plane(d)) for d in _tendencies(g, *blocks, state.physical_velocity()))
 
 
 def _block_velocity(g, w: np.ndarray) -> tuple:
@@ -108,10 +109,8 @@ def _block_velocity(g, w: np.ndarray) -> tuple:
     return tuple(_samples(w * mult, g) for mult in g.block_mults[2:])
 
 
-def _tendencies(g, w: np.ndarray, th: np.ndarray, v=None):
-    """Tendency blocks of the kept blocks (w, th), v the samples of w's velocity if known."""
-    if v is None:
-        v = _block_velocity(g, w)
+def _tendencies(g, w: np.ndarray, th: np.ndarray, v: tuple):
+    """Tendency blocks of the kept blocks (w, th), v the samples of w's velocity."""
     return -_advect(g, v, w) + th * g.block_mults[0], -_advect(g, v, th)
 
 
@@ -129,34 +128,33 @@ def step(state: SimState, dt: float) -> SimState:
     The vorticity is advanced in the frame of the exact dissipative
     semigroup exp(-|k|^alpha t); the temperature (no dissipation) sees a
     plain RK4.  Stages and update run on the kept blocks (`_tendencies`), gathered
-    once; the new state holds +0.0 beyond the 2/3 cutoff and its velocity samples.  Raises
-    BlowUpError, carrying the pre-step state, when a stage or the update is
-    non-finite or the velocity exceeds the blow-up threshold.
+    once, stage 1 on the state's `physical_velocity`.  The new state holds +0.0 beyond the 2/3
+    cutoff and keeps the velocity samples of its blow-up test.  Raises BlowUpError, carrying
+    the pre-step state, when a stage or the update is non-finite or the velocity exceeds the
+    blow-up threshold.
     """
     if not 0 < dt < np.inf:
         raise ConfigurationError(f"step size dt must be positive and finite, got {dt}")
     g = state.grid
     e_half = np.exp(-0.5 * dt * g.block(g.kmag_power(state.alpha)))
     e_full = e_half * e_half
-    c = state.omega_hat.coeffs  # a dealiased state's own velocity samples serve stage 1
-    v = None if c[g.cut].any() or c[:, g.cut].any() else state.physical_velocity()
-    w0, th0 = g.block(c), g.block(state.theta_hat.coeffs)
+    w0, th0 = (g.block(f.coeffs) for f in (state.omega_hat, state.theta_hat))
 
     try:
-        n1w, n1t = _tendencies(g, w0, th0, v)
+        n1w, n1t = _tendencies(g, w0, th0, state.physical_velocity())
         wa = (w0 + (0.5 * dt) * n1w) * e_half
         ta = th0 + (0.5 * dt) * n1t
-        n2w, n2t = _tendencies(g, wa, ta)
+        n2w, n2t = _tendencies(g, wa, ta, _block_velocity(g, wa))
         wb = w0 * e_half + (0.5 * dt) * n2w
         tb = th0 + (0.5 * dt) * n2t
-        n3w, n3t = _tendencies(g, wb, tb)
+        n3w, n3t = _tendencies(g, wb, tb, _block_velocity(g, wb))
         wc = w0 * e_full + dt * (n3w * e_half)
         tc = th0 + dt * n3t
         # Sums add left to right: folding stages 1-3 now frees them, same floats.
         sum_w = n1w * e_full + 2.0 * ((n2w + n3w) * e_half)
         sum_t = n1t + 2.0 * (n2t + n3t)
         del n1w, n1t, n2w, n2t, n3w, n3t, wa, ta, wb, tb
-        n4w, n4t = _tendencies(g, wc, tc)
+        n4w, n4t = _tendencies(g, wc, tc, _block_velocity(g, wc))
     except NonFiniteError as err:
         raise BlowUpError(f"non-finite RK stage in step from t={state.t:.6g}", state=state) from err
 
@@ -168,7 +166,6 @@ def step(state: SimState, dt: float) -> SimState:
             f"non-finite coefficients after step from t={state.t:.6g}", state=state
         )
     new = SimState(state.t + dt, _wrap(g, g.plane(w1)), _wrap(g, g.plane(t1)), state.alpha)
-    new._velocity = (new.omega_hat.coeffs, _block_velocity(g, w1))
     vmax = lp_norm(new.physical_velocity(), np.inf)
     if vmax > VELOCITY_BLOWUP_THRESHOLD:
         raise BlowUpError(

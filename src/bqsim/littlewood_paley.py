@@ -126,12 +126,16 @@ class BesovSpec:
     homogeneous: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.s):
-            raise ConfigurationError(f"Besov regularity s must be finite, got {self.s}")
-        if not (self.p == math.inf or self.p >= 1):
-            raise ConfigurationError(f"Besov integrability p must be >= 1, got {self.p}")
-        if not (self.r == math.inf or self.r >= 1):
-            raise ConfigurationError(f"Besov summation r must be >= 1, got {self.r}")
+        _check_indices(self.s, ("integrability p", self.p), ("summation r", self.r))
+
+
+def _check_indices(s: float, *exponents) -> None:
+    """Raise ConfigurationError unless s is finite and each (name, value) lies in [1, inf]."""
+    if not math.isfinite(s):
+        raise ConfigurationError(f"Besov regularity s must be finite, got {s}")
+    for name, x in exponents:
+        if not (x == math.inf or x >= 1):
+            raise ConfigurationError(f"Besov {name} must be >= 1, got {x}")
 
 
 def _components(f):
@@ -144,7 +148,7 @@ def _band_samples(f, homogeneous: bool = False):
     bank, comps = build_filter_bank(f.grid), _components(f)
     for q, mult in bank.bands(homogeneous):
         cols = np.s_[:, : bank.columns[q]]
-        bands = tuple(_real_samples(c.coeffs[cols] * mult[cols]) for c in comps)
+        bands = tuple(_real_samples(c.coeffs[cols] * mult[cols], f.grid) for c in comps)
         yield q, bands if isinstance(f, VectorField) else bands[0]
 
 
@@ -199,8 +203,9 @@ def mixed_time_besov_norm(
 
     `band_norms[i, j]` is ||Delta_(qs[j]) u(times[i])||_p.  Each band is
     reduced over time with the L^rho quadrature (trapezoid; rho = inf takes
-    the max), weighted by 2^(qs), then aggregated in l^r over bands.
+    the max), weighted by 2^(qs), then aggregated in l^r over bands (rho, r in [1, inf]).
     """
+    _check_indices(s, ("time integrability rho", rho), ("summation r", r))
     t = np.asarray(times, dtype=float)
     t = np.concatenate([t[:1], t, t[-1:]])
     weights = (t[2:] - t[:-2]) / 2.0  # the trapezoid rule as a weighted sum over times
@@ -236,7 +241,7 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     """
     grid = theta.grid
     th = inverse_transform(theta)
-    rth = _real_samples(riesz(theta).coeffs)
+    rth = _real_samples(riesz(theta).coeffs, grid)
     out = []
     for comp in v.components():
         vi = inverse_transform(comp)

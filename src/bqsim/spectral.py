@@ -28,16 +28,14 @@ where the last bits feed the trajectory or the energy residual (E1 - E0) / dt, w
 magnifies them about 10^7-fold: `advect` and the step, `SimState.physical_velocity`,
 `grid_max_velocity` (it sets the benchmark's run amplitudes), `SimState.physical_temperature`
 (the record's buoyancy power and `adaptive_dt`'s max|theta|: the buoyant limit can set dt),
-and the forward transforms.  `_samples` and `_forward` run the 1-D passes of `ifft2`/`fft2`
-in numpy's order (axis 1, then axis 0 in place), so every bit is numpy's, and skip the lines
-|k_j| > kmax (`Grid.cut`): the rows of a field that holds only zeros there, and the columns
-of a dealiased product.  Dealiased work runs on plain arrays of the kept block, the
-coefficients |k_j| <= kmax in the FFT layout of size 2 kmax + 1 (`Grid.block`): `_samples`
-pads a block's rows, `_forward` returns one, and `_advect`, the kernel of `advect` and of the
-step, maps blocks to a block; `Grid.plane` scatters one into +0.0, where `dealias` may leave
--0.0.
+and the forward transforms.  Bar `forward_transform`, it works on plain arrays of the kept
+block, the coefficients |k_j| <= kmax in FFT layout of size 2 kmax + 1 (`Grid.block`), so it
+reads the dealiased part of its input: one sampler, `_samples`, takes a block, `_forward`
+returns one (or the plane), `_advect` maps blocks to a block, and `Grid.plane` scatters one
+into +0.0, as `dealias` does.  They run the 1-D passes of `ifft2`/`fft2` in numpy's order
+(axis 1, then axis 0 in place), so every bit is numpy's, and skip the lines |k_j| > kmax.
 
-`Grid` builds its lattice and dealiasing mask at once and its n-by-n multipliers (|k|,
+`Grid` builds its lattice and kept lines at once and its n-by-n multipliers (|k|,
 1/|k|^2, Riesz) and kept blocks of i k_j and Biot-Savart on first read, keeping each.
 `kmag_power` and `forcing_mult` build the alpha ones on request (`kmag_power` returns `kmag`
 itself at alpha = 1); `partial_derivative`, `biot_savart` and `leray_project` form their
@@ -77,10 +75,9 @@ class Grid:
         self.k2 = k[None, :]
         k_odd = np.where(k == -n // 2, 0.0, k)
         self.k1_odd, self.k2_odd = k_odd[:, None], k_odd[None, :]
-        # 2/3 rule: keep max(|k1|, |k2|) <= kmax; the lines it zeroes sit at indices `cut`.
+        # 2/3 rule: keep max(|k1|, |k2|) <= kmax, the lines `kept` along each axis.
         self.kmax = m = n // 3
-        self.dealias_keep = np.maximum(np.abs(self.k1), np.abs(self.k2)) <= m
-        self.kept, self.cut = (slice(None, m + 1), slice(n - m, None)), slice(m + 1, n - m)
+        self.kept = (slice(None, m + 1), slice(n - m, None))
         # (plane, block) slices of the kept block's quadrants, FFT layout of size 2m + 1
         lines = list(zip(self.kept, (slice(None, m + 1), slice(m + 1, None))))
         self.quadrants = [((r, k), (br, bk)) for r, br in lines for k, bk in lines]
@@ -284,26 +281,21 @@ def _check_real(c: np.ndarray) -> None:
         )
 
 
-def _samples(f, grid=None) -> np.ndarray:
-    """Complex-path samples of the field f, or of the kept block f on `grid` padded with +0.0."""
-    if grid is None:
-        c, g, a = f.coeffs, f.grid, np.empty_like(f.coeffs)
-        a[g.cut] = 0
-    else:
-        c = a = grid.plane(f)
-        g = grid
-    for rows in (slice(None),) if grid is None and c[g.cut].any() else g.kept:
-        np.fft.ifft(c[rows], axis=1, out=a[rows])
+def _samples(b: np.ndarray, g: Grid) -> np.ndarray:
+    """Complex-path samples of the kept block b on g by `ifft2`'s passes, the first on its rows."""
+    a = g.plane(b)
+    for rows in g.kept:
+        np.fft.ifft(a[rows], axis=1, out=a[rows])
     return np.real(np.fft.ifft(a, axis=0, out=a)) * (g.n * g.n)
 
 
-def _real_samples(c: np.ndarray) -> np.ndarray:
+def _real_samples(c: np.ndarray, g: Grid) -> np.ndarray:
     """Samples of c's columns 0..n/2 (zeros beyond a narrower c) by `irfft2`'s two passes, the
     `ifft` over columns 0..kmax alone when those beyond are zero, and none when all are."""
-    n = c.shape[0]
+    n = g.n
     c = c[:, : n // 2 + 1]
-    if not c[:, n // 3 + 1 :].any():
-        c = c[:, : n // 3 + 1]
+    if not c[:, g.kmax + 1 :].any():
+        c = c[:, : g.kmax + 1]
         if not c.any():
             return np.zeros((n, n))
     s = np.fft.irfft(np.fft.ifft(c, axis=0), n, axis=1)
@@ -313,7 +305,7 @@ def _real_samples(c: np.ndarray) -> np.ndarray:
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Inverse FFT to the (n, n) real samples."""
-    return _real_samples(f.coeffs)
+    return _real_samples(f.coeffs, f.grid)
 
 
 def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
@@ -380,8 +372,8 @@ def to_physical(v: VectorField) -> tuple:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """Zero all coefficients with max(|k1|, |k2|) > `Grid.kmax` (idempotent)."""
-    return _apply_multiplier(f, f.grid.dealias_keep)
+    """Zero all coefficients with max(|k1|, |k2|) > `Grid.kmax` (idempotent): +0.0 there."""
+    return _wrap(f.grid, f.grid.plane(f.grid.block(f.coeffs)))
 
 
 def advect(v: tuple, f: SpectralField) -> SpectralField:
@@ -463,13 +455,13 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
 
 
 def grid_max_velocity(v: VectorField) -> float:
-    """Grid max of |v| from spectral components."""
-    return float(np.max(np.hypot(_samples(v.x1), _samples(v.x2))))
+    """Grid max of |v| from the kept blocks of its spectral components."""
+    return float(np.max(np.hypot(*(_samples(v.grid.block(c.coeffs), v.grid) for c in v.components()))))
 
 
 def _gradient_samples(v: VectorField):
     """The four velocity-derivative samples d_j v_i, one at a time."""
-    return (_real_samples(partial_derivative(c, a).coeffs) for c in v.components() for a in (0, 1))
+    return (inverse_transform(partial_derivative(c, a)) for c in v.components() for a in (0, 1))
 
 
 def max_gradient(v: VectorField) -> float:

@@ -1,8 +1,9 @@
 """The full-plane complex reference the tests compare bqsim against, on plain (n, n) arrays.
 
-It uses numpy and a `Grid`'s lattice arrays (`k1_odd`, `k2_odd`, `kmag`, `inv_ksq`,
-`dealias_keep`) and nothing else of bqsim, and it is the one test module that calls
-`numpy.fft` (test_spectral.py's `TestTransformLayer` keeps it so).
+It uses numpy and a `Grid`'s multiplier arrays (`k1_odd`, `k2_odd`, `kmag`, `inv_ksq`) and
+nothing else of bqsim; the 2/3 rule it builds from n alone (`keep_mask`), so a wrong `Grid`
+truncation parts bqsim from the oracle.  It is the one test module that calls `numpy.fft`
+(test_spectral.py's `TestTransformLayer` keeps it so).
 """
 
 import numpy as np
@@ -27,9 +28,20 @@ def fft2(samples):
     return np.fft.fft2(samples) / (n * n)
 
 
-def dealiased_fft2(grid, samples):
-    """`fft2` with the 2/3 rule: +0 on every line max(|k1|, |k2|) > n // 3."""
-    return np.where(grid.dealias_keep, fft2(samples), 0)
+def keep_mask(n):
+    """The 2/3 rule on the integer lattice in FFT layout: True where max(|k1|, |k2|) <= n // 3."""
+    k = np.minimum(np.arange(n), n - np.arange(n))  # |k| of each index
+    return np.maximum(k[:, None], k[None, :]) <= n // 3
+
+
+def dealias(c):
+    """c with +0 on every line max(|k1|, |k2|) > n // 3."""
+    return np.where(keep_mask(c.shape[0]), c, 0)
+
+
+def dealiased_fft2(samples):
+    """`fft2` with the 2/3 rule."""
+    return dealias(fft2(samples))
 
 
 def hermitian_completion(c):
@@ -58,8 +70,7 @@ def riesz(grid, c):
 def commutator_riesz(grid, v, theta):
     """R(v_i theta) - v_i R(theta) for each velocity component v_i, products dealiased."""
     th, rth = ifft2(theta), ifft2(riesz(grid, theta))
-    return [riesz(grid, dealiased_fft2(grid, ifft2(vi) * th)) - dealiased_fft2(grid, ifft2(vi) * rth)
-            for vi in v]
+    return [riesz(grid, dealiased_fft2(ifft2(vi) * th)) - dealiased_fft2(ifft2(vi) * rth) for vi in v]
 
 
 def velocity(grid, omega):
@@ -70,7 +81,7 @@ def velocity(grid, omega):
 
 def advect(grid, v, f):
     """Dealiased v . grad f of velocity samples v and coefficients f."""
-    return dealiased_fft2(grid, v[0] * ifft2(f * (1j * grid.k1_odd)) + v[1] * ifft2(f * (1j * grid.k2_odd)))
+    return dealiased_fft2(v[0] * ifft2(f * (1j * grid.k1_odd)) + v[1] * ifft2(f * (1j * grid.k2_odd)))
 
 
 def rhs(grid, w, th):

@@ -302,6 +302,12 @@ class TestOsgood:
         with pytest.raises(ConfigurationError):
             osgood_bound(-1.0, [0.0, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("mu", ["gronwall", "log"])
+    def test_rejects_nan_initial(self, mu):
+        """Before, NaN passed `a < 0`: NaN under gronwall, a vacuous inf under log."""
+        with pytest.raises(ConfigurationError, match="initial size a"):
+            osgood_bound(math.nan, [0.0, 1.0], [1.0, 1.0], mu=mu)
+
     def test_rejects_unknown_modulus(self):
         with pytest.raises(ConfigurationError):
             osgood_bound(1.0, [0.0, 1.0], [1.0, 1.0], mu="quadratic")
@@ -334,6 +340,12 @@ class TestClosedFormSmoothing:
         closed = linear_gamma_smoothing_integral(gamma0, 50.0)
         expected = (2 * math.pi) ** 2 * (0.25 + 0.25) / 2.0
         assert closed == pytest.approx(expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_time(self, t):
+        with pytest.raises(ConfigurationError, match="time t must be nonnegative"):
+            linear_gamma_smoothing_integral(spectral_sin(grid64(), 2), t)
 
 
 class TestStateDifference:

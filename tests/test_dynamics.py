@@ -18,6 +18,7 @@ from bqsim import (
     dealias,
     forward_transform,
     gamma,
+    grid_max_velocity,
     inverse_transform,
     linear_exact_solution,
     lp_norm,
@@ -29,7 +30,7 @@ from bqsim import (
     step,
     trajectory_gamma_residuals,
 )
-from bqsim.runner import adaptive_dt
+from bqsim.runner import adaptive_dt, run
 
 
 def grid64():
@@ -206,7 +207,7 @@ class TestStep:
         state = make_initial_data(parse_config(f"n = 32\nt_end = 1\npreset = {preset}\n"))
         for state in (state, step(step(state, 1e-3), 1e-3)):
             for c in (state.omega_hat.coeffs, state.theta_hat.coeffs):
-                outside = np.ascontiguousarray(c[~state.grid.dealias_keep]).view(float)
+                outside = np.ascontiguousarray(c[~oracle.keep_mask(32)]).view(float)
                 assert not np.any(outside) and not np.any(np.signbit(outside))
 
     def test_blowup_raises_with_forensic_state(self):
@@ -259,18 +260,17 @@ class TestStep:
 
     def test_step_advances_the_dealiased_part_of_its_input(self):
         """Content beyond the 2/3 cutoff is dropped: the step sees only the kept block."""
-        g, rng = Grid(48), np.random.default_rng(5)
-        omega, theta = (forward_transform(g, x - x.mean()) for x in rng.standard_normal((2, 48, 48)))
-        state = SimState(0.25, omega, theta, 0.5)  # white noise: every mode filled
-        assert np.any(omega.coeffs[~g.dealias_keep]) and np.any(theta.coeffs[~g.dealias_keep])
+        state, keep = white_noise_state(48), oracle.keep_mask(48)
+        omega, theta = state.omega_hat, state.theta_hat
+        assert np.any(omega.coeffs[~keep]) and np.any(theta.coeffs[~keep])
         out = step(state, 1e-3)
         want = step(SimState(0.25, dealias(omega), dealias(theta), 0.5), 1e-3)
         assert np.array_equal(out.omega_hat.coeffs, want.omega_hat.coeffs)
         assert np.array_equal(out.theta_hat.coeffs, want.theta_hat.coeffs)
         for c in (out.omega_hat.coeffs, out.theta_hat.coeffs):
-            outside = np.ascontiguousarray(c[~g.dealias_keep]).view(float)
+            outside = np.ascontiguousarray(c[~keep]).view(float)
             assert not np.any(outside) and not np.any(np.signbit(outside))
-        state.physical_velocity()  # samples that hold the content beyond the cutoff
+        state.physical_velocity()  # kept for stage 1: samples of the dealiased vorticity
         assert np.array_equal(step(state, 1e-3).omega_hat.coeffs, want.omega_hat.coeffs)
         loud = SimState(0.25, omega * 1e7, theta, 0.5)
         with pytest.raises(BlowUpError) as excinfo:
@@ -288,6 +288,13 @@ def random_state(n, seed=4):
     g = Grid(n)
     omega, theta = (dealias(random_scalar_field(g, 2.0, 1.0, (seed, k))) for k in (1, 2))
     return SimState(0.0, omega, theta, 1.0)
+
+
+def white_noise_state(n, seed=5):
+    """A state of mean-free white noise, every mode filled beyond the 2/3 cutoff too."""
+    g, rng = Grid(n), np.random.default_rng(seed)
+    omega, theta = (forward_transform(g, x - x.mean()) for x in rng.standard_normal((2, n, n)))
+    return SimState(0.25, omega, theta, 0.5)
 
 
 def same_samples(a, b):
@@ -370,6 +377,31 @@ class TestVelocityReuse:
             state.omega_hat.coeffs[1, 2] *= 2.0
         state.omega_hat = state.omega_hat * 2.0
         assert same_samples(state.physical_velocity(), complex_velocity(state))
+
+
+class TestDealiasedSamples:
+    """A state's samples, its tendencies and `grid_max_velocity` read the dealiased part of
+    their input, as the step does."""
+
+    @pytest.mark.parametrize("n", [16, 48, 98])
+    def test_a_state_and_its_dealiased_copy_agree(self, n):
+        s = white_noise_state(n)
+        d = SimState(s.t, dealias(s.omega_hat), dealias(s.theta_hat), s.alpha)
+        assert same_samples(s.physical_velocity(), d.physical_velocity())
+        assert np.array_equal(s.physical_temperature(), d.physical_temperature())
+        assert same_samples([f.coeffs for f in rhs(s)], [f.coeffs for f in rhs(d)])
+        assert grid_max_velocity(s.velocity()) == grid_max_velocity(d.velocity())
+
+    def test_a_run_rejects_a_vorticity_with_a_mean(self):
+        """The samples ignore the mean mode (the Biot-Savart multiplier is 0 at k = 0); `run`
+        rejects it at its first record, through `biot_savart`, before any step."""
+        state = random_state(32)
+        coeffs = state.omega_hat.coeffs.copy()
+        coeffs[0, 0] = 1e-3
+        state = SimState(0.0, SpectralField(state.grid, coeffs), state.theta_hat)
+        config = parse_config("n = 32\nt_end = 0.01\npreset = random\n")
+        with pytest.raises(InvalidInputError, match="nonzero mean"):
+            run(config, write_artifacts=False, initial_state=state)
 
 
 class TestLinearExact:

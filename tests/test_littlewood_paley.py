@@ -227,6 +227,17 @@ class TestBesovNorms:
         got_inf = mixed_time_besov_norm(times, band_norms, qs, 0.0, math.inf, 1.0)
         assert got_inf == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("s, rho, r, name", [
+        (math.nan, 2.0, 2.0, "regularity s"), (math.inf, 2.0, 2.0, "regularity s"),
+        (0.0, 0.0, 2.0, "rho"), (0.0, math.nan, 2.0, "rho"), (0.0, 0.5, 2.0, "rho"),
+        (0.0, -math.inf, 2.0, "rho"), (0.0, 2.0, 0.5, "summation r"), (0.0, 2.0, math.nan, "summation r"),
+    ])
+    def test_mixed_time_norm_rejects_bad_exponents(self, s, rho, r, name):
+        """As `BesovSpec` does: before, rho = 0 divided by zero, rho = nan gave a number and
+        r = 0.5 a quasi-norm."""
+        with pytest.raises(ConfigurationError, match=name):
+            mixed_time_besov_norm(np.array([0.0, 1.0]), np.ones((2, 2)), np.array([0, 1]), s, rho, r)
+
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_mixed_time_norm_scales_exactly_near_the_ends_of_the_double_range(self, scale):
         # constant in time over [0, 1], s = 0: sqrt(3) * value for rho = r = 2
@@ -356,13 +367,13 @@ def broken_field(grid):
     return SpectralField(grid, coeffs)
 
 
-def checked_samples(c):
-    """`inverse_transform` of the field that `_real_samples(c)` samples (columns 0..n/2, zero
+def checked_samples(c, g):
+    """`inverse_transform` of the field that `_real_samples(c, g)` samples (columns 0..n/2, zero
     beyond a narrower c), so the check sees every line it reads."""
-    n = c.shape[0]
+    n = g.n
     half = np.zeros((n, n // 2 + 1), dtype=complex)
     half[:, : c.shape[1]] = c[:, : n // 2 + 1]
-    return inverse_transform(SpectralField(Grid(n), oracle.hermitian_completion(half)))
+    return inverse_transform(SpectralField(g, oracle.hermitian_completion(half)))
 
 
 def result_arrays(result):

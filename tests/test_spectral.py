@@ -87,8 +87,8 @@ def pass_coeffs(g, case):
     """Dealiased noise, the same with one mode pair past the cut, or white noise."""
     c = dealias(white_noise(g, g.n)).coeffs.copy()
     if case == "one-mode-past-the-cut":
-        c[g.cut.start, 2] = 0.25 - 0.5j
-        c[-g.cut.start, -2] = 0.25 + 0.5j
+        c[g.kmax + 1, 2] = 0.25 - 0.5j
+        c[-g.kmax - 1, -2] = 0.25 + 0.5j
     elif case == "white-noise":
         c = white_noise(g, g.n + 1).coeffs
     return c
@@ -112,7 +112,7 @@ class TestGrid:
     def test_multipliers_are_built_on_first_read_and_kept(self):
         g = Grid(1024)
         square = [k for k, v in vars(g).items() if np.shape(v) == (1024, 1024)]
-        assert square == ["dealias_keep"]  # the one n-by-n array built at once is boolean
+        assert square == []
         for name in ("kmag", "inv_ksq", "riesz_mult"):
             first = getattr(g, name)
             assert getattr(g, name) is first and vars(g)[name] is first
@@ -155,7 +155,7 @@ class TestGrid:
 
     def test_dealias_mask_cutoff(self):
         g = Grid(64)
-        keep = g.dealias_keep
+        keep = g.plane(g.block(np.ones((64, 64)))) != 0
         assert keep[21, 0] and keep[0, 21]  # 21 <= 64/3
         assert not keep[22, 0] and not keep[0, 22]
 
@@ -167,17 +167,27 @@ class TestGrid:
             g = Grid(n)
             assert g.k1[:, 0].tolist() == list(range(n // 2)) + list(range(-(n // 2), 0)), n
             assert g.k1_odd[n // 2, 0] == 0, n
-            assert g.kmax == n // 3 and np.count_nonzero(g.dealias_keep[0]) == 2 * g.kmax + 1, n
+            assert g.kmax == n // 3 and sum(len(range(n)[rows]) for rows in g.kept) == 2 * g.kmax + 1, n
+
+    def test_only_grid_states_the_two_thirds_bound(self):
+        """A division by 3 sits in `Grid.__init__` alone (`kmax`); the rest of bqsim reads it."""
+        found = []
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            owner = {id(node): f"{cls.name}.{fn.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for fn in cls.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+            found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                      if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.FloorDiv, ast.Div))
+                      and isinstance(node.right, ast.Constant) and node.right.value == 3]
+        assert found == [("spectral.py", "Grid.__init__")]
 
     @pytest.mark.parametrize("n", range(16, 131, 2))
-    def test_kept_and_cut_lines_match_the_mask(self, n):
-        g = Grid(n)
-        k = np.minimum(np.arange(n), n - np.arange(n))  # |k| in FFT layout, as integers
-        assert np.array_equal(g.dealias_keep, np.maximum(k[:, None], k[None, :]) <= n // 3)
-        lines = np.arange(n)
-        kept = np.concatenate([lines[rows] for rows in g.kept])
-        assert np.array_equal(kept, np.flatnonzero(g.dealias_keep.any(axis=1)))
-        assert np.array_equal(lines[g.cut], np.flatnonzero(~g.dealias_keep.any(axis=1)))
+    def test_kept_block_is_the_oracle_mask(self, n):
+        """Gathering the kept block and scattering it back keeps the entries of the oracle's
+        2/3 mask, in place, and +0.0 elsewhere."""
+        g, x = Grid(n), np.random.default_rng(n).standard_normal((n, n))
+        assert np.array_equal(g.plane(g.block(np.ones((n, n)))), oracle.keep_mask(n))
+        assert g.plane(g.block(x)).tobytes() == np.where(oracle.keep_mask(n), x, 0.0).tobytes()
 
 
 class TestTransforms:
@@ -238,16 +248,16 @@ class TestTransforms:
     @pytest.mark.parametrize("n", PASS_SIZES)
     @pytest.mark.parametrize("case", PASS_CASES)
     def test_passes_give_the_bytes_of_the_2d_transforms(self, n, case):
-        """Each 1-D pass is the one `ifft2`/`fft2` runs, in its order, so no bit moves;
-        the rows |k1| > n/3 are skipped only when they hold zeros (rows `samples-*` of
-        `FFT_COUNTS`)."""
+        """Each 1-D pass is the one `ifft2`/`fft2` runs, in its order, so no bit moves; the
+        sampler reads the kept block alone and skips the rows |k1| > n/3, which hold zeros
+        (rows `samples-*` of `FFT_COUNTS`)."""
         g = Grid(n)
         c = pass_coeffs(g, case)
-        samples = _samples(SpectralField(g, c))
-        assert samples.tobytes() == oracle.ifft2(c).tobytes()
+        assert _samples(g.block(c), g).tobytes() == oracle.ifft2(oracle.dealias(c)).tobytes()
+        samples = oracle.ifft2(c)
         assert forward_transform(g, samples).coeffs.tobytes() == oracle.fft2(samples).tobytes()
         got = dealiased_transform(g, samples).coeffs
-        assert got.tobytes() == oracle.dealiased_fft2(g, samples).tobytes()
+        assert got.tobytes() == oracle.dealiased_fft2(samples).tobytes()
         # dealias multiplies by 0 + 0j, which can leave -0.0 outside the band: same values
         assert np.array_equal(got, dealias(forward_transform(g, samples)).coeffs)
 
@@ -609,7 +619,7 @@ class TestRealEdge:
                     cols = np.s_[:, : bank.columns[q]]  # `_band_samples` forms only these
                     inputs += [(f.coeffs * mult, f.coeffs * mult), (f.coeffs * mult, f.coeffs[cols] * mult[cols])]
         for full, given in inputs:
-            got, want = _real_samples(given), oracle.irfft2(full)
+            got, want = _real_samples(given, g), oracle.irfft2(full)
             if full.any():
                 assert got.tobytes() == want.tobytes()
             else:  # numpy's passes over signed zeros can leave a -0.0; the sampler runs none
@@ -937,14 +947,15 @@ def dealiased_lines(n):
 
 #: Exact `numpy.fft` work of each operation, pinned here and nowhere else: row -> (build
 #: the input, the operation on it, {name: (calls, lines)}), lines summed over the calls.
-#: A complex 2-D transform runs as 1-D passes: 3 on a dealiased field (rows in two blocks,
-#: then columns), 2 on any other.
+#: A complex 2-D transform runs as 3 1-D passes: the kept lines along one axis in two
+#: blocks, then every line along the other.
 FFT_COUNTS = {
     **{f"samples-{case}-n{n}": (lambda n=n, case=case: SpectralField(Grid(n), pass_coeffs(Grid(n), case)),
-                                _samples, {"ifft": (3, dealiased_lines(n)) if case == "dealiased" else (2, 2 * n)})
+                                lambda f: _samples(f.grid.block(f.coeffs), f.grid), {"ifft": (3, dealiased_lines(n))})
        for n in PASS_SIZES for case in PASS_CASES},
     # 8 transforms per RK stage (2 velocity, 4 gradient, 2 forward), 2 for the new state's
-    # velocity; a stepped state's stage 1 reuses the samples of the last blow-up test
+    # velocity; stage 1 takes the state's own samples, which a stepped state kept from its
+    # blow-up test
     "step-fresh": (lambda: random_state(64, 0), lambda s: step(s, 1e-3),
                    {"ifft": (3 * 26, 26 * dealiased_lines(64)), "fft": (3 * 8, 8 * dealiased_lines(64))}),
     "step-stepped": (lambda: random_state(64, 1), lambda s: step(s, 1e-3),
