@@ -32,6 +32,7 @@ from .spectral import (
     VectorField,
     _advect,
     _apply_multiplier,
+    _check_mean_free,
     _samples,
     _wrap,
     advect,
@@ -56,13 +57,14 @@ class SimState:
     omega_hat: SpectralField
     theta_hat: SpectralField
     alpha: float = 1.0
-    _velocity: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _velocity: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ConfigurationError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.omega_hat.grid != self.theta_hat.grid:
             raise ConfigurationError("omega and theta live on different grids")
+        _check_mean_free(self.omega_hat)
 
     @property
     def grid(self):
@@ -74,10 +76,18 @@ class SimState:
     def physical_velocity(self) -> tuple:
         """Velocity samples (v1, v2) of the dealiased vorticity, kept for the read-only array
         they came from (`copy()` and `dataclasses.replace` start without them)."""
+        return self._velocity_samples()[1]
+
+    def max_velocity(self) -> float:
+        """Grid max of |v| over `physical_velocity`, worked out once with those samples."""
+        return self._velocity_samples()[2]
+
+    def _velocity_samples(self) -> tuple:
         coeffs, g = self.omega_hat.coeffs, self.grid
         if self._velocity[0] is not coeffs:
-            self._velocity = (coeffs, _block_velocity(g, g.block(coeffs)))
-        return self._velocity[1]
+            v = _block_velocity(g, g.block(coeffs))
+            self._velocity = (coeffs, v, float(np.max(np.hypot(*v))))
+        return self._velocity
 
     def physical_temperature(self) -> np.ndarray:
         """Samples of the dealiased temperature on the complex path (their last bits feed the
@@ -118,7 +128,7 @@ def cfl_dt(state: SimState, cfl_number: float = 0.5) -> float:
     """Advective CFL step: cfl * (2 pi / n) / max(|v|, 1e-8)."""
     if not 0 < cfl_number < np.inf:
         raise ConfigurationError(f"cfl number must be positive and finite, got {cfl_number}")
-    vmax = lp_norm(state.physical_velocity(), np.inf)
+    vmax = state.max_velocity()
     return cfl_number * (2.0 * np.pi / state.grid.n) / max(vmax, 1e-8)
 
 
@@ -129,9 +139,9 @@ def step(state: SimState, dt: float) -> SimState:
     semigroup exp(-|k|^alpha t); the temperature (no dissipation) sees a
     plain RK4.  Stages and update run on the kept blocks (`_tendencies`), gathered
     once, stage 1 on the state's `physical_velocity`.  The new state holds +0.0 beyond the 2/3
-    cutoff and keeps the velocity samples of its blow-up test.  Raises BlowUpError, carrying
-    the pre-step state, when a stage or the update is non-finite or the velocity exceeds the
-    blow-up threshold.
+    cutoff and keeps the velocity samples and grid max |v| of its blow-up test.  Raises
+    BlowUpError, carrying the pre-step state, when a stage or the update is non-finite or the
+    velocity exceeds the blow-up threshold.
     """
     if not 0 < dt < np.inf:
         raise ConfigurationError(f"step size dt must be positive and finite, got {dt}")
@@ -166,7 +176,7 @@ def step(state: SimState, dt: float) -> SimState:
             f"non-finite coefficients after step from t={state.t:.6g}", state=state
         )
     new = SimState(state.t + dt, _wrap(g, g.plane(w1)), _wrap(g, g.plane(t1)), state.alpha)
-    vmax = lp_norm(new.physical_velocity(), np.inf)
+    vmax = new.max_velocity()
     if vmax > VELOCITY_BLOWUP_THRESHOLD:
         raise BlowUpError(
             f"velocity magnitude {vmax:.3e} exceeds blow-up threshold after t={state.t:.6g}",

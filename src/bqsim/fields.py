@@ -5,6 +5,12 @@ half wavevector lattice, so a given (key, spectrum) pair produces the same
 low-mode coefficients at every resolution: refining the grid only appends
 new high modes.  That makes refinement studies compare discretizations of
 one underlying function instead of two unrelated samples.
+
+A draw lives on the kept (2 kmax + 1)^2 block (`Grid.block`): it is filled there (`_scatter`
+gives the flat block indices of the modes and of their conjugates), a velocity's two draws are
+Leray-projected there (`spectral._leray`, the formula of `leray_project`), and each block is
+scattered once into +0.0 (`Grid.plane`).  The bytes are those of the whole-plane scatter and
+projection, which `tests/oracle.py` keeps.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from .spectral import (
     SpectralField,
     VectorField,
     _check_finite,
+    _leray,
     _wrap,
     dealiased_transform,
-    leray_project,
 )
 
 
@@ -39,10 +45,28 @@ def _half_lattice(kmax: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _scatter(n: int, kmax: int, spectrum_gamma: float):
-    """Where an n-grid draw puts its modes and their conjugates, and the envelope |k|^(-gamma)."""
+def _scatter(kmax: int, spectrum_gamma: float):
+    """Flat indices of a draw's modes and of their conjugates in the kept (2 kmax + 1)^2 block
+    (FFT layout), and the envelope |k|^(-gamma)."""
     k1, k2, mag = _half_lattice(kmax)
-    return (k1 % n, k2 % n), (-k1 % n, -k2 % n), mag**(-spectrum_gamma)
+    b = 2 * kmax + 1
+    return (k1 % b) * b + k2 % b, (-k1 % b) * b + -k2 % b, mag**(-spectrum_gamma)
+
+
+def _block_draw(grid: Grid, spectrum_gamma: float, amplitude: float, key) -> np.ndarray:
+    """The kept block of a `random_scalar_field` draw."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        modes, mirrors, envelope = _scatter(grid.kmax, spectrum_gamma)
+        c = np.random.default_rng(key).standard_normal((len(envelope), 2)).view(complex)[:, 0]
+        c *= amplitude
+        c /= np.sqrt(2.0)
+        c *= envelope
+    _check_finite(c)
+    b = 2 * grid.kmax + 1
+    block = np.zeros(b * b, dtype=complex)
+    block[modes] = c
+    block[mirrors] = np.conj(c)
+    return block.reshape(b, b)
 
 
 def random_scalar_field(
@@ -54,25 +78,16 @@ def random_scalar_field(
     unit complex Gaussians shaped by the power-law envelope; the conjugate
     half follows by symmetry.  `key` seeds the draw deterministically.
     """
-    n = grid.n
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        modes, mirrors, envelope = _scatter(n, grid.kmax, spectrum_gamma)
-        draws = np.random.default_rng(key).standard_normal((len(envelope), 2))
-        c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * envelope
-    _check_finite(c)
-    coeffs = np.zeros((n, n), dtype=complex)
-    coeffs[modes] = c
-    coeffs[mirrors] = np.conj(c)
-    return _wrap(grid, coeffs)
+    return _wrap(grid, grid.plane(_block_draw(grid, spectrum_gamma, amplitude, key)))
 
 
 def random_divfree_velocity(
     grid: Grid, spectrum_gamma: float, amplitude: float, key: tuple[int, ...]
 ) -> VectorField:
-    """Divergence-free random velocity: two shaped noises, Leray projected."""
-    u1 = random_scalar_field(grid, spectrum_gamma, amplitude, key + (1,))
-    u2 = random_scalar_field(grid, spectrum_gamma, amplitude, key + (2,))
-    return leray_project(VectorField(u1, u2))
+    """Divergence-free random velocity: two shaped noises, Leray projected (on the kept block,
+    where they live)."""
+    b1, b2 = (_block_draw(grid, spectrum_gamma, amplitude, key + (s,)) for s in (1, 2))
+    return VectorField(*(_wrap(grid, grid.plane(b)) for b in _leray(b1, b2, *grid.block_k)))
 
 
 def taylor_green_vorticity(grid: Grid, amplitude: float = 1.0) -> SpectralField:

@@ -35,6 +35,7 @@ from .spectral import (
     SpectralField,
     VectorField,
     _apply_multiplier,
+    _forward,
     _real_samples,
     _rescale_by,
     _wrap,
@@ -204,13 +205,21 @@ def mixed_time_besov_norm(
     `band_norms[i, j]` is ||Delta_(qs[j]) u(times[i])||_p.  Each band is
     reduced over time with the L^rho quadrature (trapezoid; rho = inf takes
     the max), weighted by 2^(qs), then aggregated in l^r over bands (rho, r in [1, inf]).
+    The times must increase strictly and `band_norms` be of shape (len(times), len(qs)).
     """
     _check_indices(s, ("time integrability rho", rho), ("summation r", r))
-    t = np.asarray(times, dtype=float)
+    t, qs = np.asarray(times, dtype=float), np.asarray(qs)
+    norms = np.asarray(band_norms, dtype=float)
+    if not (t.ndim == qs.ndim == 1 and norms.shape == (len(t), len(qs))):
+        raise InvalidInputError(
+            f"band norms of shape {norms.shape} do not match times {t.shape} and qs {qs.shape}"
+        )
+    if not np.all(np.diff(t) > 0):
+        raise InvalidInputError("times must increase strictly")
     t = np.concatenate([t[:1], t, t[-1:]])
     weights = (t[2:] - t[:-2]) / 2.0  # the trapezoid rule as a weighted sum over times
-    per_band = [_weighted_lr(b, rho, weights) for b in np.asarray(band_norms, dtype=float).T]
-    return _weighted_lr(2.0 ** (np.asarray(qs) * s) * np.array(per_band), r)
+    per_band = [_weighted_lr(b, rho, weights) for b in norms.T]
+    return _weighted_lr(2.0 ** (qs * s) * np.array(per_band), r)
 
 
 def bony_decompose(u: SpectralField, w: SpectralField):
@@ -235,19 +244,21 @@ def bony_decompose(u: SpectralField, w: SpectralField):
 def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     """Vector commutator of the Riesz transform with multiplication by v.
 
-    Component i is R(v_i * theta) - v_i * R(theta) with dealiased products.
-    For divergence-free v its divergence equals the transport commutator
+    Component i is R(v_i * theta) - v_i * R(theta) with dealiased products, each product
+    and the difference formed on the kept block.  R theta is sampled from the whole plane,
+    as theta is.  For divergence-free v its divergence equals the transport commutator
     R(v . grad theta) - v . grad(R theta).
     """
     grid = theta.grid
     th = inverse_transform(theta)
     rth = _real_samples(riesz(theta).coeffs, grid)
+    r = grid.block(grid.riesz_mult)
     out = []
     for comp in v.components():
         vi = inverse_transform(comp)
-        first = riesz(dealiased_transform(grid, vi * th))
-        second = dealiased_transform(grid, vi * rth)
-        out.append(first - second)
+        first = _forward(grid, vi * th, True) * r
+        second = _forward(grid, vi * rth, True)
+        out.append(_wrap(grid, grid.plane(first - second)))
     return VectorField(out[0], out[1])
 
 

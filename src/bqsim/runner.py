@@ -80,7 +80,7 @@ def _trajectory(config: RunConfig, state: SimState):
     checkpoint_index = {t: i for i, t in enumerate(sorted(set(config.checkpoint_times)))}
     steps = 0
     yield state, steps, True, None
-    vmax = lp_norm(state.physical_velocity(), math.inf)
+    vmax = state.max_velocity()
     if not vmax <= VELOCITY_BLOWUP_THRESHOLD:
         raise BlowUpError(f"initial velocity {vmax:.3e} exceeds blow-up threshold", state=state)
     for event in _events(config, state.t):

@@ -35,12 +35,16 @@ returns one (or the plane), `_advect` maps blocks to a block, and `Grid.plane` s
 into +0.0, as `dealias` does.  They run the 1-D passes of `ifft2`/`fft2` in numpy's order
 (axis 1, then axis 0 in place), so every bit is numpy's, and skip the lines |k_j| > kmax.
 
-`Grid` builds its lattice and kept lines at once and its n-by-n multipliers (|k|,
-1/|k|^2, Riesz) and kept blocks of i k_j and Biot-Savart on first read, keeping each.
-`kmag_power` and `forcing_mult` build the alpha ones on request (`kmag_power` returns `kmag`
-itself at alpha = 1); `partial_derivative`, `biot_savart` and `leray_project` form their
-multipliers per call; the dyadic bands live in each grid's cached filter bank
-(`littlewood_paley.build_filter_bank`).
+`Grid(n)` returns the live grid of size n when there is one (a weak table finds it), so all
+callers share one grid per n while any of them holds it; each grid's cached filter bank
+(`littlewood_paley.build_filter_bank`), home of the dyadic bands, holds it for the process.
+A grid builds its lattice and kept lines at once and its n-by-n multipliers (|k|, 1/|k|^2,
+Riesz) and the kept block's k_j, 1/|k|^2, i k_j and Biot-Savart multipliers on first read,
+keeping each: they are built once per n.  `kmag_power` and `forcing_mult` build the alpha ones
+on request (`kmag_power` returns `kmag` itself at alpha = 1); `partial_derivative` and
+`biot_savart` form their products of those arrays per call, and `leray_project` its copy of
+1/|k|^2 with the Nyquist lines filled.  Random draws are projected on the kept block, by the
+formula `leray_project` applies to the plane (`_leray`).
 
 Norms are torus norms: `lp_norm` uses grid quadrature with cell area (2*pi/n)^2, n the
 samples' own, and `sobolev_norm` carries the matching Parseval factor, so
@@ -52,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +68,22 @@ HERMITIAN_TOL = 1e-12
 HERMITIAN_ABS_FLOOR = 1e-11
 
 
-class Grid:
-    """Uniform n-by-n collocation grid with its wavevector arrays."""
+class _OnePerSize(type):
+    """`Grid(n)` is the live grid of size n when there is one, so what a grid builds on first
+    read is built once per n for as long as anything holds it."""
+
+    _live = weakref.WeakValueDictionary()
+
+    def __call__(cls, n):
+        grid = cls._live.get(n) if isinstance(n, numbers.Real) else None
+        if grid is None:
+            grid = super().__call__(n)
+            cls._live[grid.n] = grid
+        return grid
+
+
+class Grid(metaclass=_OnePerSize):
+    """Uniform n-by-n collocation grid with its wavevector arrays; one live instance per n."""
 
     def __init__(self, n: int):
         if n % 2 != 0 or n < 16:
@@ -95,12 +114,17 @@ class Grid:
         return inv
 
     @functools.cached_property
+    def block_k(self) -> tuple:
+        """The kept block's k1 (a column), k2 (a row) and 1/|k|^2."""
+        k1 = self.block(np.broadcast_to(self.k1_odd, (self.n, self.n)))[:, :1]
+        return k1, k1.T, self.block(self.inv_ksq)
+
+    @functools.cached_property
     def block_mults(self) -> tuple:
         """Kept blocks of i k1 and i k2 (a column and a row) and (i k2, -i k1) / |k|^2, each formed
         as `partial_derivative` or `biot_savart` forms it."""
-        k1 = self.block(np.broadcast_to(self.k1_odd, (self.n, self.n)))[:, :1]
-        inv_ksq = self.block(self.inv_ksq)
-        return 1j * k1, 1j * k1.T, 1j * k1.T * inv_ksq, -1j * k1 * inv_ksq
+        k1, k2, inv_ksq = self.block_k
+        return 1j * k1, 1j * k2, 1j * k2 * inv_ksq, -1j * k1 * inv_ksq
 
     def block(self, c: np.ndarray) -> np.ndarray:
         """The kept (2m + 1)^2 block of an (n, n) array, m = kmax."""
@@ -137,11 +161,8 @@ class Grid:
         """Return coordinate arrays X1, X2 of shape (n, n), 'ij' indexed."""
         return np.meshgrid(self.x, self.x, indexing="ij")
 
-    def __eq__(self, other):
-        return isinstance(other, Grid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("Grid", self.n))
+    def __reduce__(self):  # a copy or an unpickled grid is the live one
+        return Grid, (self.n,)
 
     def __repr__(self):
         return f"Grid(n={self.n})"
@@ -337,14 +358,21 @@ def biot_savart(omega: SpectralField) -> VectorField:
     v1 = i k2 w / |k|^2 and v2 = -i k1 w / |k|^2.  The vorticity must be
     mean-free; the k = 0 velocity mode is set to zero.
     """
-    g, mean = omega.grid, abs(omega.coeffs[0, 0])
+    g = omega.grid
+    _check_mean_free(omega)
+    v1 = _apply_multiplier(omega, 1j * g.k2_odd * g.inv_ksq)
+    v2 = _apply_multiplier(omega, -1j * g.k1_odd * g.inv_ksq)
+    return VectorField(v1, v2)
+
+
+def _check_mean_free(omega: SpectralField) -> None:
+    """Raise InvalidInputError unless the vorticity's mean is zero up to round-off: one
+    coefficient is read unless |omega(0, 0)| > 1e-12."""
+    mean = abs(omega.coeffs[0, 0])
     if mean > 1e-12 and mean > 1e-12 * max(float(np.max(np.abs(omega.coeffs))), 1.0):
         raise InvalidInputError(
             f"vorticity has nonzero mean {omega.coeffs[0, 0]:.3e}; velocity is undefined"
         )
-    v1 = _apply_multiplier(omega, 1j * g.k2_odd * g.inv_ksq)
-    v2 = _apply_multiplier(omega, -1j * g.k1_odd * g.inv_ksq)
-    return VectorField(v1, v2)
 
 
 def divergence(v: VectorField) -> SpectralField:
@@ -361,9 +389,14 @@ def leray_project(v: VectorField) -> VectorField:
     g, h = v.grid, v.grid.n // 2
     inv_ksq = g.inv_ksq.copy()
     inv_ksq[h], inv_ksq[:, h] = inv_ksq[0], inv_ksq[:, 0]
-    kdotv = g.k1_odd * v.x1.coeffs + g.k2_odd * v.x2.coeffs
-    pairs = ((v.x1, g.k1_odd), (v.x2, g.k2_odd))
-    return VectorField(*(_wrap(g, c.coeffs - k * kdotv * inv_ksq) for c, k in pairs))
+    projected = _leray(v.x1.coeffs, v.x2.coeffs, g.k1_odd, g.k2_odd, inv_ksq)
+    return VectorField(*(_wrap(g, c) for c in projected))
+
+
+def _leray(c1: np.ndarray, c2: np.ndarray, k1, k2, inv_ksq) -> tuple:
+    """The components c - k (k . c) / |k|^2 of (c1, c2), on the plane or the kept block."""
+    kdotv = k1 * c1 + k2 * c2
+    return c1 - k1 * kdotv * inv_ksq, c2 - k2 * kdotv * inv_ksq
 
 
 def to_physical(v: VectorField) -> tuple:

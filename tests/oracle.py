@@ -1,8 +1,9 @@
 """The full-plane complex reference the tests compare bqsim against, on plain (n, n) arrays.
 
-It uses numpy and a `Grid`'s multiplier arrays (`k1_odd`, `k2_odd`, `kmag`, `inv_ksq`) and
-nothing else of bqsim; the 2/3 rule it builds from n alone (`keep_mask`), so a wrong `Grid`
-truncation parts bqsim from the oracle.  It is the one test module that calls `numpy.fft`
+It uses numpy and a `Grid`'s multiplier arrays (`k1`, `k2`, `k1_odd`, `k2_odd`, `kmag`,
+`inv_ksq`) and nothing else of bqsim (a random draw takes its ring-ordered lattice as given);
+the 2/3 rule it builds from n alone (`keep_mask`), so a wrong `Grid` truncation parts bqsim
+from the oracle.  It is the one test module that calls `numpy.fft`
 (test_spectral.py's `TestTransformLayer` keeps it so).
 """
 
@@ -99,3 +100,21 @@ def step(grid, w0, th0, dt, alpha=1.0):
     n4w, n4t = rhs(grid, w0 * e_full + dt * (n3w * e_half), th0 + dt * n3t)
     w1 = w0 * e_full + (dt / 6.0) * (n1w * e_full + 2.0 * ((n2w + n3w) * e_half) + n4w)
     return w1, th0 + (dt / 6.0) * (n1t + 2.0 * (n2t + n3t) + n4t)
+
+
+def scalar_draw(lattice, n, gamma, amplitude, key):
+    """A random draw on the whole plane: unit complex Gaussians times |k|^(-gamma) on the
+    lattice modes (k1, k2, |k|), in its order, their conjugates on -k."""
+    k1, k2, mag = lattice
+    draws = np.random.default_rng(key).standard_normal((len(mag), 2))
+    c = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0) * mag ** (-gamma)
+    coeffs = np.zeros((n, n), dtype=complex)
+    coeffs[k1 % n, k2 % n] = c
+    coeffs[-k1 % n, -k2 % n] = np.conj(c)
+    return coeffs
+
+
+def leray(grid, c1, c2):
+    """c - k (k . c) / |k|^2 by the full wavevector, its Nyquist components kept."""
+    kdotc = grid.k1 * c1 + grid.k2 * c2
+    return c1 - grid.k1 * kdotc * grid.inv_ksq, c2 - grid.k2 * kdotc * grid.inv_ksq

@@ -1,5 +1,5 @@
-"""The BENCH summary script on hand-made benchmark result records, the artifact digest of a
-benchmark pass, and the bqsim names that the benchmark files reach."""
+"""The BENCH summary script on hand-made benchmark result records, the artifact digest and the
+page faults of a benchmark pass, and the bqsim names that the benchmark files reach."""
 
 import ast
 import importlib
@@ -98,6 +98,18 @@ def test_artifact_digest_lists_the_same_bytes_on_every_pass():
                                              "diagnose-n128/out/final.bqsf"]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in listing)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_pass_faults_prints_wall_faults_and_rss_of_each_pass():
+    argv = [sys.executable, str(ROOT / "tools" / "pass_faults.py"), "--seed", "0",
+            "--workload", "verify-ensemble", "--passes", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["pass", "wall_s", "minflt", "maxrss_mb"]
+    assert [row[0] for row in rows] == ["0", "1"]
+    for _, wall, faults, rss in rows:
+        assert float(wall) > 0 and int(faults) >= 0 and float(rss) > 0
 
 
 #: The benchmark files, which a change to bqsim may not edit.

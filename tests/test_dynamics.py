@@ -30,7 +30,7 @@ from bqsim import (
     step,
     trajectory_gamma_residuals,
 )
-from bqsim.runner import adaptive_dt, run
+from bqsim.runner import adaptive_dt
 
 
 def grid64():
@@ -378,6 +378,19 @@ class TestVelocityReuse:
         state.omega_hat = state.omega_hat * 2.0
         assert same_samples(state.physical_velocity(), complex_velocity(state))
 
+    def test_the_grid_max_velocity_is_worked_out_once_per_state(self, monkeypatch):
+        """`step`'s blow-up test and the next `cfl_dt` read one max |v|, kept with the
+        samples; it is `lp_norm`'s grid max of them bit for bit."""
+        state = step(random_state(64), 1e-3)
+        hypot, calls = np.hypot, []
+        monkeypatch.setattr(np, "hypot", lambda *a: calls.append(a) or hypot(*a))
+        dt = cfl_dt(state, 0.5)
+        assert calls == []
+        assert state.max_velocity() == lp_norm(state.physical_velocity(), math.inf)
+        assert dt == 0.5 * (2.0 * np.pi / 64) / state.max_velocity()
+        state.omega_hat = state.omega_hat * 2.0
+        assert state.max_velocity() == lp_norm(state.physical_velocity(), math.inf)
+
 
 class TestDealiasedSamples:
     """A state's samples, its tendencies and `grid_max_velocity` read the dealiased part of
@@ -392,16 +405,19 @@ class TestDealiasedSamples:
         assert same_samples([f.coeffs for f in rhs(s)], [f.coeffs for f in rhs(d)])
         assert grid_max_velocity(s.velocity()) == grid_max_velocity(d.velocity())
 
-    def test_a_run_rejects_a_vorticity_with_a_mean(self):
-        """The samples ignore the mean mode (the Biot-Savart multiplier is 0 at k = 0); `run`
-        rejects it at its first record, through `biot_savart`, before any step."""
+    def test_a_state_rejects_a_vorticity_with_a_mean(self):
+        """The samples ignore the mean mode (the Biot-Savart multiplier is 0 at k = 0), so a
+        state is built only from a mean-free vorticity, by `biot_savart`'s rule: before, `cfl_dt`
+        and `step` took this one while `run` rejected it at its first record."""
         state = random_state(32)
         coeffs = state.omega_hat.coeffs.copy()
         coeffs[0, 0] = 1e-3
-        state = SimState(0.0, SpectralField(state.grid, coeffs), state.theta_hat)
-        config = parse_config("n = 32\nt_end = 0.01\npreset = random\n")
         with pytest.raises(InvalidInputError, match="nonzero mean"):
-            run(config, write_artifacts=False, initial_state=state)
+            SimState(0.0, SpectralField(state.grid, coeffs), state.theta_hat)
+        with pytest.raises(InvalidInputError, match="nonzero mean"):
+            dataclasses.replace(state, omega_hat=SpectralField(state.grid, coeffs))
+        coeffs[0, 0] = 1e-13  # round-off, as a stepped state carries
+        SimState(0.0, SpectralField(state.grid, coeffs), state.theta_hat)
 
 
 class TestLinearExact:

@@ -238,6 +238,15 @@ class TestBesovNorms:
         with pytest.raises(ConfigurationError, match=name):
             mixed_time_besov_norm(np.array([0.0, 1.0]), np.ones((2, 2)), np.array([0, 1]), s, rho, r)
 
+    @pytest.mark.parametrize("times, band_norms, qs, name", [
+        ([0.0, 1.0], np.ones((2, 3)), [0, 1], "shape"),  # numpy raised ValueError
+        ([0.0, 1.0], np.ones((2, 1)), [-1, 0, 1], "shape"),  # returned 3.0: one column broadcast
+        ([1.0, 0.0], np.ones((2, 2)), [0, 1], "increase"),  # returned -2.0
+    ], ids=["too-many-columns", "one-column-for-three-bands", "decreasing-times"])
+    def test_mixed_time_norm_rejects_inconsistent_input(self, times, band_norms, qs, name):
+        with pytest.raises(InvalidInputError, match=name):
+            mixed_time_besov_norm(np.array(times), band_norms, np.array(qs), 0.0, 2.0, 2.0)
+
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_mixed_time_norm_scales_exactly_near_the_ends_of_the_double_range(self, scale):
         # constant in time over [0, 1], s = 0: sqrt(3) * value for rho = r = 2

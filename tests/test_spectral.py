@@ -2,8 +2,11 @@
 
 import ast
 import builtins
+import copy
 import dataclasses
 import math
+import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,18 @@ class TestGrid:
         for name in ("kmag", "inv_ksq", "riesz_mult"):
             first = getattr(g, name)
             assert getattr(g, name) is first and vars(g)[name] is first
+
+    def test_one_live_grid_per_size(self):
+        """`Grid(n)` is the live grid of size n while anything holds one, so its multipliers
+        are built once; when none is held, the next `Grid(n)` is a fresh one."""
+        g = Grid(1018)
+        assert Grid(1018) is g and Grid(np.int64(1018)) is g and Grid(1018.0) is g
+        assert copy.deepcopy(g) is g and pickle.loads(pickle.dumps(g)) is g and Grid(1016) != g
+        assert g.kmag is Grid(1018).kmag
+        gone = weakref.ref(g)
+        del g
+        assert gone() is None
+        assert "kmag" not in vars(Grid(1018))
 
     def test_wavevectors_are_fft_ordered_integers(self):
         g = Grid(16)
@@ -593,14 +608,6 @@ def full_k_derivative(f, axis):
     return SpectralField(f.grid, f.coeffs * (1j * k))
 
 
-def full_k_leray(v):
-    """`leray_project` by the full wavevector, the Nyquist entries kept."""
-    g = v.grid
-    kdotv = g.k1 * v.x1.coeffs + g.k2 * v.x2.coeffs
-    return VectorField(SpectralField(g, v.x1.coeffs - g.k1 * kdotv * g.inv_ksq),
-                       SpectralField(g, v.x2.coeffs - g.k2 * kdotv * g.inv_ksq))
-
-
 class TestRealEdge:
     """`inverse_transform` samples by half-spectrum `irfft2`; it must match the complex path."""
 
@@ -666,19 +673,51 @@ class TestRealEdge:
     @pytest.mark.parametrize("n", [16, 32, 96])
     def test_random_draws_and_initial_data_keep_their_bytes(self, n, monkeypatch):
         """Draws stop at the dealiasing cutoff, so the Nyquist rule changes none of their bits:
-        they feed `energy_residual`, which magnifies a last-bit change about 10^7-fold."""
+        they feed `energy_residual`, which magnifies a last-bit change about 10^7-fold.  The
+        old arrays come from whole-plane draws, projected and differentiated by the full
+        wavevector, the Nyquist entries kept."""
         config = parse_config(f"n = {n}\nt_end = 1\npreset = random\nseed = 3\n")
+        lattice, calls = _half_lattice(Grid(n).kmax), []
 
-        def arrays():
+        def arrays(draw):
             state = make_initial_data(config)
-            v = random_divfree_velocity(Grid(n), 2.0, 1.0, (5, n))
+            v = draw(Grid(n), 2.0, 1.0, (5, n))
             return [state.omega_hat.coeffs, state.theta_hat.coeffs, v.x1.coeffs, v.x2.coeffs]
 
-        new = arrays()
-        monkeypatch.setattr(bqsim.fields, "leray_project", full_k_leray)
-        monkeypatch.setattr(bqsim.spectral, "partial_derivative", full_k_derivative)
-        old = arrays()
+        def full_k_scalar(grid, gamma, amplitude, key):
+            calls.append(key)
+            return SpectralField(grid, oracle.scalar_draw(lattice, n, gamma, amplitude, key))
+
+        def full_k_velocity(grid, gamma, amplitude, key):
+            calls.append(key)
+            c1, c2 = (oracle.scalar_draw(lattice, n, gamma, amplitude, key + (s,)) for s in (1, 2))
+            return VectorField(*(SpectralField(grid, c) for c in oracle.leray(grid, c1, c2)))
+
+        def counted_derivative(f, axis):
+            calls.append(axis)
+            return full_k_derivative(f, axis)
+
+        new = arrays(random_divfree_velocity)
+        monkeypatch.setattr(bqsim.config, "random_divfree_velocity", full_k_velocity)
+        monkeypatch.setattr(bqsim.config, "random_scalar_field", full_k_scalar)
+        monkeypatch.setattr(bqsim.spectral, "partial_derivative", counted_derivative)
+        old = arrays(full_k_velocity)
+        assert calls == [(3, 0), 0, 1, (3, 3), (5, n)]  # every old array took the full-k path
         assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
+
+    @pytest.mark.parametrize("n", [16, 48, 98, 128, 256])
+    @pytest.mark.parametrize("gamma", [2.5, 1.0, 0.0, -1.0])
+    def test_block_draws_are_the_whole_plane_draws(self, n, gamma):
+        """A draw is filled, and a velocity Leray-projected, on the kept block, then scattered
+        once: the bytes of the whole-plane scatter and projection."""
+        g = Grid(n)
+        lattice, key = _half_lattice(g.kmax), (7, n)
+        want = oracle.scalar_draw(lattice, n, gamma, 1.5, key)
+        assert random_scalar_field(g, gamma, 1.5, key).coeffs.tobytes() == want.tobytes()
+        planes = (oracle.scalar_draw(lattice, n, gamma, 1.5, key + (s,)) for s in (1, 2))
+        for got, want in zip(random_divfree_velocity(g, gamma, 1.5, key).components(),
+                             oracle.leray(g, *planes)):
+            assert got.coeffs.tobytes() == want.tobytes()
 
 
 def defect_case(name, n=48):
