@@ -208,9 +208,9 @@ def make_initial_data(config: RunConfig) -> SimState:
         v = random_divfree_velocity(
             grid, config.random_gamma, config.random_amplitude, (config.seed, 0)
         )
-        omega = dealias(curl(v))
-        theta = dealias(
-            random_scalar_field(grid, config.random_gamma, config.random_amplitude, (config.seed, 3))
+        omega = curl(v)
+        theta = random_scalar_field(
+            grid, config.random_gamma, config.random_amplitude, (config.seed, 3)
         )
 
     omega, theta = (SpectralField(grid, (dealias(f) * config.amplitude).coeffs)

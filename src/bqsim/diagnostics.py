@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import SimState, gamma
 from .errors import ConfigurationError
-from .littlewood_paley import BesovSpec, besov_norm
+from .littlewood_paley import BesovSpec, _check_increasing, besov_norm
 from .spectral import (
     SpectralField,
     biot_savart,
@@ -348,7 +348,8 @@ def osgood_bound(a: float, times, gamma_values, mu: str = "gronwall") -> np.ndar
     with G the running integral of gamma (trapezoid).  mu = 'log' is the
     modulus r (1 - log r), giving a^exp(-G) * e^(1 - exp(-G)) wherever the
     smallness condition a <= e^(1 - exp(G)) holds; points where it fails
-    are reported as vacuous (+inf).  a = 0 propagates to the zero bound.
+    are reported as vacuous (+inf).  a = 0 propagates to the zero bound.  The times must
+    increase strictly.
     """
     if not a >= 0:  # NaN too
         raise ConfigurationError(f"initial size a must be nonnegative, got {a}")
@@ -356,6 +357,7 @@ def osgood_bound(a: float, times, gamma_values, mu: str = "gronwall") -> np.ndar
     g = np.asarray(gamma_values, dtype=float)
     if t.shape != g.shape:
         raise ConfigurationError("times and gamma series must have matching shapes")
+    _check_increasing(t)
     running = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(t) * (g[:-1] + g[1:]))]
     )

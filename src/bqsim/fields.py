@@ -25,6 +25,7 @@ from .spectral import (
     VectorField,
     _check_finite,
     _leray,
+    _read_only,
     _wrap,
     dealiased_transform,
 )
@@ -47,10 +48,11 @@ def _half_lattice(kmax: int):
 @functools.lru_cache(maxsize=None)
 def _scatter(kmax: int, spectrum_gamma: float):
     """Flat indices of a draw's modes and of their conjugates in the kept (2 kmax + 1)^2 block
-    (FFT layout), and the envelope |k|^(-gamma)."""
+    (FFT layout), and the envelope |k|^(-gamma); read-only, as every caller shares them."""
     k1, k2, mag = _half_lattice(kmax)
     b = 2 * kmax + 1
-    return (k1 % b) * b + k2 % b, (-k1 % b) * b + -k2 % b, mag**(-spectrum_gamma)
+    return tuple(map(_read_only, ((k1 % b) * b + k2 % b, (-k1 % b) * b + -k2 % b,
+                                  mag**(-spectrum_gamma))))
 
 
 def _block_draw(grid: Grid, spectrum_gamma: float, amplitude: float, key) -> np.ndarray:

@@ -14,7 +14,8 @@ mode and use annular bands only; the annulus g(|k|) - g(2|k|) (support 1/2 < |k|
 covers the lowest nonzero torus modes in that case.
 
 Each grid has one filter bank, built on first use and cached
-(`build_filter_bank`); the operators here take it from their field's grid.
+(`build_filter_bank`), its bands read-only; the operators here take it from their field's
+grid.  A band index q is an integer (`_check_band_index`).
 
 Band L^p norms take p = 2 from Parseval, with no transform and with the coefficients
 scaled by their max; other p sample one band at a time, formed only over the half-spectrum
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ from .spectral import (
     VectorField,
     _apply_multiplier,
     _forward,
+    _read_only,
     _real_samples,
     _rescale_by,
     _wrap,
@@ -43,7 +46,6 @@ from .spectral import (
     dealiased_transform,
     inverse_transform,
     lp_norm,
-    riesz,
     to_physical,
 )
 
@@ -68,19 +70,20 @@ class DyadicFilterBank:
         self.grid = grid
         self.qmin = -1
         self.qmax = int(math.ceil(math.log2(grid.n / 2)))
-        self.chi = low = smooth_transition(grid.kmag)
+        self.chi = low = _read_only(smooth_transition(grid.kmag))
         self.phi = []
         for q in range(0, self.qmax + 1):
             high = smooth_transition(grid.kmag / 2.0 ** (q + 1))
-            self.phi.append(high - low)
+            self.phi.append(_read_only(high - low))
             low = high
         # Annulus with support (1/2, 2) covering torus modes 1 <= |k| < 2; it
         # replaces chi when a decomposition must avoid the zero mode.
-        self.phi_low_annulus = self.chi - smooth_transition(2.0 * grid.kmag)
+        self.phi_low_annulus = _read_only(self.chi - smooth_transition(2.0 * grid.kmag))
         # Band q is zero where |k| >= 2^(q+2) (2 at q = -1): in half-spectrum columns from there.
         self.columns = {q: min(2 ** (q + 2), grid.n // 2 + 1) for q in range(-1, self.qmax + 1)}
 
     def block_multiplier(self, q: int) -> np.ndarray:
+        _check_band_index(q)
         if q == -1:
             return self.chi
         if 0 <= q <= self.qmax:
@@ -93,6 +96,12 @@ class DyadicFilterBank:
         """Yield (q, multiplier) pairs covering the decomposition."""
         yield -1, self.phi_low_annulus if homogeneous else self.chi
         yield from enumerate(self.phi)
+
+
+def _check_band_index(q) -> None:
+    """Raise InvalidInputError unless the band index q is an integer (a bool is not)."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+        raise InvalidInputError(f"band index q must be an integer, got {q!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,6 +121,7 @@ def partial_sum(f: SpectralField, q: int) -> SpectralField:
     By telescoping the multiplier equals g(|k| / 2^q) for q >= 0, so
     S_(qmax+1) f recovers f exactly (qmax = ceil(log2(n/2))).  For q <= -1 the sum is empty.
     """
+    _check_band_index(q)
     if q <= -1:
         return _wrap(f.grid, np.zeros_like(f.coeffs))
     return _apply_multiplier(f, smooth_transition(f.grid.kmag / 2.0**q))
@@ -214,12 +224,16 @@ def mixed_time_besov_norm(
         raise InvalidInputError(
             f"band norms of shape {norms.shape} do not match times {t.shape} and qs {qs.shape}"
         )
-    if not np.all(np.diff(t) > 0):
-        raise InvalidInputError("times must increase strictly")
+    _check_increasing(t)
     t = np.concatenate([t[:1], t, t[-1:]])
     weights = (t[2:] - t[:-2]) / 2.0  # the trapezoid rule as a weighted sum over times
     per_band = [_weighted_lr(b, rho, weights) for b in norms.T]
     return _weighted_lr(2.0 ** (qs * s) * np.array(per_band), r)
+
+
+def _check_increasing(t: np.ndarray) -> None:
+    if not np.all(np.diff(t) > 0):
+        raise InvalidInputError("times must increase strictly")
 
 
 def bony_decompose(u: SpectralField, w: SpectralField):
@@ -245,13 +259,13 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     """Vector commutator of the Riesz transform with multiplication by v.
 
     Component i is R(v_i * theta) - v_i * R(theta) with dealiased products, each product
-    and the difference formed on the kept block.  R theta is sampled from the whole plane,
+    and the difference formed on the kept block.  R theta is sampled from the half spectrum,
     as theta is.  For divergence-free v its divergence equals the transport commutator
     R(v . grad theta) - v . grad(R theta).
     """
-    grid = theta.grid
+    grid, h = theta.grid, theta.grid.n // 2 + 1
     th = inverse_transform(theta)
-    rth = _real_samples(riesz(theta).coeffs, grid)
+    rth = _real_samples(theta.coeffs[:, :h] * grid.riesz_mult[:, :h], grid)
     r = grid.block(grid.riesz_mult)
     out = []
     for comp in v.components():

@@ -19,7 +19,7 @@ from .dynamics import VELOCITY_BLOWUP_THRESHOLD, SimState, cfl_dt, step
 from .errors import BlowUpError, ConfigurationError
 from .fields import random_scalar_field
 from .simio import write_checkpoint, write_diagnostics_csv
-from .spectral import dealias, lp_norm
+from .spectral import lp_norm
 
 _TIME_EPS = 1e-12
 #: |gamma_fit - 1| a stability experiment admits: a Lipschitz flow map reads 1.
@@ -191,7 +191,7 @@ def perturbed_initial_state(base: SimState, delta: float, seed: int = 0) -> SimS
     """
     if not 0 < delta < math.inf:  # NaN fails both comparisons
         raise ConfigurationError(f"perturbation size delta must be finite and > 0, got {delta}")
-    shape = dealias(random_scalar_field(base.grid, 2.5, 1.0, (seed, 77)))
+    shape = random_scalar_field(base.grid, 2.5, 1.0, (seed, 77))
     zero = shape * 0.0
     unit = state_difference(
         SimState(base.t, shape, zero, base.alpha), SimState(base.t, zero, zero, base.alpha)

@@ -12,8 +12,9 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
 
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k)) (indices
 taken modulo n).  Samples are plain (n, n) float arrays, a vector's a pair (v1, v2) of them;
-`VectorField` holds spectral components only.  Samples from outside (the forward transforms,
-`lp_norm`, `integrate`) are checked for that shape once, where they enter (`_square`).  The
+`VectorField` holds two spectral components on one grid, checked when it is built.  Samples
+from outside (the forward transforms, `lp_norm`, `integrate`) are checked for that shape once,
+where they enter (`_square`).  The
 `SpectralField` constructor checks finiteness and this symmetry once
 (`_check_real`) on a read-only copy of its coefficients; operators trust every field and wrap
 what they derive unchecked (`_wrap`): sums, real scalars, transforms of real samples, real
@@ -40,10 +41,11 @@ callers share one grid per n while any of them holds it; each grid's cached filt
 (`littlewood_paley.build_filter_bank`), home of the dyadic bands, holds it for the process.
 A grid builds its lattice and kept lines at once and its n-by-n multipliers (|k|, 1/|k|^2,
 Riesz) and the kept block's k_j, 1/|k|^2, i k_j and Biot-Savart multipliers on first read,
-keeping each: they are built once per n.  `kmag_power` and `forcing_mult` build the alpha ones
-on request (`kmag_power` returns `kmag` itself at alpha = 1); `partial_derivative` and
-`biot_savart` form their products of those arrays per call, and `leray_project` its copy of
-1/|k|^2 with the Nyquist lines filled.  Random draws are projected on the kept block, by the
+keeping each: they are built once per n.  As every user of n shares them, every array a grid
+holds is read-only.  `kmag_power` and `forcing_mult` build the alpha ones on request
+(`kmag_power` returns `kmag` itself at alpha = 1); `partial_derivative` and `biot_savart` form
+their products of those arrays per call, and `leray_project` its copy of 1/|k|^2 with the
+Nyquist lines filled.  Random draws are projected on the kept block, by the
 formula `leray_project` applies to the plane (`_leray`).
 
 Norms are torus norms: `lp_norm` uses grid quadrature with cell area (2*pi/n)^2, n the
@@ -89,10 +91,11 @@ class Grid(metaclass=_OnePerSize):
         if n % 2 != 0 or n < 16:
             raise ConfigurationError(f"grid size n must be an even integer >= 16, got {n}")
         self.n = n = int(n)
-        k = np.r_[0 : n // 2, -(n // 2) : 0].astype(float)  # exact integers, FFT layout
+        # exact integers, FFT layout
+        k = _read_only(np.r_[0 : n // 2, -(n // 2) : 0].astype(float))
         self.k1 = k[:, None]
         self.k2 = k[None, :]
-        k_odd = np.where(k == -n // 2, 0.0, k)
+        k_odd = _read_only(np.where(k == -n // 2, 0.0, k))
         self.k1_odd, self.k2_odd = k_odd[:, None], k_odd[None, :]
         # 2/3 rule: keep max(|k1|, |k2|) <= kmax, the lines `kept` along each axis.
         self.kmax = m = n // 3
@@ -100,31 +103,31 @@ class Grid(metaclass=_OnePerSize):
         # (plane, block) slices of the kept block's quadrants, FFT layout of size 2m + 1
         lines = list(zip(self.kept, (slice(None, m + 1), slice(m + 1, None))))
         self.quadrants = [((r, k), (br, bk)) for r, br in lines for k, bk in lines]
-        self.x = 2.0 * np.pi * np.arange(n) / n
+        self.x = _read_only(2.0 * np.pi * np.arange(n) / n)
 
     @functools.cached_property
     def kmag(self) -> np.ndarray:
-        return np.hypot(self.k1, self.k2)
+        return _read_only(np.hypot(self.k1, self.k2))
 
     @functools.cached_property
     def inv_ksq(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             inv = 1.0 / (self.k1**2 + self.k2**2)
         inv[0, 0] = 0.0
-        return inv
+        return _read_only(inv)
 
     @functools.cached_property
     def block_k(self) -> tuple:
         """The kept block's k1 (a column), k2 (a row) and 1/|k|^2."""
-        k1 = self.block(np.broadcast_to(self.k1_odd, (self.n, self.n)))[:, :1]
-        return k1, k1.T, self.block(self.inv_ksq)
+        k1 = _read_only(self.block(np.broadcast_to(self.k1_odd, (self.n, self.n)))[:, :1])
+        return k1, k1.T, _read_only(self.block(self.inv_ksq))
 
     @functools.cached_property
     def block_mults(self) -> tuple:
         """Kept blocks of i k1 and i k2 (a column and a row) and (i k2, -i k1) / |k|^2, each formed
         as `partial_derivative` or `biot_savart` forms it."""
         k1, k2, inv_ksq = self.block_k
-        return 1j * k1, 1j * k2, 1j * k2 * inv_ksq, -1j * k1 * inv_ksq
+        return tuple(map(_read_only, (1j * k1, 1j * k2, 1j * k2 * inv_ksq, -1j * k1 * inv_ksq)))
 
     def block(self, c: np.ndarray) -> np.ndarray:
         """The kept (2m + 1)^2 block of an (n, n) array, m = kmax."""
@@ -142,7 +145,7 @@ class Grid(metaclass=_OnePerSize):
 
     @functools.cached_property
     def riesz_mult(self) -> np.ndarray:
-        return self.forcing_mult(1.0)
+        return _read_only(self.forcing_mult(1.0))
 
     def kmag_power(self, alpha: float) -> np.ndarray:
         """The |k|^alpha multiplier for alpha in (0, 2]; `kmag` itself at alpha = 1."""
@@ -166,6 +169,12 @@ class Grid(metaclass=_OnePerSize):
 
     def __repr__(self):
         return f"Grid(n={self.n})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a grid's arrays are shared by every user of its n."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -214,12 +223,17 @@ def _wrap(grid: Grid, coeffs: np.ndarray) -> SpectralField:
     return f
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorField:
-    """Two spectral components; their samples are a pair of arrays (`to_physical`)."""
+    """Two spectral components on one grid; their samples are a pair of arrays (`to_physical`)."""
 
     x1: SpectralField
     x2: SpectralField
+
+    def __post_init__(self):
+        if not (isinstance(self.x1, SpectralField) and isinstance(self.x2, SpectralField)):
+            raise InvalidInputError("a VectorField holds two SpectralFields")
+        self.x1._same_grid(self.x2)
 
     @property
     def grid(self) -> Grid:
@@ -471,6 +485,8 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
     zero mode dropped.  The 2*pi box factor makes s = 0 agree with the L2
     grid quadrature (Parseval).
     """
+    if not math.isfinite(s):
+        raise ConfigurationError(f"Sobolev index s must be finite, got {s}")
     g = f.grid
     mag = np.abs(f.coeffs)
     if homogeneous:

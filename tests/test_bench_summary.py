@@ -1,5 +1,5 @@
-"""The BENCH summary script on hand-made benchmark result records, the artifact digest and the
-page faults of a benchmark pass, and the bqsim names that the benchmark files reach."""
+"""The BENCH summary script on hand-made benchmark result records, the artifact digest and cost
+of a benchmark pass, and the bqsim names that the benchmark files reach."""
 
 import ast
 import importlib
@@ -87,29 +87,25 @@ def test_records_of_two_revisions_are_refused(tmp_path):
     assert "2 revisions" in proc.stderr
 
 
-def test_artifact_digest_lists_the_same_bytes_on_every_pass():
-    """A pass writes deterministic artifacts, so byte identity is one `diff` of two listings."""
+def test_artifact_digest_lists_the_same_bytes_and_the_cost_of_each_pass():
+    """A pass writes deterministic artifacts, so byte identity is one `diff` of two listings,
+    and each pass reports its wall time, faults and peak RSS on stderr."""
     argv = [sys.executable, str(ROOT / "tools" / "artifact_digest.py"), "--seed", "0",
             "--workload", "diagnose-n128"]
-    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=300) for _ in range(2)]
-    assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, "")] * 2
+    runs = [subprocess.run(argv + extra, capture_output=True, text=True, timeout=300)
+            for extra in ([], ["--passes", "2"])]
+    assert [proc.returncode for proc in runs] == [0, 0], [proc.stderr for proc in runs]
     listing = [line.split("  ") for line in runs[0].stdout.splitlines()]
     assert [path for _, path in listing] == ["diagnose-n128/out/diagnostics.csv",
                                              "diagnose-n128/out/final.bqsf"]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in listing)
     assert runs[1].stdout == runs[0].stdout
-
-
-def test_pass_faults_prints_wall_faults_and_rss_of_each_pass():
-    argv = [sys.executable, str(ROOT / "tools" / "pass_faults.py"), "--seed", "0",
-            "--workload", "verify-ensemble", "--passes", "2"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    header, *rows = [line.split() for line in proc.stdout.splitlines()]
-    assert header == ["pass", "wall_s", "minflt", "maxrss_mb"]
-    assert [row[0] for row in rows] == ["0", "1"]
-    for _, wall, faults, rss in rows:
-        assert float(wall) > 0 and int(faults) >= 0 and float(rss) > 0
+    for proc, passes in zip(runs, (1, 2)):
+        header, *rows = [line.split() for line in proc.stderr.splitlines()]
+        assert header == ["workload", "pass", "wall_s", "minflt", "maxrss_mb"]
+        assert [row[:2] for row in rows] == [["diagnose-n128", str(i)] for i in range(passes)]
+        for _, _, wall, faults, rss in rows:
+            assert float(wall) > 0 and int(faults) >= 0 and float(rss) > 0
 
 
 #: The benchmark files, which a change to bqsim may not edit.

@@ -312,6 +312,13 @@ class TestOsgood:
         with pytest.raises(ConfigurationError):
             osgood_bound(1.0, [0.0, 1.0], [1.0, 1.0], mu="quadratic")
 
+    @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 0.0], [0.0, math.nan]])
+    @pytest.mark.parametrize("mu", ["gronwall", "log"])
+    def test_rejects_times_that_do_not_increase_strictly(self, times, mu):
+        """Before, [1, 0] gave the bound [1.0, 0.368] under gronwall: below its start."""
+        with pytest.raises(InvalidInputError, match="times must increase strictly"):
+            osgood_bound(1.0, times, [1.0, 1.0], mu=mu)
+
 
 class TestClosedFormSmoothing:
     def test_matches_fine_quadrature(self):

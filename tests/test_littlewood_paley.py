@@ -90,6 +90,25 @@ class TestFilterBank:
         with pytest.raises(InvalidInputError):
             bank.block_multiplier(bank.qmax + 1)
 
+    @pytest.mark.parametrize("q", [3.0, np.float64(3.0), True, math.nan, 2.5, "3", None])
+    @pytest.mark.parametrize("operator", [
+        lambda f, q: dyadic_block(f, q),
+        lambda f, q: band_kernel(f.grid, q),
+        lambda f, q: partial_sum(f, q),
+    ], ids=["dyadic_block", "band_kernel", "partial_sum"])
+    def test_band_index_must_be_an_integer(self, operator, q):
+        """Before, a float q raised TypeError from a list index, True gave band 1, and
+        partial_sum(f, nan) returned f and partial_sum(f, 2.5) a non-dyadic cutoff."""
+        f = random_scalar_field(Grid(64), 2.0, 1.0, (21, 1))
+        with pytest.raises(InvalidInputError, match="band index q must be an integer"):
+            operator(f, q)
+
+    def test_band_index_takes_numpy_integers(self):
+        f = random_scalar_field(Grid(64), 2.0, 1.0, (21, 1))
+        for q in (-1, 3):
+            assert np.array_equal(dyadic_block(f, np.int64(q)).coeffs, dyadic_block(f, q).coeffs)
+            assert np.array_equal(partial_sum(f, np.int64(q)).coeffs, partial_sum(f, q).coeffs)
+
     def test_partial_sum_telescopes(self):
         g = Grid(64)
         bank = build_filter_bank(g)

@@ -52,7 +52,7 @@ from bqsim import (
     to_physical,
     vector_sobolev_norm,
 )
-from bqsim.fields import _half_lattice, random_divfree_velocity, random_scalar_field
+from bqsim.fields import _half_lattice, _scatter, random_divfree_velocity, random_scalar_field
 from bqsim.runner import adaptive_dt
 from bqsim.spectral import _real_samples, _samples, dealiased_transform, hermitian_defect
 
@@ -131,6 +131,19 @@ class TestGrid:
         del g
         assert gone() is None
         assert "kmag" not in vars(Grid(1018))
+
+    def test_shared_arrays_are_read_only(self):
+        """Every user of a size shares its grid, filter bank and draws' lattice, so a write in
+        place raises rather than changing what the next user reads."""
+        g = Grid(32)
+        bank = bqsim.build_filter_bank(g)
+        arrays = [g.k1, g.k2, g.k1_odd, g.k2_odd, g.x, g.kmag, g.inv_ksq, g.riesz_mult,
+                  *g.block_k, *g.block_mults, bank.chi, bank.phi_low_annulus, *bank.phi,
+                  *_scatter(g.kmax, 2.0)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(1,) * a.ndim] = 99
+        assert Grid(32).kmag[1, 1] == math.sqrt(2.0)
 
     def test_wavevectors_are_fft_ordered_integers(self):
         g = Grid(16)
@@ -389,6 +402,39 @@ class TestBiotSavart:
             biot_savart(SpectralField(g, coeffs))
 
 
+#: Operators on a vector, each of which read a mixed-grid vector before vectors were checked.
+VECTOR_OPERATORS = {
+    "vector_sobolev_norm": lambda v: vector_sobolev_norm(v, 1.0),
+    "max_gradient": max_gradient,
+    "besov_norm": lambda v: besov_norm(v, BesovSpec(0.0, 2.0, 1.0)),
+    "grid_max_velocity": grid_max_velocity,
+    "gradient_lp_norm": lambda v: gradient_lp_norm(v, 2.0),
+    "commutator_riesz": lambda v: commutator_riesz(v, v.x1),
+    "leray_project": leray_project,
+    "divergence": divergence,
+    "lp_norm": lambda v: lp_norm(to_physical(v), 2),
+}
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("name", sorted(VECTOR_OPERATORS))
+    def test_components_on_two_grids_are_bad_input(self, name):
+        """Before, vector_sobolev_norm and max_gradient returned a number for x1 on Grid(32)
+        and x2 on Grid(64), and five operators raised numpy's ValueError."""
+        x1, x2 = (random_scalar_field(Grid(n), 2.0, 1.0, (5,)) for n in (32, 64))
+        with pytest.raises(InvalidInputError, match="fields live on different grids"):
+            VECTOR_OPERATORS[name](VectorField(x1, x2))
+
+    def test_holds_two_spectral_fields_and_is_frozen(self):
+        f = random_scalar_field(Grid(32), 2.0, 1.0, (5,))
+        for bad in (f.coeffs, inverse_transform(f), None):
+            with pytest.raises(InvalidInputError, match="holds two SpectralFields"):
+                VectorField(f, bad)
+        v = VectorField(f, f)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.x2 = f
+
+
 class TestLerayAndAdvection:
     def test_leray_removes_gradient_part(self):
         g = grid64()
@@ -524,6 +570,15 @@ class TestNorms:
         f = spectral_sin(g, 3)
         assert sobolev_norm(f, 1.0, homogeneous=True) == pytest.approx(3 * L2_SIN, rel=1e-12)
         assert sobolev_norm(f, 1.0) == pytest.approx(math.sqrt(10) * L2_SIN, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_sobolev_norms_reject_a_non_finite_index(self, s, homogeneous):
+        """Before, s = nan gave NaN and s = inf numpy's "invalid value" warning."""
+        v = random_divfree_velocity(grid64(), 2.0, 1.0, (13,))
+        for norm in (sobolev_norm, vector_sobolev_norm):
+            with pytest.raises(ConfigurationError, match="Sobolev index s must be finite"):
+                norm(v.x1 if norm is sobolev_norm else v, s, homogeneous)
 
     def test_homogeneous_sobolev_ignores_mean(self):
         g = grid64()

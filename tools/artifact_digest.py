@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every artifact that one benchmark pass writes.
+"""Print the sha256 of every artifact that a benchmark pass writes, and what each pass cost.
 
-    python3 tools/artifact_digest.py --seed 0 [--workload diagnose-n128 ...] > digest.txt
+    python3 tools/artifact_digest.py --seed 0 [--workload W ...] [--passes P] > digest.txt
 
-Runs one pass of each workload of `perfbench/workloads.py` (or of the ones named) for the
-seed, in a temporary directory, with the bqsim of this checkout's `src/`, and prints one line
-`<sha256>  <workload>/<path>` for each `.bqsf` checkpoint, `diagnostics.csv` and verify CSV,
-in path order.  Two checkouts wrote the same bytes when their listings `diff` clean.  Each op
-is checked as the benchmark checks it, against `perfbench/reference.json` when the seed has
-an entry there; a failed op is reported on stderr and the exit code is 1.
+For each workload of `perfbench/workloads.py` (or each one named) builds the seed's inputs once,
+in a temporary directory, with the bqsim of this checkout's `src/`, and runs P passes (default 1)
+in this process.  Stdout lists the first pass's artifacts, one line `<sha256>  <workload>/<path>`
+for each `.bqsf` checkpoint, `diagnostics.csv` and verify CSV, in path order; two checkouts
+wrote the same bytes when their listings `diff` clean.  Stderr gets one row
+`workload pass wall_s minflt maxrss_mb` per pass: its wall seconds, the minor page faults it
+took (`ru_minflt`, which show the heap trims and refaults that wall time hides and do not
+depend on the host's speed) and the process's peak RSS after it (`ru_maxrss`, MB; it is
+process-wide, so name one workload to read its own).  Each op is checked as the benchmark
+checks it, against `perfbench/reference.json` when the seed has an entry there, and a later
+pass must write the first pass's bytes; a failure is reported on stderr and the exit code is 1.
 """
 
 import argparse
 import hashlib
+import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -24,7 +31,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
+    parser.add_argument("--passes", type=int, default=1, help="passes per workload, >= 1")
     args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error(f"--passes must be >= 1, got {args.passes}")
 
     sys.path.insert(0, str(PERFBENCH))
     import run
@@ -38,19 +48,30 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {unknown}; choose from {sorted(wl.WORKLOADS)}")
     reference = wl.load_reference(PERFBENCH / "reference.json")
     failed = False
+    print("workload  pass  wall_s  minflt  maxrss_mb", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             w, work = wl.WORKLOADS[name], Path(tmp) / name
-            inputs = wl.build_inputs(w, args.seed, work)
-            for op_argv in wl.pass_argvs(w, inputs, args.seed, work):
-                op = wl.call(bqsim.cli.main, op_argv)
-                ref = wl.reference_for(w, reference, args.seed, op)
-                for problem in wl.problems(w, op, None, ref):
-                    print(f"op failed: {' '.join(op_argv)}: {problem}", file=sys.stderr)
-                    failed = True
-            for path in sorted(p for p in work.rglob("*") if p.suffix in (".bqsf", ".csv")):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(tmp).as_posix()}")
+            argvs = wl.pass_argvs(w, wl.build_inputs(w, args.seed, work), args.seed, work)
+            first_digest = {}
+            for i in range(args.passes):
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                t0 = time.perf_counter()
+                ops = [wl.call(bqsim.cli.main, op_argv) for op_argv in argvs]
+                wall = time.perf_counter() - t0
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                print(f"{name}  {i}  {wall:.4f}  {usage.ru_minflt - faults}  "
+                      f"{usage.ru_maxrss / 1024.0:.2f}", file=sys.stderr)
+                for j, op in enumerate(ops):
+                    ref = wl.reference_for(w, reference, args.seed, op)
+                    for problem in wl.problems(w, op, first_digest.get(j), ref):
+                        print(f"op failed: {' '.join(op.argv)}: {problem}", file=sys.stderr)
+                        failed = True
+                    first_digest.setdefault(j, op.digest)
+                if i == 0:
+                    for path in sorted(p for p in work.rglob("*") if p.suffix in (".bqsf", ".csv")):
+                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                        print(f"{digest}  {path.relative_to(tmp).as_posix()}")
     return 1 if failed else 0
 
 
