@@ -14,19 +14,10 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .dynamics import SimState, gamma
+from .dynamics import SimState
 from .errors import ConfigurationError
-from .littlewood_paley import BesovSpec, _check_increasing, besov_norm
-from .spectral import (
-    SpectralField,
-    biot_savart,
-    integrate,
-    inverse_transform,
-    lp_norm,
-    max_gradient,
-    sobolev_norm,
-    vector_sobolev_norm,
-)
+from .littlewood_paley import BesovSpec, _band_samples, _check_increasing, _weighted_lr, besov_norm
+from .spectral import SpectralField, _real_samples, biot_savart, integrate, lp_norm
 
 
 @dataclass
@@ -83,6 +74,26 @@ def _squared(norm: float) -> float:
         return math.inf
 
 
+def _parseval(weight, c: np.ndarray) -> float:
+    """(2 pi)^2 sum weight |c|^2 over a block: a squared torus norm, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return (2.0 * np.pi) ** 2 * float(np.vdot(c, weight * c).real)
+
+
+def _block_l2(c: np.ndarray) -> float:
+    """`lp_norm(samples, 2)` by Parseval over a block, c scaled by its max first when the sum of
+    squares leaves the normal doubles."""
+    total = _parseval(1.0, c)
+    if not np.finfo(float).tiny <= total < math.inf and (top := float(np.max(np.abs(c)))):
+        return top * math.sqrt(_parseval(1.0, c / top))
+    return math.sqrt(total)
+
+
+def _band_max_sum(g, half: np.ndarray) -> float:
+    """`besov_norm` at B^0_(inf,1) of the field whose columns 0..kmax `half` holds."""
+    return _weighted_lr(np.array([lp_norm(b, math.inf) for _, (b,) in _band_samples(g, [half])]), 1.0)
+
+
 class DiagnosticsTracker:
     """Accumulates records from successive states handed in time order."""
 
@@ -93,25 +104,32 @@ class DiagnosticsTracker:
         self._prev = None  # (t, integrands, running integrals)
 
     def record(self, state: SimState) -> DiagnosticsRecord:
-        """Compute all tracked quantities for this state and append integrals."""
-        v = state.velocity()
+        """Compute all tracked quantities for this state's dealiased part and append integrals:
+        Parseval sums over the kept blocks, real samples of their columns 0..kmax, and the kinetic
+        energy of `physical_velocity`, whose last bits (E1 - E0) / dt magnifies about 10^7-fold."""
+        g, m = state.grid, state.grid.kmax
+        w, th = (g.block(f.coeffs) for f in (state.omega_hat, state.theta_hat))
+        kmag, inv_kmag, riesz_mult = g.block_weights
+        gam = w - th * riesz_mult
+        omega_half, theta_half = g.half(w), g.half(th)
+        omega_phys, theta_phys = _real_samples(omega_half, g), _real_samples(theta_half, g)
         v_phys = state.physical_velocity()
-        theta_phys = state.physical_temperature()
-        omega_phys = inverse_transform(state.omega_hat)
-        gam = gamma(state)
-        gamma_phys = inverse_transform(gam)
         l2_v = lp_norm(v_phys, 2)
-        hdot_v_sq = {s: _squared(vector_sobolev_norm(v, s, homogeneous=True))
-                     for s in {0.5, 0.5 * state.alpha}}  # one norm at alpha = 1
+        hhalf_v_sq = _parseval(inv_kmag, w)  # |v(k)|^2 = |w(k)|^2 / |k|^2
+        # d1 v1, d2 v1 and d1 v2 of v = (i k2, -i k1) w / |k|^2; d2 v2 = -d1 v1
+        ik1, ik2, v1_mult, v2_mult = (a[:, : m + 1] for a in g.block_mults)
+        v1, v2 = w[:, : m + 1] * v1_mult, w[:, : m + 1] * v2_mult
 
         integrands = {
-            "hhalf_v_sq": hdot_v_sq[0.5],
-            "hhalf_gamma_sq": _squared(sobolev_norm(gam, 0.5, homogeneous=True)),
-            "hhalf_omega_sq": _squared(sobolev_norm(state.omega_hat, 0.5, homogeneous=True)),
-            "besov_omega": besov_norm(state.omega_hat, BesovSpec(0.0, math.inf, 1.0)),
-            "lip_v": max_gradient(v),
+            "hhalf_v_sq": hhalf_v_sq,
+            "hhalf_gamma_sq": _parseval(kmag, gam),
+            "hhalf_omega_sq": _parseval(kmag, w),
+            "besov_omega": _band_max_sum(g, omega_half),
+            "lip_v": max(lp_norm(_real_samples(g.half(d), g), math.inf)
+                         for d in (v1 * ik1, v1 * ik2, v2 * ik1)),
             "energy": 0.5 * _squared(l2_v),
-            "dissipation": hdot_v_sq[0.5 * state.alpha],
+            "dissipation": hhalf_v_sq if state.alpha == 1.0
+            else _parseval(kmag**state.alpha * inv_kmag * inv_kmag, w),
             "buoyancy_power": integrate(theta_phys * v_phys[1]),
         }
 
@@ -143,8 +161,8 @@ class DiagnosticsTracker:
             linf_theta=lp_norm(theta_phys, math.inf),
             l2_omega=lp_norm(omega_phys, 2),
             lr_omega=lp_norm(omega_phys, self.omega_lr),
-            l2_gamma=lp_norm(gamma_phys, 2),
-            besov_theta=besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0)),
+            l2_gamma=_block_l2(gam),
+            besov_theta=_band_max_sum(g, theta_half),
             lip_v=integrands["lip_v"],
             energy_residual=energy_residual,
             **cums,
@@ -348,8 +366,8 @@ def osgood_bound(a: float, times, gamma_values, mu: str = "gronwall") -> np.ndar
     with G the running integral of gamma (trapezoid).  mu = 'log' is the
     modulus r (1 - log r), giving a^exp(-G) * e^(1 - exp(-G)) wherever the
     smallness condition a <= e^(1 - exp(G)) holds; points where it fails
-    are reported as vacuous (+inf).  a = 0 propagates to the zero bound.  The times must
-    increase strictly.
+    are reported as vacuous (+inf).  a = 0 propagates to the zero bound.  The times must be a
+    non-empty 1-D series that increases strictly.
     """
     if not a >= 0:  # NaN too
         raise ConfigurationError(f"initial size a must be nonnegative, got {a}")

@@ -118,3 +118,74 @@ def leray(grid, c1, c2):
     """c - k (k . c) / |k|^2 by the full wavevector, its Nyquist components kept."""
     kdotc = grid.k1 * c1 + grid.k2 * c2
     return c1 - grid.k1 * kdotc * grid.inv_ksq, c2 - grid.k2 * kdotc * grid.inv_ksq
+
+
+def _lp(a, p):
+    """`lp_norm` of samples a by its quadrature: max |a| at p = inf, else (sum |a|^p area)^(1/p)."""
+    a = np.abs(a)
+    if p == np.inf:
+        return float(np.max(a))
+    return float((np.sum(a**p) * (2.0 * np.pi / a.shape[0]) ** 2) ** (1.0 / p))
+
+
+def _weighted_sq(grid, c, s):
+    """(2 pi)^2 sum_(k != 0) |k|^(2 s) |c(k)|^2: a squared homogeneous H^s norm."""
+    w2s = np.where(grid.kmag > 0, grid.kmag, 1.0) ** (2.0 * s) * (grid.kmag > 0)
+    return float((2.0 * np.pi) ** 2 * np.sum(w2s * np.abs(c) ** 2))
+
+
+def record_integrands(grid, bands, w, th, alpha=1.0, omega_lr=3.0):
+    """A diagnostics record of the dealiased state (w, th) by the full-plane formulas it was
+    first written with: (its columns that do not integrate in time, the integrands of those
+    that do).  `bands` are the inhomogeneous band multipliers; the kinetic energy is the L^2
+    norm of the complex-path velocity samples, summed as `lp_norm` sums it."""
+    v_hat = (w * (1j * grid.k2_odd * grid.inv_ksq), w * (-1j * grid.k1_odd * grid.inv_ksq))
+    v = tuple(ifft2(c) for c in v_hat)
+    a = np.abs(np.hypot(*v))
+    l2_v = float((np.sum(a**2) * (2.0 * np.pi / a.shape[0]) ** 2) ** (1.0 / 2))
+    theta, omega = ifft2(th), irfft2(w)
+    gamma = w - riesz(grid, th)
+    grads = [ifft2(c * (1j * k)) for c in v_hat for k in (grid.k1_odd, grid.k2_odd)]
+    besov = [sum(_lp(irfft2(c * mult), np.inf) for mult in bands) for c in (w, th)]
+    columns = {
+        "l2_v": l2_v, "l2_theta": _lp(theta, 2), "l4_theta": _lp(theta, 4),
+        "linf_theta": _lp(theta, np.inf), "l2_omega": _lp(omega, 2), "lr_omega": _lp(omega, omega_lr),
+        "l2_gamma": _lp(irfft2(gamma), 2), "besov_theta": besov[1],
+    }
+    integrands = {
+        "hhalf_v_sq": sum(_weighted_sq(grid, c, 0.5) for c in v_hat),
+        "hhalf_gamma_sq": _weighted_sq(grid, gamma, 0.5),
+        "hhalf_omega_sq": _weighted_sq(grid, w, 0.5),
+        "besov_omega": besov[0],
+        "lip_v": max(_lp(d, np.inf) for d in grads),
+        "energy": 0.5 * l2_v**2,
+        "dissipation": sum(_weighted_sq(grid, c, 0.5 * alpha) for c in v_hat),
+        "buoyancy_power": float(np.sum(theta * v[1]) * (2.0 * np.pi / a.shape[0]) ** 2),
+    }
+    return columns, integrands
+
+
+#: Running-integral column -> its integrand (trapezoid rule over the records' times).
+RUNNING = {"hhalf_v_sq_cum": "hhalf_v_sq", "hhalf_gamma_sq_cum": "hhalf_gamma_sq",
+           "hhalf_omega_sq_cum": "hhalf_omega_sq", "besov_omega_cum": "besov_omega", "V_t": "lip_v"}
+
+
+def records(grid, bands, states, alpha=1.0, omega_lr=3.0):
+    """The record columns of each dealiased state (t, w, th) in turn, with the running integrals
+    and the energy residual dE/dt + dissipation - buoyancy power between records, and each
+    record's kinetic energy."""
+    out, prev = [], None
+    for t, w, th in states:
+        columns, now = record_integrands(grid, bands, w, th, alpha, omega_lr)
+        if prev is None:
+            cums, residual = dict.fromkeys(RUNNING, 0.0), 0.0
+        else:
+            dt = t - prev[0]
+            cums = {col: prev[2][col] + 0.5 * dt * (prev[1][key] + now[key]) for col, key in RUNNING.items()}
+            residual = ((now["energy"] - prev[1]["energy"]) / dt
+                        + 0.5 * (now["dissipation"] + prev[1]["dissipation"])
+                        - 0.5 * (now["buoyancy_power"] + prev[1]["buoyancy_power"]))
+        out.append({"t": t, **columns, **cums, "lip_v": now["lip_v"], "energy_residual": residual,
+                    "energy": now["energy"]})
+        prev = (t, now, cums)
+    return out

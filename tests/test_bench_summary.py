@@ -108,6 +108,23 @@ def test_artifact_digest_lists_the_same_bytes_and_the_cost_of_each_pass():
             assert float(wall) > 0 and int(faults) >= 0 and float(rss) > 0
 
 
+def test_artifact_digest_reads_the_peak_rss_of_its_own_process():
+    """`maxrss_mb` is `VmHWM`: a process started from a larger one reads its own peak, where
+    `ru_maxrss` would also count the pages of the process it was started from."""
+    ballast = b"\x01" * (64 * 2**20)  # 64 MB this process touches before it starts the child
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import artifact_digest as a; print(a.peak_rss_mb())"
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        own = importlib.import_module("artifact_digest").peak_rss_mb()
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    assert 0 < float(proc.stdout) < 64 <= own
+    del ballast
+
+
 #: The benchmark files, which a change to bqsim may not edit.
 BENCH_FILES = sorted((ROOT / "perfbench").glob("*.py")) + [SCRIPT]
 #: Span and metric names that the tracer and `layers.py` make up rather than take from a

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from bqsim import (
     ConfigurationError,
     DiagnosticsRecord,
@@ -14,10 +15,12 @@ from bqsim import (
     RECORD_FIELDS,
     SimState,
     SpectralField,
+    build_filter_bank,
     check_energy,
     check_gamma_smoothing,
     check_lipschitz,
     check_max_principle,
+    dealias,
     fit_double_exponential_envelope,
     fit_exponential_envelope,
     forward_transform,
@@ -27,6 +30,8 @@ from bqsim import (
     sobolev_norm,
     state_difference,
 )
+from bqsim.config import PRESETS, RunConfig, make_initial_data
+from bqsim.dynamics import step
 from bqsim.fields import random_scalar_field
 
 L2_SIN = 4.442882938158366
@@ -150,6 +155,52 @@ class TestTracker:
         assert rec.l2_v == pytest.approx(math.exp(-0.5) * L2_SIN, rel=1e-10)
         assert rec.lip_v == pytest.approx(math.exp(-0.5), rel=1e-10)
         assert rec.besov_theta == 0.0
+
+
+#: (preset, seed, alpha) of the states the record is compared with the oracle on: every preset,
+#: random seeds 0-3, and two dissipation orders whose weights are built per call
+RECORD_CASES = ([(preset, 0, 1.0) for preset in PRESETS if preset != "random"]
+                + [("random", seed, 1.0) for seed in range(4)]
+                + [("random", 0, 0.5), ("random", 1, 2.0)])
+
+
+class TestRecordOracle:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("preset, seed, alpha", RECORD_CASES)
+    def test_record_matches_the_full_plane_oracle(self, preset, seed, alpha, n):
+        """The record works on the kept blocks: Parseval norms, three gradient samples and
+        theta on the real path.  The kinetic energy keeps every bit, as (E1 - E0) / dt
+        magnifies them; every other column stays within 1e-12, the energy residual in absolute
+        terms."""
+        state = make_initial_data(RunConfig(n=n, t_end=1.0, preset=preset, seed=seed, alpha=alpha))
+        states = [state]
+        for _ in range(2):
+            states.append(step(states[-1], 2e-3))
+        tracker, got = DiagnosticsTracker(), []
+        for s in states:
+            got.append((tracker.record(s), tracker._prev[1]["energy"]))
+        bands = [mult for _, mult in build_filter_bank(state.grid).bands()]
+        want = oracle.records(state.grid, bands, [(s.t, s.omega_hat.coeffs, s.theta_hat.coeffs)
+                                                  for s in states], alpha)
+        for (rec, energy), ref in zip(got, want):
+            assert energy == ref["energy"] and rec.l2_v == ref["l2_v"]
+            assert rec.energy_residual == pytest.approx(ref["energy_residual"], rel=0, abs=1e-12)
+            for name in set(RECORD_FIELDS) - {"energy_residual"}:
+                assert getattr(rec, name) == pytest.approx(ref[name], rel=1e-12, abs=0), name
+
+    def test_a_state_that_is_not_dealiased_records_as_its_dealias_does(self):
+        """The record reads the state's dealiased part, as its velocity samples do."""
+        g, rng = grid64(), np.random.default_rng(11)
+
+        def noise():
+            a = rng.standard_normal((g.n, g.n))
+            return forward_transform(g, a - a.mean())
+
+        states = [SimState(t, noise(), noise(), 1.0) for t in (0.0, 0.01)]
+        assert all((s.omega_hat.coeffs != dealias(s.omega_hat).coeffs).any() for s in states)
+        full, cut = DiagnosticsTracker(), DiagnosticsTracker()
+        for s in states:
+            assert full.record(s) == cut.record(SimState(s.t, dealias(s.omega_hat), dealias(s.theta_hat)))
 
 
 class TestEnvelopeFits:
@@ -318,6 +369,14 @@ class TestOsgood:
         """Before, [1, 0] gave the bound [1.0, 0.368] under gronwall: below its start."""
         with pytest.raises(InvalidInputError, match="times must increase strictly"):
             osgood_bound(1.0, times, [1.0, 1.0], mu=mu)
+
+    @pytest.mark.parametrize("times, gammas", [([], []), ([[0.0, 1.0]], [[1.0, 1.0]]), (0.0, 1.0)])
+    @pytest.mark.parametrize("mu", ["gronwall", "log"])
+    def test_rejects_times_that_are_not_a_nonempty_series(self, times, gammas, mu):
+        """Before, [] and [[0, 1]] both gave the bound [1.0]: one point for no series, or a
+        time row read as a single time."""
+        with pytest.raises(InvalidInputError, match="non-empty 1-D series"):
+            osgood_bound(1.0, times, gammas, mu=mu)
 
 
 class TestClosedFormSmoothing:

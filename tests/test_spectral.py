@@ -138,7 +138,7 @@ class TestGrid:
         g = Grid(32)
         bank = bqsim.build_filter_bank(g)
         arrays = [g.k1, g.k2, g.k1_odd, g.k2_odd, g.x, g.kmag, g.inv_ksq, g.riesz_mult,
-                  *g.block_k, *g.block_mults, bank.chi, bank.phi_low_annulus, *bank.phi,
+                  *g.block_k, *g.block_mults, *g.block_weights, bank.chi, bank.phi_low_annulus, *bank.phi,
                   *_scatter(g.kmax, 2.0)]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -152,6 +152,15 @@ class TestGrid:
         assert g.k2[0, 1] == 1
         assert g.kmag[0, 0] == 0.0
         assert g.kmag[3, 4] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("n", [16, 98, 128, 256])
+    def test_block_weights_are_the_blocks_of_the_plane_multipliers(self, n):
+        """The record's Parseval weights and its Riesz multiplier, built on the block alone."""
+        g = Grid(n)
+        kmag, inv_kmag, riesz = g.block_weights
+        assert kmag.tobytes() == g.block(g.kmag).tobytes()
+        assert riesz.tobytes() == g.block(g.riesz_mult).tobytes()
+        assert inv_kmag[0, 0] == 0.0 and np.allclose(inv_kmag * kmag, np.where(kmag > 0, 1.0, 0.0), rtol=1e-15)
 
     def test_kmag_power_is_kmag_itself_at_the_critical_alpha(self):
         g = grid64()
@@ -855,14 +864,15 @@ def fft_imports_in(tree):
 
 
 class TestTransformLayer:
-    def test_runner_and_diagnostics_import_no_private_spectral_name(self):
-        """They sample theta by `SimState.physical_temperature` and trust every field."""
-        for module in (bqsim.runner, bqsim.diagnostics):
+    def test_runner_and_diagnostics_import_only_the_private_spectral_names_they_sample_by(self):
+        """The runner samples theta by `SimState.physical_temperature` and the record samples
+        the state's kept blocks on the real path; neither wraps a field unchecked."""
+        for module, allowed in ((bqsim.runner, []), (bqsim.diagnostics, ["_real_samples"])):
             tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
             private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                        and (node.module or "").endswith("spectral")
                        for alias in node.names if alias.name.startswith("_")]
-            assert private == [], module.__name__
+            assert private == allowed, module.__name__
 
     def test_every_fft_call_sits_in_the_three_spectral_helpers(self):
         """A new caller of `numpy.fft` (a complex inverse, say) must go through spectral.py."""
@@ -1062,10 +1072,14 @@ FFT_COUNTS = {
                               {"ifft": (6, 2 * dealiased_lines(64))}),
     # A real sample is an `ifft` pass over the columns 0..kmax = 42 it can occupy, or fewer for
     # a band (2^(q+2) of them), then an `irfft` pass over the n rows; none for a zero band.
-    # theta by the complex path; two B^0_{inf,1} norms of 8 bands (q = -1..6), whose top band
-    # is zero on a dealiased state (2 + 4 + 8 + 16 + 32 + 43 + 43 columns), and 6 more samples
+    # Two B^0_{inf,1} norms of 8 bands (q = -1..6), whose top band is zero on a dealiased
+    # state (2 + 4 + 8 + 16 + 32 + 43 + 43 columns), theta, omega and three velocity
+    # derivatives; the velocity samples a stepped state kept, a fresh one makes (2 complex)
     "record": (lambda: random_state(128, 1), lambda s: DiagnosticsTracker().record(s),
-               {"ifft": (3 + 20, dealiased_lines(128) + 2 * 148 + 6 * 43), "irfft": (20, 20 * 128)}),
+               {"ifft": (19, 2 * 148 + 5 * 43), "irfft": (19, 19 * 128)}),
+    "record-fresh": (lambda: random_state(128, 0), lambda s: DiagnosticsTracker().record(s),
+                     {"ifft": (2 * 3 + 19, 2 * dealiased_lines(128) + 2 * 148 + 5 * 43),
+                      "irfft": (19, 19 * 128)}),
     # Parseval at p = 2, else one sample per band (q = -1..4 over 2 + 4 + 8 + 16 + 22 + 22
     # columns, kmax = 21; q = 5 is zero) and component
     **{f"besov-{kind}-p{p}-r{r}": (lambda field=field: field(random_state(64, 0)),

@@ -10,10 +10,12 @@ for each `.bqsf` checkpoint, `diagnostics.csv` and verify CSV, in path order; tw
 wrote the same bytes when their listings `diff` clean.  Stderr gets one row
 `workload pass wall_s minflt maxrss_mb` per pass: its wall seconds, the minor page faults it
 took (`ru_minflt`, which show the heap trims and refaults that wall time hides and do not
-depend on the host's speed) and the process's peak RSS after it (`ru_maxrss`, MB; it is
-process-wide, so name one workload to read its own).  Each op is checked as the benchmark
-checks it, against `perfbench/reference.json` when the seed has an entry there, and a later
-pass must write the first pass's bytes; a failure is reported on stderr and the exit code is 1.
+depend on the host's speed) and the process's peak RSS after it (`VmHWM` of /proc/self/status,
+MB: the high-water mark of this process's own pages, where `ru_maxrss` also counts those of the
+process it was started from; it is process-wide, so name one workload to read its own).  Each
+op is checked as the benchmark checks it, against `perfbench/reference.json` when the seed has
+an entry there, and a later pass must write the first pass's bytes; a failure is reported on
+stderr and the exit code is 1.
 """
 
 import argparse
@@ -25,6 +27,14 @@ import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size, MB: `VmHWM` of /proc/self/status."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0  # kB
+    raise RuntimeError("/proc/self/status has no VmHWM line")
 
 
 def main(argv=None) -> int:
@@ -59,9 +69,8 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 ops = [wl.call(bqsim.cli.main, op_argv) for op_argv in argvs]
                 wall = time.perf_counter() - t0
-                usage = resource.getrusage(resource.RUSAGE_SELF)
-                print(f"{name}  {i}  {wall:.4f}  {usage.ru_minflt - faults}  "
-                      f"{usage.ru_maxrss / 1024.0:.2f}", file=sys.stderr)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                print(f"{name}  {i}  {wall:.4f}  {faults}  {peak_rss_mb():.2f}", file=sys.stderr)
                 for j, op in enumerate(ops):
                     ref = wl.reference_for(w, reference, args.seed, op)
                     for problem in wl.problems(w, op, first_digest.get(j), ref):
