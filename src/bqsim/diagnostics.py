@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import SimState
 from .errors import ConfigurationError
-from .littlewood_paley import BesovSpec, _band_samples, _check_increasing, _weighted_lr, besov_norm
-from .spectral import SpectralField, _real_samples, biot_savart, integrate, lp_norm
+from .littlewood_paley import BesovSpec, _check_increasing, _weighted_lr, besov_norm
+from .spectral import SpectralField, _real_samples, biot_savart, dealias, integrate, lp_norm
 
 
 @dataclass
@@ -74,24 +74,9 @@ def _squared(norm: float) -> float:
         return math.inf
 
 
-def _parseval(weight, c: np.ndarray) -> float:
-    """(2 pi)^2 sum weight |c|^2 over a block: a squared torus norm, inf where it overflows."""
-    with np.errstate(over="ignore"):
-        return (2.0 * np.pi) ** 2 * float(np.vdot(c, weight * c).real)
-
-
-def _block_l2(c: np.ndarray) -> float:
-    """`lp_norm(samples, 2)` by Parseval over a block, c scaled by its max first when the sum of
-    squares leaves the normal doubles."""
-    total = _parseval(1.0, c)
-    if not np.finfo(float).tiny <= total < math.inf and (top := float(np.max(np.abs(c)))):
-        return top * math.sqrt(_parseval(1.0, c / top))
-    return math.sqrt(total)
-
-
-def _band_max_sum(g, half: np.ndarray) -> float:
-    """`besov_norm` at B^0_(inf,1) of the field whose columns 0..kmax `half` holds."""
-    return _weighted_lr(np.array([lp_norm(b, math.inf) for _, (b,) in _band_samples(g, [half])]), 1.0)
+def _block_norm(c: np.ndarray, weight=1.0) -> float:
+    """2 pi (sum weight |c|^2)^(1/2) over a kept block: an L^2 or Sobolev norm by Parseval."""
+    return 2.0 * np.pi * _weighted_lr(np.abs(c), 2.0, weight)
 
 
 class DiagnosticsTracker:
@@ -104,32 +89,28 @@ class DiagnosticsTracker:
         self._prev = None  # (t, integrands, running integrals)
 
     def record(self, state: SimState) -> DiagnosticsRecord:
-        """Compute all tracked quantities for this state's dealiased part and append integrals:
-        Parseval sums over the kept blocks, real samples of their columns 0..kmax, and the kinetic
-        energy of `physical_velocity`, whose last bits (E1 - E0) / dt magnifies about 10^7-fold."""
-        g, m = state.grid, state.grid.kmax
-        w, th = (g.block(f.coeffs) for f in (state.omega_hat, state.theta_hat))
-        kmag, inv_kmag, riesz_mult = g.block_weights
-        gam = w - th * riesz_mult
-        omega_half, theta_half = g.half(w), g.half(th)
-        omega_phys, theta_phys = _real_samples(omega_half, g), _real_samples(theta_half, g)
-        v_phys = state.physical_velocity()
+        """Compute all tracked quantities for this state's dealiased part and append integrals."""
+        g, half = state.grid, np.s_[:, : state.grid.kmax + 1]
+        omega, theta = dealias(state.omega_hat), dealias(state.theta_hat)
+        w, kmag = g.block(omega.coeffs), g.block(g.kmag)  # norms by Parseval on the kept blocks
+        gam = w - g.block(theta.coeffs) * g.block(g.riesz_mult)
+        v_phys = state.physical_velocity()  # `energy` keeps its bits: (E1 - E0) / dt magnifies them
+        omega_phys, theta_phys = _real_samples(omega.coeffs, g), _real_samples(theta.coeffs, g)
         l2_v = lp_norm(v_phys, 2)
-        hhalf_v_sq = _parseval(inv_kmag, w)  # |v(k)|^2 = |w(k)|^2 / |k|^2
-        # d1 v1, d2 v1 and d1 v2 of v = (i k2, -i k1) w / |k|^2; d2 v2 = -d1 v1
-        ik1, ik2, v1_mult, v2_mult = (a[:, : m + 1] for a in g.block_mults)
-        v1, v2 = w[:, : m + 1] * v1_mult, w[:, : m + 1] * v2_mult
+        hdot_v_sq = {s: _squared(_block_norm(w, kmag ** (2.0 * s) * g.block_k[2]))
+                     for s in {0.5, 0.5 * state.alpha}}  # |v(k)| = |w(k)| / |k|
+        ik1, ik2 = 1j * g.k1_odd, 1j * g.k2_odd[half]  # lip_v: d1 v1 = -d2 v2, d2 v1 and d1 v2
+        v1, v2 = (omega.coeffs[half] * (mult * g.inv_ksq[half]) for mult in (ik2, -1j * g.k1_odd))
+        lip_v = max(lp_norm(_real_samples(d, g), math.inf) for d in (v1 * ik1, v1 * ik2, v2 * ik1))
 
         integrands = {
-            "hhalf_v_sq": hhalf_v_sq,
-            "hhalf_gamma_sq": _parseval(kmag, gam),
-            "hhalf_omega_sq": _parseval(kmag, w),
-            "besov_omega": _band_max_sum(g, omega_half),
-            "lip_v": max(lp_norm(_real_samples(g.half(d), g), math.inf)
-                         for d in (v1 * ik1, v1 * ik2, v2 * ik1)),
+            "hhalf_v_sq": hdot_v_sq[0.5],
+            "hhalf_gamma_sq": _squared(_block_norm(gam, kmag)),
+            "hhalf_omega_sq": _squared(_block_norm(w, kmag)),
+            "besov_omega": besov_norm(omega, BesovSpec(0.0, math.inf, 1.0)),
+            "lip_v": lip_v,
             "energy": 0.5 * _squared(l2_v),
-            "dissipation": hhalf_v_sq if state.alpha == 1.0
-            else _parseval(kmag**state.alpha * inv_kmag * inv_kmag, w),
+            "dissipation": hdot_v_sq[0.5 * state.alpha],
             "buoyancy_power": integrate(theta_phys * v_phys[1]),
         }
 
@@ -161,9 +142,9 @@ class DiagnosticsTracker:
             linf_theta=lp_norm(theta_phys, math.inf),
             l2_omega=lp_norm(omega_phys, 2),
             lr_omega=lp_norm(omega_phys, self.omega_lr),
-            l2_gamma=_block_l2(gam),
-            besov_theta=_band_max_sum(g, theta_half),
-            lip_v=integrands["lip_v"],
+            l2_gamma=_block_norm(gam),
+            besov_theta=besov_norm(theta, BesovSpec(0.0, math.inf, 1.0)),
+            lip_v=lip_v,
             energy_residual=energy_residual,
             **cums,
         )

@@ -90,8 +90,7 @@ class SimState:
         return self._velocity
 
     def physical_temperature(self) -> np.ndarray:
-        """Samples of the dealiased temperature on the complex path (their max sets
-        `adaptive_dt`'s buoyant limit, which can set dt), made afresh on every call."""
+        """Complex-path samples of the dealiased temperature, for `adaptive_dt`'s buoyant limit."""
         return _samples(self.grid.block(self.theta_hat.coeffs), self.grid)
 
     def copy(self) -> "SimState":

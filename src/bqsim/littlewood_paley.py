@@ -149,27 +149,30 @@ def _check_indices(s: float, *exponents) -> None:
             raise ConfigurationError(f"Besov {name} must be >= 1, got {x}")
 
 
-def _band_samples(g: Grid, comps, homogeneous: bool = False):
-    """Yield (q, samples of Delta_q of each coefficient array in comps), band q formed over the
-    half-spectrum columns it can occupy (`bank.columns[q]`) that the array holds (`Grid.half`)."""
-    bank = build_filter_bank(g)
+def _components(f):
+    return f.components() if isinstance(f, VectorField) else (f,)
+
+
+def _band_samples(f, homogeneous: bool = False):
+    """Yield (q, samples of Delta_q f: an array, or a pair for a vector), each component
+    formed over `bank.columns[q]` only."""
+    bank, comps = build_filter_bank(f.grid), _components(f)
     for q, mult in bank.bands(homogeneous):
-        parts = [c[:, : bank.columns[q]] for c in comps]
-        yield q, tuple(_real_samples(part * mult[:, : part.shape[1]], g) for part in parts)
+        cols = np.s_[:, : bank.columns[q]]
+        bands = tuple(_real_samples(c.coeffs[cols] * mult[cols], f.grid) for c in comps)
+        yield q, bands if isinstance(f, VectorField) else bands[0]
 
 
 def band_lp_norms(f, p: float, homogeneous: bool = False):
     """Per-band L^p norms (q indices, norms of Delta_q f): Parseval at p = 2, else sampled."""
-    comps = [c.coeffs for c in (f.components() if isinstance(f, VectorField) else (f,))]
     if p == 2:  # 2 pi sqrt(sum_k mult_q(k)^2 |coeff(k)|^2) over the components
-        mags = [np.abs(c) for c in comps]
+        mags = [np.abs(c.coeffs) for c in _components(f)]
         top = max(float(np.max(m)) for m in mags) or 1.0  # scaled by it, squares stay finite
         power = sum((m / top) ** 2 for m in mags)
         pairs = ((q, 2.0 * np.pi * top * np.sqrt(np.sum(mult * mult * power)))
                  for q, mult in build_filter_bank(f.grid).bands(homogeneous))
     else:
-        pairs = ((q, lp_norm(bands if len(bands) == 2 else bands[0], p))
-                 for q, bands in _band_samples(f.grid, comps, homogeneous))
+        pairs = ((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous))
     qs, norms = zip(*pairs)
     return np.array(qs), np.array(norms)
 
@@ -229,7 +232,6 @@ def mixed_time_besov_norm(
 
 
 def _check_increasing(t: np.ndarray) -> None:
-    """Raise InvalidInputError unless t is a non-empty 1-D series that increases strictly."""
     if not (t.ndim == 1 and t.size > 0):
         raise InvalidInputError(f"times must be a non-empty 1-D series, got shape {t.shape}")
     if not np.all(np.diff(t) > 0):
@@ -244,8 +246,8 @@ def bony_decompose(u: SpectralField, w: SpectralField):
     product because the block pairing partitions all band pairs.
     """
     grid = u._same_grid(w)
-    bu = [b for _, (b,) in _band_samples(grid, [u.coeffs])]
-    bw = [b for _, (b,) in _band_samples(grid, [w.coeffs])]
+    bu = [b for _, b in _band_samples(u)]
+    bw = [b for _, b in _band_samples(w)]
     cum_u = np.cumsum(bu, axis=0)
     cum_w = np.cumsum(bw, axis=0)
     # bw[q + 1] is block q; cum_*[q - 1] is the partial sum over blocks -1 .. q-2

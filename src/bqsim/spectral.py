@@ -28,20 +28,19 @@ for a zero field: numpy's bytes but for the sign of a zero sample.  The complex 
 where the last bits feed the trajectory or the energy residual (E1 - E0) / dt, which
 magnifies them about 10^7-fold: `advect` and the step, `SimState.physical_velocity`,
 `grid_max_velocity` (it sets the benchmark's run amplitudes), `SimState.physical_temperature`
-(`adaptive_dt`'s max|theta|: the buoyant limit can set dt), and the forward transforms.  Bar
-`forward_transform`, it works on plain arrays of the kept block, the coefficients |k_j| <= kmax
-in FFT layout of size 2 kmax + 1 (`Grid.block`), so it reads the dealiased part of its input:
-one sampler, `_samples`, takes a block, `_forward` returns one (or the plane), `_advect` maps
-blocks to a block, and `Grid.plane` scatters one into +0.0, as `dealias` does.  They run the
-1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in place), so every bit is
-numpy's, and skip the lines |k_j| > kmax.  The record's buoyancy power enters the residual
-undivided by dt, so its theta is sampled on the real path, from a half spectrum (`Grid.half`).
+(`adaptive_dt`'s max|theta|: the buoyant limit can set dt), and the forward
+transforms.  Bar `forward_transform`, it works on plain arrays of the kept
+block, the coefficients |k_j| <= kmax in FFT layout of size 2 kmax + 1 (`Grid.block`), so it
+reads the dealiased part of its input: one sampler, `_samples`, takes a block, `_forward`
+returns one (or the plane), `_advect` maps blocks to a block, and `Grid.plane` scatters one
+into +0.0, as `dealias` does.  They run the 1-D passes of `ifft2`/`fft2` in numpy's order
+(axis 1, then axis 0 in place), so every bit is numpy's, and skip the lines |k_j| > kmax.
 
 `Grid(n)` returns the live grid of size n when there is one (a weak table finds it), so all
 callers share one grid per n while any of them holds it; each grid's cached filter bank
 (`littlewood_paley.build_filter_bank`), home of the dyadic bands, holds it for the process.
 A grid builds its lattice and kept lines at once and its n-by-n multipliers (|k|, 1/|k|^2,
-Riesz) and the kept block's k_j, 1/|k|^2, i k_j, Biot-Savart and `block_weights` on first read,
+Riesz) and the kept block's k_j, 1/|k|^2, i k_j and Biot-Savart multipliers on first read,
 keeping each: they are built once per n.  As every user of n shares them, every array a grid
 holds is read-only.  `kmag_power` and `forcing_mult` build the alpha ones on request
 (`kmag_power` returns `kmag` itself at alpha = 1); `partial_derivative` and `biot_savart` form
@@ -124,17 +123,6 @@ class Grid(metaclass=_OnePerSize):
         return k1, k1.T, _read_only(self.block(self.inv_ksq))
 
     @functools.cached_property
-    def block_weights(self) -> tuple:
-        """The kept block's |k|, 1/|k| and Riesz multiplier i k1/|k| (`riesz_mult`'s bits), each
-        0 at k = 0."""
-        k1, _, inv_ksq = self.block_k
-        kmag = self.block(self.kmag)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            riesz = 1j * k1 / kmag
-        riesz[0, 0] = 0.0
-        return tuple(map(_read_only, (kmag, kmag * inv_ksq, riesz)))
-
-    @functools.cached_property
     def block_mults(self) -> tuple:
         """Kept blocks of i k1 and i k2 (a column and a row) and (i k2, -i k1) / |k|^2, each formed
         as `partial_derivative` or `biot_savart` forms it."""
@@ -147,12 +135,6 @@ class Grid(metaclass=_OnePerSize):
         for plane, block in self.quadrants:
             b[block] = c[plane]
         return b
-
-    def half(self, b: np.ndarray) -> np.ndarray:
-        """Columns 0..kmax of `plane(b)`, b a block or its columns 0..kmax: a half spectrum."""
-        a, m = np.zeros((self.n, self.kmax + 1), b.dtype), self.kmax
-        a[: m + 1], a[self.n - m :] = b[: m + 1, : m + 1], b[m + 1 :, : m + 1]
-        return a
 
     def plane(self, b: np.ndarray) -> np.ndarray:
         """The (n, n) array that holds the block b on the kept lines and +0.0 elsewhere."""
@@ -476,10 +458,9 @@ def lp_norm(f, p) -> float:
     if isinstance(f, tuple) and len(f) == 2:
         v1 = _square(f[0])
         f = np.hypot(v1, _square(f[1], len(v1)))
-    a = _square(f)
-    if p == math.inf:  # max |a| with no |a| temporary; abs() makes the max of zeros +0.0
-        return abs(float(max(a.max(), -a.min())))
-    a = np.abs(a)
+    a = np.abs(_square(f))
+    if p == math.inf:
+        return float(np.max(a))
     area = _cell_area(a)
     with np.errstate(over="ignore"):
         total = np.sum(a**p) * area

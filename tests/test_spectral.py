@@ -138,7 +138,7 @@ class TestGrid:
         g = Grid(32)
         bank = bqsim.build_filter_bank(g)
         arrays = [g.k1, g.k2, g.k1_odd, g.k2_odd, g.x, g.kmag, g.inv_ksq, g.riesz_mult,
-                  *g.block_k, *g.block_mults, *g.block_weights, bank.chi, bank.phi_low_annulus, *bank.phi,
+                  *g.block_k, *g.block_mults, bank.chi, bank.phi_low_annulus, *bank.phi,
                   *_scatter(g.kmax, 2.0)]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -152,15 +152,6 @@ class TestGrid:
         assert g.k2[0, 1] == 1
         assert g.kmag[0, 0] == 0.0
         assert g.kmag[3, 4] == pytest.approx(5.0)
-
-    @pytest.mark.parametrize("n", [16, 98, 128, 256])
-    def test_block_weights_are_the_blocks_of_the_plane_multipliers(self, n):
-        """The record's Parseval weights and its Riesz multiplier, built on the block alone."""
-        g = Grid(n)
-        kmag, inv_kmag, riesz = g.block_weights
-        assert kmag.tobytes() == g.block(g.kmag).tobytes()
-        assert riesz.tobytes() == g.block(g.riesz_mult).tobytes()
-        assert inv_kmag[0, 0] == 0.0 and np.allclose(inv_kmag * kmag, np.where(kmag > 0, 1.0, 0.0), rtol=1e-15)
 
     def test_kmag_power_is_kmag_itself_at_the_critical_alpha(self):
         g = grid64()
