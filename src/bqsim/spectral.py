@@ -28,13 +28,14 @@ for a zero field: numpy's bytes but for the sign of a zero sample.  The complex 
 where the last bits feed the trajectory or the energy residual (E1 - E0) / dt, which
 magnifies them about 10^7-fold: `advect` and the step, `SimState.physical_velocity`,
 `grid_max_velocity` (it sets the benchmark's run amplitudes), `SimState.physical_temperature`
-(`adaptive_dt`'s max|theta|: the buoyant limit can set dt), and the forward
-transforms.  Bar `forward_transform`, it works on plain arrays of the kept
-block, the coefficients |k_j| <= kmax in FFT layout of size 2 kmax + 1 (`Grid.block`), so it
-reads the dealiased part of its input: one sampler, `_samples`, takes a block, `_forward`
-returns one (or the plane), `_advect` maps blocks to a block, and `Grid.plane` scatters one
-into +0.0, as `dealias` does.  They run the 1-D passes of `ifft2`/`fft2` in numpy's order
-(axis 1, then axis 0 in place), so every bit is numpy's, and skip the lines |k_j| > kmax.
+(`adaptive_dt`'s max|theta|: the buoyant limit can set dt), and the forward transforms.  Bar
+`forward_transform`, it works on plain arrays of the kept block, the coefficients |k_j| <= kmax
+in FFT layout of size 2 kmax + 1 (`Grid.block`), so it reads the dealiased part of its input:
+one sampler, `_samples`, takes a block, `_forward` returns one (or the plane), `_advect` maps
+blocks to a block, and `Grid.plane` scatters one into +0.0, as `dealias` does.  They run the
+1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in place), so every bit is
+numpy's, and skip the lines |k_j| > kmax.  From n = 160 (`dynamics.PARALLEL_MIN_N`) the step
+runs each stage's two `_advect` calls, and its two velocity samples, on two threads.
 
 `Grid(n)` returns the live grid of size n when there is one (a weak table finds it), so all
 callers share one grid per n while any of them holds it; each grid's cached filter bank
@@ -440,11 +441,11 @@ def advect(v: tuple, f: SpectralField) -> SpectralField:
 def _advect(g: Grid, v: tuple, b: np.ndarray) -> np.ndarray:
     """The kept block of the dealiased v . grad f, from velocity samples v and f's kept block b."""
     ik1, ik2 = g.block_mults[:2]
-    f1, f2 = _samples(b * ik1, g), _samples(b * ik2, g)
-    # Named so that it is freed with f1 and f2: the order of those frees decides how often
-    # glibc trims the heap and refaults it, about 500 page faults per step at n = 256.
-    product = v[0] * f1 + v[1] * f2
-    return _forward(g, product, True)
+    p, f2 = _samples(b * ik1, g), _samples(b * ik2, g)
+    p *= v[0]  # v1 d1f + v2 d2f in place: IEEE products commute, so the bits are the same
+    f2 *= v[1]
+    p += f2
+    return _forward(g, p, True)
 
 
 def lp_norm(f, p) -> float:

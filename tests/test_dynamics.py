@@ -2,10 +2,17 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bqsim
 import oracle
 from bqsim import (
     BlowUpError,
@@ -30,7 +37,11 @@ from bqsim import (
     step,
     trajectory_gamma_residuals,
 )
+from bqsim import dynamics
+from bqsim.config import PRESETS
+from bqsim.errors import NonFiniteError
 from bqsim.runner import adaptive_dt
+from bqsim.spectral import _advect
 
 
 def grid64():
@@ -474,3 +485,109 @@ class TestGammaResiduals:
         assert residuals[0][1] < 3e-3 and residuals[-1][1] < 3e-3
         for t, value in residuals[1:-1]:
             assert value < 1e-5
+
+
+def has_worker():
+    return bool(dynamics._worker(os.getpid()))
+
+
+class TestTwoThreads:
+    """From `PARALLEL_MIN_N` a stage runs theta's advection and v2's sample on a worker thread."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_parallel_steps_equal_serial_steps_bit_for_bit(self, preset, monkeypatch):
+        state0 = make_initial_data(parse_config(f"n = 256\nt_end = 1\npreset = {preset}\n"))
+        threads = set()
+
+        def advect(*args):
+            threads.add(threading.get_ident())
+            return _advect(*args)
+
+        def ten_steps():
+            state = state0
+            for _ in range(10):
+                state = step(state, 1e-3)
+            return [a.tobytes() for a in (state.omega_hat.coeffs, state.theta_hat.coeffs,
+                                          *state.physical_velocity())]
+
+        monkeypatch.setattr(dynamics, "_advect", advect)
+        parallel = ten_steps()
+        assert len(threads) == (2 if has_worker() else 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            switching = ten_steps()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(dynamics, "PARALLEL_MIN_N", 10**9)
+        threads.clear()
+        serial = ten_steps()
+        assert threads == {threading.get_ident()}
+        assert parallel == serial and switching == serial
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflow_on_the_worker_is_a_blow_up_under_the_callers_error_state(self):
+        """Theta's advection overflows on the worker, which must ignore it as the caller does:
+        in numpy's default error state the overflow raises a RuntimeWarning instead."""
+        state = random_state(256)
+        state = SimState(0.0, state.omega_hat * 1e105, state.theta_hat * 1e200)
+        assert state.grid.n >= dynamics.PARALLEL_MIN_N
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
+            step(state, 1e-3)
+
+    def test_a_raise_on_the_caller_waits_for_the_workers_half(self, monkeypatch):
+        if not has_worker():
+            pytest.skip("no worker on one CPU")
+        caller, finished = threading.get_ident(), []
+
+        def advect(*args):
+            if threading.get_ident() == caller:
+                raise NonFiniteError("the caller's half")
+            time.sleep(0.2)
+            finished.append(threading.get_ident())
+            return _advect(*args)
+
+        monkeypatch.setattr(dynamics, "_advect", advect)
+        with pytest.raises(BlowUpError):
+            step(random_state(256), 1e-3)
+        assert len(finished) == 1
+
+    def test_a_worker_only_where_the_process_may_use_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert dynamics._worker.__wrapped__(os.getpid()) is False
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        worker = dynamics._worker.__wrapped__(os.getpid())
+        assert worker.submit(threading.get_ident).result() != threading.get_ident()
+        worker.shutdown()
+
+    def test_importing_bqsim_starts_no_thread(self):
+        code = "import sys, threading, bqsim; print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+        assert python(code).split() == ["1", "False"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_a_forked_child_makes_its_own_worker(self):
+        """The child of a process whose worker ran has none of its threads; stepping there on the
+        parent's pool would wait for ever (here until the alarm)."""
+        code = (
+            "import os, signal\n"
+            "from bqsim import Grid, SimState, dealias, random_scalar_field, step\n"
+            "g = Grid(256)\n"
+            "s = SimState(0.0, *(dealias(random_scalar_field(g, 2.0, 1.0, (4, k))) for k in (1, 2)))\n"
+            "s = step(s, 1e-3)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    step(s, 1e-3)\n"
+            "    os._exit(0)\n"
+            "print(os.waitpid(pid, 0)[1])\n"
+        )
+        assert python(code).split() == ["0"]
+
+
+def python(code):
+    """Stdout of `code` run by a fresh interpreter that imports this bqsim."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bqsim.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", code],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

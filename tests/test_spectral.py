@@ -1055,6 +1055,10 @@ FFT_COUNTS = {
                    {"ifft": (3 * 26, 26 * dealiased_lines(64)), "fft": (3 * 8, 8 * dealiased_lines(64))}),
     "step-stepped": (lambda: random_state(64, 1), lambda s: step(s, 1e-3),
                      {"ifft": (3 * 24, 24 * dealiased_lines(64)), "fft": (3 * 8, 8 * dealiased_lines(64))}),
+    # at n >= PARALLEL_MIN_N theta's advection and v2's sample run on the worker thread
+    "step-stepped-n256": (lambda: random_state(256, 1), lambda s: step(s, 1e-3),
+                          {"ifft": (3 * 24, 24 * dealiased_lines(256)),
+                           "fft": (3 * 8, 8 * dealiased_lines(256))}),
     "adaptive-dt": (lambda: random_state(64, 2), lambda s: adaptive_dt(s, 0.5),
                     {"ifft": (3, dealiased_lines(64))}),  # theta only
     "velocity-of-a-copy": (lambda: random_state(64, 1).copy(), SimState.physical_velocity,
