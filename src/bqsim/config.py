@@ -24,9 +24,7 @@ from .spectral import (
     curl,
     dealias,
     gradient_lp_norm,
-    inverse_transform,
-    lp_norm,
-    to_physical,
+    sobolev_norm,
     vector_sobolev_norm,
 )
 
@@ -223,10 +221,10 @@ def initial_norms(state: SimState) -> dict:
     theta in L2 and B^0_(inf,1), v in H^1 with grad v in L^p."""
     v = biot_savart(state.omega_hat)
     return {
-        "l2_theta": lp_norm(inverse_transform(state.theta_hat), 2),
+        "l2_theta": sobolev_norm(state.theta_hat, 0.0),
         "besov_theta_inf1": besov_norm(state.theta_hat, BesovSpec(0.0, math.inf, 1.0)),
         "h1_v": vector_sobolev_norm(v, 1.0),
         "grad_v_lp": gradient_lp_norm(v, GRAD_V_EXPONENT),
         "lp_exponent": GRAD_V_EXPONENT,
-        "l2_v": lp_norm(to_physical(v), 2),
+        "l2_v": vector_sobolev_norm(v, 0.0),
     }

@@ -17,9 +17,9 @@ Each grid has one filter bank, built on first use and cached
 (`build_filter_bank`), its bands read-only; the operators here take it from their field's
 grid.  A band index q is an integer (`_check_band_index`).
 
-Band L^p norms take p = 2 from Parseval, with no transform and with the coefficients
-scaled by their max; other p sample one band at a time, formed only over the half-spectrum
-columns it can occupy (`DyadicFilterBank.columns`), by `spectral._real_samples`.
+Band L^p norms take p = 2 from Parseval (`spectral._parseval`), with no transform; other p
+sample one band at a time, formed only over the half-spectrum columns it can occupy
+(`DyadicFilterBank.columns`), by `spectral._real_samples`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from .spectral import (
     SpectralField,
     VectorField,
     _apply_multiplier,
+    _components,
     _forward,
+    _parseval,
     _read_only,
     _real_samples,
     _rescale_by,
@@ -149,10 +151,6 @@ def _check_indices(s: float, *exponents) -> None:
             raise ConfigurationError(f"Besov {name} must be >= 1, got {x}")
 
 
-def _components(f):
-    return f.components() if isinstance(f, VectorField) else (f,)
-
-
 def _band_samples(f, homogeneous: bool = False):
     """Yield (q, samples of Delta_q f: an array, or a pair for a vector), each component
     formed over `bank.columns[q]` only."""
@@ -165,15 +163,10 @@ def _band_samples(f, homogeneous: bool = False):
 
 def band_lp_norms(f, p: float, homogeneous: bool = False):
     """Per-band L^p norms (q indices, norms of Delta_q f): Parseval at p = 2, else sampled."""
-    if p == 2:  # 2 pi sqrt(sum_k mult_q(k)^2 |coeff(k)|^2) over the components
-        mags = [np.abs(c.coeffs) for c in _components(f)]
-        top = max(float(np.max(m)) for m in mags) or 1.0  # scaled by it, squares stay finite
-        power = sum((m / top) ** 2 for m in mags)
-        pairs = ((q, 2.0 * np.pi * top * np.sqrt(np.sum(mult * mult * power)))
-                 for q, mult in build_filter_bank(f.grid).bands(homogeneous))
-    else:
-        pairs = ((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous))
-    qs, norms = zip(*pairs)
+    if p == 2:
+        qs, mults = zip(*build_filter_bank(f.grid).bands(homogeneous))
+        return np.array(qs), _parseval([c.coeffs for c in _components(f)], mults)
+    qs, norms = zip(*((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous)))
     return np.array(qs), np.array(norms)
 
 

@@ -50,8 +50,11 @@ Nyquist lines filled.  Random draws are projected on the kept block, by the
 formula `leray_project` applies to the plane (`_leray`).
 
 Norms are torus norms: `lp_norm` uses grid quadrature with cell area (2*pi/n)^2, n the
-samples' own, and `sobolev_norm` carries the matching Parseval factor, so
-``lp_norm(f, 2) == sobolev_norm(forward_transform(grid, f), 0)`` up to roundoff.
+samples' own, and the Parseval sum `_parseval` the matching factor 2 pi, so
+``lp_norm(inverse_transform(f), 2) == sobolev_norm(f, 0)`` up to roundoff, with no transform on
+the right.  Every L^2 norm of a field is that sum: `sobolev_norm` (`vector_sobolev_norm`), and
+`gradient_lp_norm` and the bands of `littlewood_paley.band_lp_norms` at p = 2.  The record's
+kinetic energy stays `lp_norm` of the complex-path velocity samples, for its bits (see above).
 """
 
 from __future__ import annotations
@@ -244,6 +247,10 @@ class VectorField:
         return (self.x1, self.x2)
 
 
+def _components(f) -> tuple:
+    return f.components() if isinstance(f, VectorField) else (f,)
+
+
 def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
     """Multiply coefficients by a real even or Nyquist-zeroed odd Fourier multiplier."""
     return _wrap(f.grid, f.coeffs * mult)
@@ -328,10 +335,10 @@ def _samples(b: np.ndarray, g: Grid) -> np.ndarray:
 def _real_samples(c: np.ndarray, g: Grid) -> np.ndarray:
     """Samples of c's columns 0..n/2 (zeros beyond a narrower c) by `irfft2`'s two passes, the
     `ifft` over columns 0..kmax alone when those beyond are zero, and none when all are."""
-    n = g.n
+    n, m = g.n, g.kmax + 1
     c = c[:, : n // 2 + 1]
-    if not c[:, g.kmax + 1 :].any():
-        c = c[:, : g.kmax + 1]
+    if c.shape[1] <= m or not c[:, m:].any():  # each element is scanned once
+        c = c[:, :m]
         if not c.any():
             return np.zeros((n, n))
     s = np.fft.irfft(np.fft.ifft(c, axis=0), n, axis=1)
@@ -479,29 +486,40 @@ def _rescale_by(total: float, a: np.ndarray) -> float:
     return float(np.max(a))
 
 
-def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
-    """Sobolev norm from weighted coefficients, consistent with lp_norm.
-
-    Inhomogeneous weight (1 + |k|^2)^(1/2); homogeneous weight |k| with the
-    zero mode dropped.  The 2*pi box factor makes s = 0 agree with the L2
-    grid quadrature (Parseval).
-    """
+def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
+    """Sobolev norm of a field, or of a vector's two components together, by `_parseval`:
+    inhomogeneous weight (1 + |k|^2)^(s/2), none at s = 0, or homogeneous weight |k|^s with the
+    zero mode dropped.  At s = 0 it is `lp_norm` of the samples (the 2 pi box factor)."""
     if not math.isfinite(s):
         raise ConfigurationError(f"Sobolev index s must be finite, got {s}")
     g = f.grid
-    mag = np.abs(f.coeffs)
     if homogeneous:
-        w2s = np.zeros_like(g.kmag)
-        nz = g.kmag > 0
-        w2s[nz] = g.kmag[nz] ** (2.0 * s)
+        with np.errstate(divide="ignore"):
+            w = g.kmag**s
+        w[0, 0] = 0.0
     else:
-        w2s = (1.0 + g.kmag**2) ** s
-    with np.errstate(over="ignore"):
-        total = np.sum(w2s * mag**2)
-    top = _rescale_by(total, mag)
-    if top:
-        return float(2.0 * np.pi * top * np.sqrt(np.sum(w2s * (mag / top) ** 2)))
-    return float(2.0 * np.pi * np.sqrt(total))
+        w = None if s == 0 else (1.0 + g.kmag**2) ** (0.5 * s)
+    return float(_parseval([c.coeffs for c in _components(f)], [w])[0])
+
+
+vector_sobolev_norm = sobolev_norm
+
+
+def _parseval(cs: list, mults: list) -> np.ndarray:
+    """The L^2 norms 2 pi (sum_k m(k)^2 sum_c |c(k)|^2)^(1/2) of m(D) f, f the field (or vector)
+    of the coefficient arrays cs, for each m in mults (None for 1), with |c|^2 = re^2 + im^2;
+    scaled by max |c| first only when the largest sum leaves the normal doubles."""
+    def sums(cs):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: rescaled below
+            power = sum(c.real**2 + c.imag**2 for c in cs)
+            return np.array([np.sum(power if m is None else m * m * power) for m in mults])
+
+    totals = sums(cs)
+    if not np.finfo(float).tiny <= np.max(totals) < math.inf:
+        top = _rescale_by(np.max(totals), np.array([np.max(np.abs(c)) for c in cs]))
+        if top:
+            return 2.0 * np.pi * top * np.sqrt(sums([c / top for c in cs]))
+    return 2.0 * np.pi * np.sqrt(totals)
 
 
 def grid_max_velocity(v: VectorField) -> float:
@@ -520,15 +538,13 @@ def max_gradient(v: VectorField) -> float:
 
 
 def gradient_lp_norm(v: VectorField, p) -> float:
-    """L^p norm of the pointwise Frobenius magnitude of the velocity gradient."""
+    """L^p norm of the pointwise Frobenius magnitude of the velocity gradient; at p = 2 by
+    Parseval, (sum_j ||k_j v||^2)^(1/2) with k_j zero on its Nyquist line, as the samples have it."""
+    if p == 2:
+        g = v.grid
+        return float(np.hypot(*_parseval([c.coeffs for c in v.components()], [g.k1_odd, g.k2_odd])))
     acc = sum(d * d for d in _gradient_samples(v))
     return lp_norm(np.sqrt(acc), p)
-
-
-def vector_sobolev_norm(v: VectorField, s: float, homogeneous: bool = False) -> float:
-    return float(
-        np.hypot(sobolev_norm(v.x1, s, homogeneous), sobolev_norm(v.x2, s, homogeneous))
-    )
 
 
 def integrate(samples) -> float:

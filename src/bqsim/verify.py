@@ -7,6 +7,10 @@ with a constant independent of the function": because random fields extend
 coherently across resolutions (see `fields`), rerunning a suite at 2n tests
 the same underlying functions with their next octave of modes filled in.
 
+Every L^2 norm of a sample is a Parseval sum of its coefficients (`sobolev_norm` at s = 0,
+`gradient_lp_norm` and the Besov bands at p = 2, `_lp`), with no transform; what a sample still
+transforms feeds a product, a nonlinear map or a norm with p != 2.
+
 Torus note: fields live on [0, 2pi)^2, so phenomena specific to the whole
 plane (non-compact scalings, infinite-volume kernels) are outside scope;
 kernel moments use box-folded coordinates.  Report CSVs repeat this note.
@@ -34,6 +38,7 @@ from .littlewood_paley import (
 from .simio import write_ratio_csv
 from .spectral import (
     Grid,
+    VectorField,
     advect,
     dealiased_transform,
     divergence,
@@ -152,6 +157,13 @@ def _collect(suite, params, ens, one_sample) -> RatioReport:
     return RatioReport(suite=suite, params=dict(params), lhs=lhs, rhs=rhs)
 
 
+def _lp(f, p) -> float:
+    """L^p norm of a field or a vector field: Parseval at p = 2, else its samples' quadrature."""
+    if p == 2:
+        return sobolev_norm(f, 0.0)
+    return lp_norm(to_physical(f) if isinstance(f, VectorField) else inverse_transform(f), p)
+
+
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -166,14 +178,10 @@ def verify_commutator_hs(ens: EnsembleSpec, s: float = 0.5) -> RatioReport:
         raise ConfigurationError(f"commutator-hs regularity s must lie in (0, 1), got {s}")
 
     def one(grid, scalar, velocity):
-        v = velocity()
-        theta = scalar()
-        comm = commutator_riesz(v, theta)
-        lhs = vector_sobolev_norm(comm, s)
-        rhs = gradient_lp_norm(v, 2) * besov_norm(
-            theta, BesovSpec(s - 1.0, math.inf, 2.0)
-        ) + lp_norm(to_physical(v), 2) * lp_norm(inverse_transform(theta), 2)
-        return lhs, rhs
+        v, theta = velocity(), scalar()
+        lhs = vector_sobolev_norm(commutator_riesz(v, theta), s)
+        l2 = vector_sobolev_norm(v, 0.0) * sobolev_norm(theta, 0.0)
+        return lhs, gradient_lp_norm(v, 2) * besov_norm(theta, BesovSpec(s - 1.0, math.inf, 2.0)) + l2
 
     return _collect("commutator-hs", {"s": s}, ens, one)
 
@@ -188,14 +196,10 @@ def verify_commutator_bp(ens: EnsembleSpec, p: float = 2.0) -> RatioReport:
         raise ConfigurationError(f"commutator-bp exponent p must lie in [2, inf], got {p}")
 
     def one(grid, scalar, velocity):
-        v = velocity()
-        theta = scalar()
-        comm_div = divergence(commutator_riesz(v, theta))
-        lhs = besov_norm(comm_div, BesovSpec(0.0, p, math.inf))
-        rhs = gradient_lp_norm(v, p) * besov_norm(
-            theta, BesovSpec(0.0, math.inf, math.inf)
-        ) + lp_norm(to_physical(v), 2) * lp_norm(inverse_transform(theta), 2)
-        return lhs, rhs
+        v, theta = velocity(), scalar()
+        lhs = besov_norm(divergence(commutator_riesz(v, theta)), BesovSpec(0.0, p, math.inf))
+        l2 = vector_sobolev_norm(v, 0.0) * sobolev_norm(theta, 0.0)
+        return lhs, gradient_lp_norm(v, p) * besov_norm(theta, BesovSpec(0.0, math.inf, math.inf)) + l2
 
     return _collect("commutator-bp", {"p": p}, ens, one)
 
@@ -211,16 +215,12 @@ def verify_kernel_commutator(ens: EnsembleSpec, q: int = 3, p: float = 2.0) -> R
     xh_l1 = integrate(centered_radius(grid) * np.abs(band_kernel(grid, q)))
 
     def one(grid, scalar, velocity):
-        f = scalar(0)
-        g = scalar(1)
-        f_phys = inverse_transform(f)
-        g_phys = inverse_transform(g)
+        f, g = scalar(0), scalar(1)
+        f_phys, g_phys = inverse_transform(f), inverse_transform(g)
         fg = dealiased_transform(grid, f_phys * g_phys)
-        conv_fg = inverse_transform(dyadic_block(fg, q))
         conv_g = inverse_transform(dyadic_block(g, q))
-        f_convg = inverse_transform(dealiased_transform(grid, f_phys * conv_g))
-        lhs = lp_norm(conv_fg - f_convg, p)
-        rhs = xh_l1 * lp_norm(to_physical(gradient(f)), p) * lp_norm(g_phys, math.inf)
+        lhs = _lp(dyadic_block(fg, q) - dealiased_transform(grid, f_phys * conv_g), p)
+        rhs = xh_l1 * _lp(gradient(f), p) * lp_norm(g_phys, math.inf)
         return lhs, rhs
 
     return _collect("kernel", {"q": q, "p": p}, ens, one)
@@ -259,12 +259,10 @@ def verify_log_interpolation(ens: EnsembleSpec) -> RatioReport:
 
     def one(grid, scalar, velocity):
         v = velocity()
-        lhs = lp_norm(to_physical(v), 2)
-        weak = besov_norm(v, BesovSpec(0.0, 2.0, math.inf))
+        lhs, weak = vector_sobolev_norm(v, 0.0), besov_norm(v, BesovSpec(0.0, 2.0, math.inf))
         if weak <= RHS_FLOOR:
             return lhs, 0.0
-        h1 = vector_sobolev_norm(v, 1.0)
-        return lhs, weak * math.log(math.e + h1 / weak)
+        return lhs, weak * math.log(math.e + vector_sobolev_norm(v, 1.0) / weak)
 
     return _collect("log-interp", {}, ens, one)
 
@@ -280,8 +278,7 @@ def verify_generalized_bernstein(ens: EnsembleSpec, q: int = 3, r: float = 3.0) 
         raise ConfigurationError(f"gen-bernstein exponent r must be finite and >= 2, got {r}")
 
     def one(grid, scalar, velocity):
-        u = scalar()
-        uq = dyadic_block(u, q)
+        uq = dyadic_block(scalar(), q)
         uq_phys = inverse_transform(uq)
         dissip = inverse_transform(fractional_dissipation(uq, 1.0))
         signed_power = np.sign(uq_phys) * np.abs(uq_phys) ** (r - 1.0)
@@ -302,11 +299,9 @@ def verify_product_transport(ens: EnsembleSpec, s: float = -0.5) -> RatioReport:
         raise ConfigurationError(f"product regularity s must lie in [-1, 0], got {s}")
 
     def one(grid, scalar, velocity):
-        vp = to_physical(velocity())
-        f = scalar()
-        adv, l2 = advect(vp, f), lp_norm(vp, 2)
-        lhs = besov_norm(adv, BesovSpec(s, 2.0, math.inf))
-        rhs = l2 * besov_norm(f, BesovSpec(1.0 + s, math.inf, 1.0))
+        v, f = velocity(), scalar()
+        lhs = besov_norm(advect(to_physical(v), f), BesovSpec(s, 2.0, math.inf))
+        rhs = vector_sobolev_norm(v, 0.0) * besov_norm(f, BesovSpec(1.0 + s, math.inf, 1.0))
         return lhs, rhs
 
     return _collect("product", {"s": s}, ens, one)
@@ -327,10 +322,8 @@ def verify_block_commutator(
         raise ConfigurationError("block-commutator variant 'b2a' requires finite p")
 
     def one(grid, scalar, velocity):
-        v = velocity()
-        f = scalar()
-        comm = commutator_block(v, f, q)
-        lhs = lp_norm(inverse_transform(comm), p)
+        v, f = velocity(), scalar()
+        lhs = _lp(commutator_block(v, f, q), p)
         if variant == "binf":
             rhs = gradient_lp_norm(v, p) * besov_norm(f, BesovSpec(0.0, math.inf, math.inf))
         else:

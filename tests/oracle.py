@@ -189,3 +189,112 @@ def records(grid, bands, states, alpha=1.0, omega_lr=3.0):
                     "energy": now["energy"]})
         prev = (t, now, cums)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The verifier's suites, each sample's lhs and rhs by the sampled formulas they were first
+# written with: every L^p norm, p = 2 included, is the quadrature of full-plane samples.
+
+def _magnitude(samples):
+    """A scalar's samples, or the pointwise Euclidean magnitude of a vector's."""
+    return samples[0] if len(samples) == 1 else np.hypot(*samples)
+
+
+def sobolev(grid, cs, s, homogeneous=False):
+    """(2 pi) (sum_k w(k) |c(k)|^2)^(1/2) summed over the arrays cs, with w = (1 + |k|^2)^s, or
+    |k|^(2 s) and 0 at k = 0."""
+    if homogeneous:
+        return float(np.sqrt(sum(_weighted_sq(grid, c, s) for c in cs)))
+    w2s = (1.0 + grid.kmag**2) ** s
+    return float(2.0 * np.pi * np.sqrt(sum(np.sum(w2s * np.abs(c) ** 2) for c in cs)))
+
+
+def besov(bands, cs, s, p, r):
+    """l^r over the bands q = -1, 0, ... of 2^(q s) ||Delta_q f||_p, each band sampled."""
+    terms = np.array([2.0 ** (q * s) * _lp(_magnitude([ifft2(c * mult) for c in cs]), p)
+                      for q, mult in enumerate(bands, start=-1)])
+    return float(np.max(terms)) if r == np.inf else float(np.sum(terms**r) ** (1.0 / r))
+
+
+def gradient_lp(grid, v, p):
+    """L^p norm of the pointwise Frobenius magnitude of the sampled velocity gradient."""
+    derivs = [ifft2(c * (1j * k)) for c in v for k in (grid.k1_odd, grid.k2_odd)]
+    return _lp(np.sqrt(sum(d * d for d in derivs)), p)
+
+
+def _l2(cs):
+    return _lp(_magnitude([ifft2(c) for c in cs]), 2)
+
+
+def commutator_hs(grid, bands, scalar, velocity, s=0.5):
+    v, th = velocity(), scalar()
+    lhs = sobolev(grid, commutator_riesz(grid, v, th), s)
+    return lhs, gradient_lp(grid, v, 2) * besov(bands, [th], s - 1.0, np.inf, 2.0) + _l2(v) * _l2([th])
+
+
+def commutator_bp(grid, bands, scalar, velocity, p=2.0):
+    v, th = velocity(), scalar()
+    comm = commutator_riesz(grid, v, th)
+    div = comm[0] * (1j * grid.k1_odd) + comm[1] * (1j * grid.k2_odd)
+    rhs = gradient_lp(grid, v, p) * besov(bands, [th], 0.0, np.inf, np.inf) + _l2(v) * _l2([th])
+    return besov(bands, [div], 0.0, p, np.inf), rhs
+
+
+def kernel(grid, bands, scalar, velocity, q=3, p=2.0):
+    n, mult = grid.k1.shape[0], bands[q + 1]
+    xc = np.mod(2.0 * np.pi * np.arange(n) / n + np.pi, 2.0 * np.pi) - np.pi
+    band_kernel = ifft2(mult.astype(complex) / (2.0 * np.pi) ** 2)
+    xh_l1 = float(np.sum(np.hypot(xc[:, None], xc[None, :]) * np.abs(band_kernel)) * (2.0 * np.pi / n) ** 2)
+    f, g = scalar(0), scalar(1)
+    fp, gp = ifft2(f), ifft2(g)
+    conv_fg = ifft2(mult * dealiased_fft2(fp * gp))
+    f_convg = ifft2(dealiased_fft2(fp * ifft2(mult * g)))
+    grad = np.hypot(ifft2(f * (1j * grid.k1_odd)), ifft2(f * (1j * grid.k2_odd)))
+    return _lp(conv_fg - f_convg, p), xh_l1 * _lp(grad, p) * _lp(gp, np.inf)
+
+
+def power_map(grid, bands, scalar, velocity, beta=4.0, s=0.5):
+    u = scalar()
+    up = ifft2(u)
+    powered = np.sign(up) * np.abs(up) ** (beta - 1.0)
+    lhs = sobolev(grid, [fft2(powered)], s, homogeneous=True)
+    return lhs, _lp(up, 2.0 * beta) ** (beta - 2.0) * sobolev(grid, [u], s + 1.0 - 2.0 / beta, homogeneous=True)
+
+
+def log_interp(grid, bands, scalar, velocity):
+    v = velocity()
+    lhs, weak = _l2(v), besov(bands, v, 0.0, 2.0, np.inf)
+    if weak <= 1e-14:
+        return lhs, 0.0
+    return lhs, weak * np.log(np.e + sobolev(grid, v, 1.0) / weak)
+
+
+def gen_bernstein(grid, bands, scalar, velocity, q=3, r=3.0):
+    uq = bands[q + 1] * scalar()
+    up, dissip = ifft2(uq), ifft2(grid.kmag * uq)
+    lhs = float(np.sum(dissip * np.sign(up) * np.abs(up) ** (r - 1.0)) * (2.0 * np.pi / up.shape[0]) ** 2)
+    return lhs, 2.0**q * _lp(up, r) ** r
+
+
+def product(grid, bands, scalar, velocity, s=-0.5):
+    v = velocity()
+    vp, f = tuple(ifft2(c) for c in v), scalar()
+    lhs = besov(bands, [advect(grid, vp, f)], s, 2.0, np.inf)
+    return lhs, _lp(np.hypot(*vp), 2) * besov(bands, [f], 1.0 + s, np.inf, 1.0)
+
+
+def block_commutator(grid, bands, scalar, velocity, q=3, p=2.0):
+    v, f = velocity(), scalar()
+    vp, mult = tuple(ifft2(c) for c in v), bands[q + 1]
+    comm = mult * advect(grid, vp, f) - advect(grid, vp, mult * f)
+    return _lp(ifft2(comm), p), gradient_lp(grid, v, p) * besov(bands, [f], 0.0, np.inf, np.inf)
+
+
+#: Suite name -> its sample at the suite's default parameters: (grid, bands, scalar(stream),
+#: velocity()) -> (lhs, rhs), the draws as coefficient arrays and `bands` the inhomogeneous
+#: band multipliers.
+SUITES = {
+    "commutator-hs": commutator_hs, "commutator-bp": commutator_bp, "kernel": kernel,
+    "power-map": power_map, "log-interp": log_interp, "gen-bernstein": gen_bernstein,
+    "product": product, "block-commutator": block_commutator,
+}

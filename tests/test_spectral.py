@@ -55,6 +55,7 @@ from bqsim import (
 from bqsim.fields import _half_lattice, _scatter, random_divfree_velocity, random_scalar_field
 from bqsim.runner import adaptive_dt
 from bqsim.spectral import _real_samples, _samples, dealiased_transform, hermitian_defect
+from bqsim.verify import SUITES, EnsembleSpec, _lp
 
 # ||sin x1||_{L^2([0,2pi)^2)} = sqrt(2 pi^2) = pi sqrt(2)
 L2_SIN = 4.442882938158366
@@ -487,7 +488,7 @@ class TestLerayAndAdvection:
         derivs = [inverse_transform(partial_derivative(c, a)) for c in v.components() for a in (0, 1)]
         assert max_gradient(v) == max(float(np.max(np.abs(d))) for d in derivs)
         frobenius = np.sqrt(sum(d * d for d in derivs))
-        for p in (2.0, 3.0, math.inf):
+        for p in (3.0, math.inf):  # p = 2 is a Parseval sum: `TestParsevalNorms`
             assert gradient_lp_norm(v, p) == lp_norm(frobenius, p)
 
     def test_dealias_zeroes_high_modes_only(self):
@@ -831,9 +832,53 @@ class TestNormRange:
         cell_area = (2.0 * math.pi / f.grid.n) ** 2
         for p in (2, 3, 4):
             assert lp_norm(inverse_transform(f), p) == float((np.sum(a**p) * cell_area) ** (1.0 / p))
-        power = np.abs(f.coeffs) ** 2
-        w2s = (1.0 + f.grid.kmag**2) ** 0.5
-        assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w2s * power)))
+        power = f.coeffs.real**2 + f.coeffs.imag**2
+        w = (1.0 + f.grid.kmag**2) ** 0.25
+        assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w * w * power)))
+        assert sobolev_norm(f, 0.0) == float(2.0 * np.pi * np.sqrt(np.sum(power)))
+
+
+class TestParsevalNorms:
+    """L^2 norms from the coefficients, with no transform: `sobolev_norm` and
+    `vector_sobolev_norm` at s = 0, `gradient_lp_norm` at p = 2 and the verifier's `_lp`."""
+
+    @staticmethod
+    def norms(f, v):
+        """The Parseval norms of f and v, in the order of `sampled`."""
+        return [gradient_lp_norm(v, 2), sobolev_norm(f, 0.0), _lp(f, 2), vector_sobolev_norm(v, 0.0), _lp(v, 2)]
+
+    @staticmethod
+    def sampled(f, v):
+        """The sampled quadratures that `norms` replace."""
+        derivs = [oracle.ifft2(partial_derivative(c, a).coeffs) for c in v.components() for a in (0, 1)]
+        l2_f, l2_v = lp_norm(oracle.ifft2(f.coeffs), 2), lp_norm(tuple(oracle.ifft2(c.coeffs) for c in v.components()), 2)
+        return [lp_norm(np.sqrt(sum(d * d for d in derivs)), 2), l2_f, l2_f, l2_v, l2_v]
+
+    @pytest.mark.parametrize("n", [16, 48, 96, 98, 256])
+    def test_parseval_norms_match_the_sampled_quadrature(self, n):
+        """Dealiased draws, and white noise with the Nyquist lines filled, where the gradient's
+        odd multipliers vanish."""
+        g = Grid(n)
+        smooth = (random_scalar_field(g, 2.0, 1.0, (84, n)), random_divfree_velocity(g, 2.0, 1.0, (85, n)))
+        noise = (white_noise(g, n), VectorField(white_noise(g, n + 1), white_noise(g, n + 2)))
+        for f, v in (smooth, noise):
+            for got, want in zip(self.norms(f, v), self.sampled(f, v)):
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    @pytest.mark.parametrize("n", [16, 96])
+    def test_parseval_norms_neither_overflow_nor_underflow(self, scale, n):
+        g = Grid(n)
+        for f, v in ((random_scalar_field(g, 2.0, 1.0, (86, n)), random_divfree_velocity(g, 2.0, 1.0, (87, n))),
+                     (white_noise(g, n), VectorField(white_noise(g, n + 1), white_noise(g, n + 2)))):
+            big = VectorField(v.x1 * scale, v.x2 * scale)
+            for got, want in zip(self.norms(f * scale, big), self.norms(f, v)):
+                assert math.isfinite(got) and got == pytest.approx(scale * want, rel=1e-12, abs=0)
+            for s, homogeneous in ((1.0, False), (0.5, True), (-0.5, False)):
+                want = scale * sobolev_norm(f, s, homogeneous)
+                assert sobolev_norm(f * scale, s, homogeneous) == pytest.approx(want, rel=1e-12, abs=0)
+                want = scale * vector_sobolev_norm(v, s, homogeneous)
+                assert vector_sobolev_norm(big, s, homogeneous) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 TRANSFORM_HELPERS = {"_forward": ["fft", "fft"], "_samples": ["ifft", "ifft"], "_real_samples": ["irfft", "ifft"]}
@@ -1083,6 +1128,27 @@ FFT_COUNTS = {
                                    if p == math.inf else {})
        for kind, field, comps in (("scalar", lambda s: s.theta_hat, 1), ("vector", SimState.velocity, 2))
        for p in (2.0, math.inf) for r in (1.0, math.inf)},
+    # One sample of each verify suite (count 1): L^2 norms are Parseval sums, so what is left
+    # feeds a product, a nonlinear map or a norm with p != 2.  A real sample of a draw is an
+    # `ifft` over kmax + 1 = 22 columns; a B^0_{inf,r} norm samples 6 bands (74 columns, as
+    # above), a complex sample (in `advect`) and a forward transform are `dealiased_lines(64)`.
+    # commutator-*: theta, R theta, v1, v2 and the bands of theta; 4 forward transforms
+    **{f"verify-{suite}": (lambda: EnsembleSpec(seed=0, count=1, n=64),
+                           lambda ens, suite=suite: SUITES[suite](ens), want)
+       for suite, want in (
+           ("commutator-hs", {"ifft": (10, 4 * 22 + 74), "irfft": (10, 10 * 64), "fft": (12, 4 * 107)}),
+           ("commutator-bp", {"ifft": (10, 4 * 22 + 74), "irfft": (10, 10 * 64), "fft": (12, 4 * 107)}),
+           # f, g and Delta_3 g; the suite's band kernel is one sample over the 33 columns 0..n/2
+           ("kernel", {"ifft": (4, 3 * 22 + 33), "irfft": (4, 4 * 64), "fft": (6, 2 * 107)}),
+           ("power-map", {"ifft": (1, 22), "irfft": (1, 64), "fft": (2, 2 * 64)}),  # u, forward of u^3
+           ("log-interp", {}),
+           ("gen-bernstein", {"ifft": (2, 2 * 22), "irfft": (2, 2 * 64)}),  # Delta_3 u and |D| Delta_3 u
+           # v1, v2, one `advect` (2 complex samples) and the bands of f
+           ("product", {"ifft": (14, 2 * 22 + 2 * 107 + 74), "irfft": (8, 8 * 64), "fft": (3, 107)}),
+           # v1, v2, two `advect` calls and the bands of f
+           ("block-commutator", {"ifft": (20, 2 * 22 + 4 * 107 + 74), "irfft": (8, 8 * 64),
+                                 "fft": (6, 2 * 107)}),
+       )},
 }
 
 
@@ -1094,7 +1160,7 @@ def test_numpy_fft_calls(row, fft_calls):
     operation(x)
     got = {}
     for name, length, lines in fft_calls:
-        assert length == x.grid.n, (name, length, lines)  # every pass runs along a grid line
+        assert length == getattr(x, "grid", x).n, (name, length, lines)  # every pass runs along a grid line
         calls, total = got.get(name, (0, 0))
         got[name] = (calls + 1, total + lines)
     assert got == want

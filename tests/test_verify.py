@@ -6,12 +6,14 @@ import zlib
 import numpy as np
 import pytest
 
+import oracle
 from bqsim import (
     ConfigurationError,
     EnsembleSpec,
     Grid,
     RatioReport,
     SUITES,
+    build_filter_bank,
     dealias,
     suite_passes,
     verify_block_commutator,
@@ -20,7 +22,7 @@ from bqsim import (
     verify_kernel_commutator,
     verify_product_transport,
 )
-from bqsim.fields import _half_lattice, random_scalar_field
+from bqsim.fields import _half_lattice, random_divfree_velocity, random_scalar_field
 from bqsim.verify import KERNEL_RATIO_LIMIT, RHS_FLOOR
 
 SMALL = EnsembleSpec(seed=42, count=4, n=64)
@@ -153,6 +155,30 @@ class TestSuites:
         report = verify_block_commutator(EnsembleSpec(count=2, n=32), variant="b2a")
         assert report.params["variant"] == "b2a"
         assert report.all_finite and report.ratios.size == 2
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suites_match_the_sampled_oracle_formulas(suite, n):
+    """Every lhs and rhs, on seeds 0-3, against the oracle's formula for the suite, which samples
+    each field on the full plane and takes every L^p norm by quadrature, p = 2 too."""
+    grid = Grid(n)
+    bank = build_filter_bank(grid)
+    bands, salt = [bank.chi, *bank.phi], zlib.crc32(suite.encode()) & 0x7FFFFFFF
+    for seed in range(4):
+        ens = EnsembleSpec(seed=seed, count=3, n=n)
+        report = SUITES[suite](ens)
+        for i in range(ens.count):
+            def scalar(stream=0):
+                return random_scalar_field(grid, ens.spectrum_gamma, ens.amplitude, (salt, seed, i, stream)).coeffs
+
+            def velocity():
+                v = random_divfree_velocity(grid, ens.spectrum_gamma, ens.amplitude, (salt, seed, i, 10))
+                return tuple(c.coeffs for c in v.components())
+
+            lhs, rhs = oracle.SUITES[suite](grid, bands, scalar, velocity)
+            assert report.lhs[i] == pytest.approx(lhs, rel=1e-12, abs=0), (seed, i)
+            assert report.rhs[i] == pytest.approx(rhs, rel=1e-12, abs=0), (seed, i)
 
 
 class TestRatioReport:
