@@ -258,7 +258,8 @@ def power_map(grid, bands, scalar, velocity, beta=4.0, s=0.5):
     up = ifft2(u)
     powered = np.sign(up) * np.abs(up) ** (beta - 1.0)
     lhs = sobolev(grid, [fft2(powered)], s, homogeneous=True)
-    return lhs, _lp(up, 2.0 * beta) ** (beta - 2.0) * sobolev(grid, [u], s + 1.0 - 2.0 / beta, homogeneous=True)
+    rhs = _lp(up, 2.0 * beta) ** (beta - 2.0) * sobolev(grid, [u], s + 1.0 - 2.0 / beta, homogeneous=True)
+    return lhs, rhs
 
 
 def log_interp(grid, bands, scalar, velocity):

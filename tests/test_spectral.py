@@ -851,7 +851,8 @@ class TestParsevalNorms:
     def sampled(f, v):
         """The sampled quadratures that `norms` replace."""
         derivs = [oracle.ifft2(partial_derivative(c, a).coeffs) for c in v.components() for a in (0, 1)]
-        l2_f, l2_v = lp_norm(oracle.ifft2(f.coeffs), 2), lp_norm(tuple(oracle.ifft2(c.coeffs) for c in v.components()), 2)
+        l2_f = lp_norm(oracle.ifft2(f.coeffs), 2)
+        l2_v = lp_norm(tuple(oracle.ifft2(c.coeffs) for c in v.components()), 2)
         return [lp_norm(np.sqrt(sum(d * d for d in derivs)), 2), l2_f, l2_f, l2_v, l2_v]
 
     @pytest.mark.parametrize("n", [16, 48, 96, 98, 256])
@@ -869,8 +870,8 @@ class TestParsevalNorms:
     @pytest.mark.parametrize("n", [16, 96])
     def test_parseval_norms_neither_overflow_nor_underflow(self, scale, n):
         g = Grid(n)
-        for f, v in ((random_scalar_field(g, 2.0, 1.0, (86, n)), random_divfree_velocity(g, 2.0, 1.0, (87, n))),
-                     (white_noise(g, n), VectorField(white_noise(g, n + 1), white_noise(g, n + 2)))):
+        smooth = (random_scalar_field(g, 2.0, 1.0, (86, n)), random_divfree_velocity(g, 2.0, 1.0, (87, n)))
+        for f, v in (smooth, (white_noise(g, n), VectorField(white_noise(g, n + 1), white_noise(g, n + 2)))):
             big = VectorField(v.x1 * scale, v.x2 * scale)
             for got, want in zip(self.norms(f * scale, big), self.norms(f, v)):
                 assert math.isfinite(got) and got == pytest.approx(scale * want, rel=1e-12, abs=0)

@@ -167,13 +167,13 @@ def test_suites_match_the_sampled_oracle_formulas(suite, n):
     bands, salt = [bank.chi, *bank.phi], zlib.crc32(suite.encode()) & 0x7FFFFFFF
     for seed in range(4):
         ens = EnsembleSpec(seed=seed, count=3, n=n)
-        report = SUITES[suite](ens)
+        report, spectrum = SUITES[suite](ens), (ens.spectrum_gamma, ens.amplitude)
         for i in range(ens.count):
             def scalar(stream=0):
-                return random_scalar_field(grid, ens.spectrum_gamma, ens.amplitude, (salt, seed, i, stream)).coeffs
+                return random_scalar_field(grid, *spectrum, (salt, seed, i, stream)).coeffs
 
             def velocity():
-                v = random_divfree_velocity(grid, ens.spectrum_gamma, ens.amplitude, (salt, seed, i, 10))
+                v = random_divfree_velocity(grid, *spectrum, (salt, seed, i, 10))
                 return tuple(c.coeffs for c in v.components())
 
             lhs, rhs = oracle.SUITES[suite](grid, bands, scalar, velocity)
