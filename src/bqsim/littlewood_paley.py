@@ -15,11 +15,13 @@ covers the lowest nonzero torus modes in that case.
 
 Each grid has one filter bank, built on first use and cached
 (`build_filter_bank`), its bands read-only; the operators here take it from their field's
-grid.  A band index q is an integer (`_check_band_index`).
+grid.  A band index q is an integer (`_check_band_index`).  A band is stored on the half-spectrum
+columns it can occupy (`DyadicFilterBank.columns`), all n rows: 1.05 MB at n = 256, not 5.2.
+Bands are even in k2, so `DyadicFilterBank.plane` mirrors column j onto n - j for whole-plane use.
 
-Band L^p norms take p = 2 from Parseval (`spectral._parseval`), with no transform; other p
-sample one band at a time, formed only over the half-spectrum columns it can occupy
-(`DyadicFilterBank.columns`), by `spectral._real_samples`.
+Band L^p norms take p = 2 from Parseval (`spectral._parseval`), with no transform, the power
+folded onto columns 0..n/2 (column n - j added onto column j, 0 < j < n/2); other p sample one
+band at a time, formed over its stored columns only, by `spectral._real_samples`.
 """
 
 from __future__ import annotations
@@ -66,36 +68,43 @@ def smooth_transition(r: np.ndarray) -> np.ndarray:
 
 
 class DyadicFilterBank:
-    """Smooth dyadic band multipliers on a grid; block q = -1 is the low cutoff."""
+    """Smooth dyadic band multipliers on a grid, each on its columns; block q = -1 is the low cutoff."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.qmin = -1
         self.qmax = int(math.ceil(math.log2(grid.n / 2)))
-        self.chi = low = _read_only(smooth_transition(grid.kmag))
-        self.phi = []
-        for q in range(0, self.qmax + 1):
-            high = smooth_transition(grid.kmag / 2.0 ** (q + 1))
-            self.phi.append(_read_only(high - low))
-            low = high
-        # Annulus with support (1/2, 2) covering torus modes 1 <= |k| < 2; it
-        # replaces chi when a decomposition must avoid the zero mode.
-        self.phi_low_annulus = _read_only(self.chi - smooth_transition(2.0 * grid.kmag))
         # Band q is zero where |k| >= 2^(q+2) (2 at q = -1): in half-spectrum columns from there.
         self.columns = {q: min(2 ** (q + 2), grid.n // 2 + 1) for q in range(-1, self.qmax + 1)}
 
+        def g(scale, q):  # g(|k| / scale) on band q's columns
+            return smooth_transition(grid.kmag[:, : self.columns[q]] / scale)
+
+        self.chi = _read_only(g(1.0, -1))
+        self.phi = [_read_only(g(2.0 ** (q + 1), q) - g(2.0**q, q)) for q in range(self.qmax + 1)]
+        # Annulus with support (1/2, 2) covering torus modes 1 <= |k| < 2; it
+        # replaces chi when a decomposition must avoid the zero mode.
+        self.phi_low_annulus = _read_only(self.chi - g(0.5, -1))
+
     def block_multiplier(self, q: int) -> np.ndarray:
+        """Band q's multiplier on the whole (n, n) plane."""
         _check_band_index(q)
-        if q == -1:
-            return self.chi
-        if 0 <= q <= self.qmax:
-            return self.phi[q]
-        raise InvalidInputError(
-            f"band index q={q} outside [{self.qmin}, {self.qmax}] for n={self.grid.n}"
-        )
+        if not self.qmin <= q <= self.qmax:
+            message = f"band index q={q} outside [{self.qmin}, {self.qmax}] for n={self.grid.n}"
+            raise InvalidInputError(message)
+        return self.plane(self.chi if q == -1 else self.phi[q])
+
+    def plane(self, band: np.ndarray) -> np.ndarray:
+        """The (n, n) multiplier of a stored band: column n - j repeats column j for
+        0 < j < n/2 (k2 -> -k2 leaves |k| as it is), +0.0 beyond the band's columns."""
+        n, w = self.grid.n, band.shape[1]
+        out = np.zeros((n, n))
+        out[:, :w] = band
+        out[:, n + 1 - min(w, n // 2) :] = band[:, min(w, n // 2) - 1 : 0 : -1]
+        return out
 
     def bands(self, homogeneous: bool = False):
-        """Yield (q, multiplier) pairs covering the decomposition."""
+        """Yield (q, band) pairs covering the decomposition, each band as stored."""
         yield -1, self.phi_low_annulus if homogeneous else self.chi
         yield from enumerate(self.phi)
 
@@ -153,11 +162,10 @@ def _check_indices(s: float, *exponents) -> None:
 
 def _band_samples(f, homogeneous: bool = False):
     """Yield (q, samples of Delta_q f: an array, or a pair for a vector), each component
-    formed over `bank.columns[q]` only."""
-    bank, comps = build_filter_bank(f.grid), _components(f)
-    for q, mult in bank.bands(homogeneous):
-        cols = np.s_[:, : bank.columns[q]]
-        bands = tuple(_real_samples(c.coeffs[cols] * mult[cols], f.grid) for c in comps)
+    formed over its band's columns only."""
+    comps = _components(f)
+    for q, mult in build_filter_bank(f.grid).bands(homogeneous):
+        bands = tuple(_real_samples(c.coeffs[:, : mult.shape[1]] * mult, f.grid) for c in comps)
         yield q, bands if isinstance(f, VectorField) else bands[0]
 
 
@@ -165,7 +173,7 @@ def band_lp_norms(f, p: float, homogeneous: bool = False):
     """Per-band L^p norms (q indices, norms of Delta_q f): Parseval at p = 2, else sampled."""
     if p == 2:
         qs, mults = zip(*build_filter_bank(f.grid).bands(homogeneous))
-        return np.array(qs), _parseval([c.coeffs for c in _components(f)], mults)
+        return np.array(qs), _parseval([c.coeffs for c in _components(f)], mults, half=True)
     qs, norms = zip(*((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous)))
     return np.array(qs), np.array(norms)
 
@@ -239,10 +247,8 @@ def bony_decompose(u: SpectralField, w: SpectralField):
     product because the block pairing partitions all band pairs.
     """
     grid = u._same_grid(w)
-    bu = [b for _, b in _band_samples(u)]
-    bw = [b for _, b in _band_samples(w)]
-    cum_u = np.cumsum(bu, axis=0)
-    cum_w = np.cumsum(bw, axis=0)
+    bu, bw = ([b for _, b in _band_samples(f)] for f in (u, w))
+    cum_u, cum_w = (np.cumsum(b, axis=0) for b in (bu, bw))
     # bw[q + 1] is block q; cum_*[q - 1] is the partial sum over blocks -1 .. q-2
     t_uw = sum(cum_u[q - 1] * bw[q + 1] for q in range(1, len(bw) - 1))
     t_wu = sum(cum_w[q - 1] * bu[q + 1] for q in range(1, len(bw) - 1))

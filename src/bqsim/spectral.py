@@ -34,8 +34,8 @@ in FFT layout of size 2 kmax + 1 (`Grid.block`), so it reads the dealiased part 
 one sampler, `_samples`, takes a block, `_forward` returns one (or the plane), `_advect` maps
 blocks to a block, and `Grid.plane` scatters one into +0.0, as `dealias` does.  They run the
 1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in place), so every bit is
-numpy's, and skip the lines |k_j| > kmax.  From n = 160 (`dynamics.PARALLEL_MIN_N`) the step
-runs each stage's two `_advect` calls, and its two velocity samples, on two threads.
+numpy's, and skip the lines |k_j| > kmax.  From n = 160 (`dynamics.PARALLEL_MIN_N`) the step's
+stage halves and the verifier's sample pairs run on two threads (`dynamics._pair`), same bytes.
 
 `Grid(n)` returns the live grid of size n when there is one (a weak table finds it), so all
 callers share one grid per n while any of them holds it; each grid's cached filter bank
@@ -505,14 +505,28 @@ def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
 vector_sobolev_norm = sobolev_norm
 
 
-def _parseval(cs: list, mults: list) -> np.ndarray:
+def _parseval(cs: list, mults: list, half: bool = False) -> np.ndarray:
     """The L^2 norms 2 pi (sum_k m(k)^2 sum_c |c(k)|^2)^(1/2) of m(D) f, f the field (or vector)
     of the coefficient arrays cs, for each m in mults (None for 1), with |c|^2 = re^2 + im^2;
-    scaled by max |c| first only when the largest sum leaves the normal doubles."""
+    scaled by max |c| first only when the largest sum leaves the normal doubles.  With `half`,
+    each m is even in k2 and given on half-spectrum columns 0..w-1 (a filter bank's band), so
+    the power is folded onto columns 0..n/2 first: column n - j added onto column j, 0 < j < n/2."""
     def sums(cs):
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: rescaled below
-            power = sum(c.real**2 + c.imag**2 for c in cs)
-            return np.array([np.sum(power if m is None else m * m * power) for m in mults])
+            power = cs[0].real**2  # each |c|^2 and m^2 |c|^2 in one array, in the plain order
+            power += cs[0].imag**2
+            for c in cs[1:]:
+                square = c.real**2
+                square += c.imag**2
+                power += square
+            if half:
+                h = power.shape[1] // 2
+                power[:, 1:h] += power[:, :h:-1]
+
+            def weighted(m):
+                out = np.multiply(m, m, out=np.empty(m.shape if half else power.shape))
+                return np.multiply(out, power[:, : m.shape[1]] if half else power, out=out)
+            return np.array([np.sum(power if m is None else weighted(m)) for m in mults])
 
     totals = sums(cs)
     if not np.finfo(float).tiny <= np.max(totals) < math.inf:

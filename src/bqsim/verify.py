@@ -10,6 +10,8 @@ the same underlying functions with their next octave of modes filled in.
 Every L^2 norm of a sample is a Parseval sum of its coefficients (`sobolev_norm` at s = 0,
 `gradient_lp_norm` and the Besov bands at p = 2, `_lp`), with no transform; what a sample still
 transforms feeds a product, a nonlinear map or a norm with p != 2.
+`_collect` runs samples i and i + 1, pure functions of their seed keys, on two threads from
+n = `dynamics.PARALLEL_MIN_N`.  Every suite is homogeneous, so the rhs floors are relative.
 
 Torus note: fields live on [0, 2pi)^2, so phenomena specific to the whole
 plane (non-compact scalings, infinite-volume kernels) are outside scope;
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _pair
 from .errors import ConfigurationError
 from .fields import random_divfree_velocity, random_scalar_field
 from .littlewood_paley import (
@@ -54,8 +57,8 @@ from .spectral import (
     vector_sobolev_norm,
 )
 
-#: Samples whose right-hand side falls at or below this are excluded from
-#: ratio statistics (degenerate denominators) but still counted.
+#: Samples whose right-hand side falls at or below this fraction of the largest finite |rhs| of
+#: their ensemble are excluded from ratio statistics (degenerate denominators) but still counted.
 RHS_FLOOR = 1e-14
 
 
@@ -93,7 +96,8 @@ class RatioReport:
 
     @property
     def included(self) -> np.ndarray:
-        return self.rhs > RHS_FLOOR
+        scale = np.max(np.abs(self.rhs[np.isfinite(self.rhs)]), initial=0.0)
+        return self.rhs > RHS_FLOOR * scale
 
     @property
     def excluded_ids(self) -> list:
@@ -110,14 +114,14 @@ class RatioReport:
         return float(np.max(r)) if r.size else math.nan
 
     @property
-    def min_ratio(self) -> float:
-        r = self.ratios
-        return float(np.min(r)) if r.size else math.nan
-
-    @property
     def median_ratio(self) -> float:
         r = self.ratios
         return float(np.median(r)) if r.size else math.nan
+
+    @property
+    def min_ratio(self) -> float:
+        r = self.ratios
+        return float(np.min(r)) if r.size else math.nan
 
     @property
     def excluded_count(self) -> int:
@@ -138,22 +142,26 @@ class RatioReport:
 
 
 def _collect(suite, params, ens, one_sample) -> RatioReport:
-    """Evaluate one_sample(grid, scalar, velocity) for each sample i; the two
-    draw functions seed sample i's fields with (suite salt, seed, i, stream)."""
+    """Evaluate one_sample(grid, scalar, velocity) for each sample i, i and i + 1 as a pair
+    (`dynamics._pair`), gathered in index order; the two draw functions seed sample i's fields
+    with (suite salt, seed, i, stream)."""
     grid = Grid(ens.n)
     salt = zlib.crc32(suite.encode()) & 0x7FFFFFFF
     spectrum = (ens.spectrum_gamma, ens.amplitude)
-    lhs = np.empty(ens.count)
-    rhs = np.empty(ens.count)
-    for i in range(ens.count):
 
+    def sample(i):
         def scalar(stream=0):
             return random_scalar_field(grid, *spectrum, (salt, ens.seed, i, stream))
 
         def velocity(stream=10):
             return random_divfree_velocity(grid, *spectrum, (salt, ens.seed, i, stream))
 
-        lhs[i], rhs[i] = one_sample(grid, scalar, velocity)
+        return one_sample(grid, scalar, velocity)
+
+    results = []
+    for i in range(0, ens.count, 2):  # an odd count's last sample alone
+        results += _pair(grid, sample, (i,), (i + 1,)) if i + 1 < ens.count else [sample(i)]
+    lhs, rhs = np.array(results, dtype=float).T.copy()
     return RatioReport(suite=suite, params=dict(params), lhs=lhs, rhs=rhs)
 
 
@@ -220,8 +228,7 @@ def verify_kernel_commutator(ens: EnsembleSpec, q: int = 3, p: float = 2.0) -> R
         fg = dealiased_transform(grid, f_phys * g_phys)
         conv_g = inverse_transform(dyadic_block(g, q))
         lhs = _lp(dyadic_block(fg, q) - dealiased_transform(grid, f_phys * conv_g), p)
-        rhs = xh_l1 * _lp(gradient(f), p) * lp_norm(g_phys, math.inf)
-        return lhs, rhs
+        return lhs, xh_l1 * _lp(gradient(f), p) * lp_norm(g_phys, math.inf)
 
     return _collect("kernel", {"q": q, "p": p}, ens, one)
 
@@ -242,10 +249,8 @@ def verify_power_map(ens: EnsembleSpec, beta: float = 4.0, s: float = 0.5) -> Ra
         u_phys = inverse_transform(u)
         powered = np.sign(u_phys) * np.abs(u_phys) ** (beta - 1.0)
         lhs = sobolev_norm(forward_transform(grid, powered), s, homogeneous=True)
-        rhs = lp_norm(u_phys, 2.0 * beta) ** (beta - 2.0) * sobolev_norm(
-            u, s + 1.0 - 2.0 / beta, homogeneous=True
-        )
-        return lhs, rhs
+        weak = sobolev_norm(u, s + 1.0 - 2.0 / beta, homogeneous=True)
+        return lhs, lp_norm(u_phys, 2.0 * beta) ** (beta - 2.0) * weak
 
     return _collect("power-map", {"beta": beta, "s": s}, ens, one)
 
@@ -260,7 +265,7 @@ def verify_log_interpolation(ens: EnsembleSpec) -> RatioReport:
     def one(grid, scalar, velocity):
         v = velocity()
         lhs, weak = vector_sobolev_norm(v, 0.0), besov_norm(v, BesovSpec(0.0, 2.0, math.inf))
-        if weak <= RHS_FLOOR:
+        if weak <= RHS_FLOOR * lhs:
             return lhs, 0.0
         return lhs, weak * math.log(math.e + vector_sobolev_norm(v, 1.0) / weak)
 
@@ -282,9 +287,7 @@ def verify_generalized_bernstein(ens: EnsembleSpec, q: int = 3, r: float = 3.0) 
         uq_phys = inverse_transform(uq)
         dissip = inverse_transform(fractional_dissipation(uq, 1.0))
         signed_power = np.sign(uq_phys) * np.abs(uq_phys) ** (r - 1.0)
-        lhs = integrate(dissip * signed_power)
-        rhs = 2.0**q * lp_norm(uq_phys, r) ** r
-        return lhs, rhs
+        return integrate(dissip * signed_power), 2.0**q * lp_norm(uq_phys, r) ** r
 
     return _collect("gen-bernstein", {"q": q, "r": r}, ens, one)
 
@@ -301,8 +304,7 @@ def verify_product_transport(ens: EnsembleSpec, s: float = -0.5) -> RatioReport:
     def one(grid, scalar, velocity):
         v, f = velocity(), scalar()
         lhs = besov_norm(advect(to_physical(v), f), BesovSpec(s, 2.0, math.inf))
-        rhs = vector_sobolev_norm(v, 0.0) * besov_norm(f, BesovSpec(1.0 + s, math.inf, 1.0))
-        return lhs, rhs
+        return lhs, vector_sobolev_norm(v, 0.0) * besov_norm(f, BesovSpec(1.0 + s, math.inf, 1.0))
 
     return _collect("product", {"s": s}, ens, one)
 
@@ -321,14 +323,12 @@ def verify_block_commutator(
     if variant == "b2a" and p == math.inf:
         raise ConfigurationError("block-commutator variant 'b2a' requires finite p")
 
+    spec = BesovSpec(0.0, math.inf, math.inf) if variant == "binf" else BesovSpec(2.0 / p, p, 1.0)
+
     def one(grid, scalar, velocity):
         v, f = velocity(), scalar()
         lhs = _lp(commutator_block(v, f, q), p)
-        if variant == "binf":
-            rhs = gradient_lp_norm(v, p) * besov_norm(f, BesovSpec(0.0, math.inf, math.inf))
-        else:
-            rhs = gradient_lp_norm(v, p) * besov_norm(f, BesovSpec(2.0 / p, p, 1.0))
-        return lhs, rhs
+        return lhs, gradient_lp_norm(v, p) * besov_norm(f, spec)
 
     return _collect("block-commutator", {"q": q, "p": p, "variant": variant}, ens, one)
 

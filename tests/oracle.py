@@ -60,6 +60,24 @@ def rolled_defect(c):
     return float(np.max(np.abs(c - np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1)))))) / scale
 
 
+def transition(r):
+    """The bank's smooth transition g: 1 for r <= 1, 0 for r >= 2, the exp(-1/t) blend between."""
+    out = np.where(r <= 1.0, 1.0, 0.0)
+    t = r[(r > 1.0) & (r < 2.0)]
+    upper, lower = np.exp(-1.0 / (2.0 - t)), np.exp(-1.0 / (t - 1.0))
+    out[(r > 1.0) & (r < 2.0)] = upper / (upper + lower)
+    return out
+
+
+def bands(grid, homogeneous=False):
+    """The band multipliers q = -1, 0, ..., ceil(log2(n/2)) on the whole plane: g(|k|), or the
+    annulus g(|k|) - g(2 |k|) when homogeneous, then g(|k| / 2^(q+1)) - g(|k| / 2^q)."""
+    n = grid.kmag.shape[0]
+    g = [transition(grid.kmag / 2.0**q) for q in range(int(np.ceil(np.log2(n / 2))) + 2)]
+    low = g[0] - transition(2.0 * grid.kmag) if homogeneous else g[0]
+    return [low] + [high - below for below, high in zip(g, g[1:])]
+
+
 def riesz(grid, c):
     """First Riesz transform: multiplier i k1 / |k|, 0 at k = 0 and on k1 = -n/2."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -265,7 +283,7 @@ def power_map(grid, bands, scalar, velocity, beta=4.0, s=0.5):
 def log_interp(grid, bands, scalar, velocity):
     v = velocity()
     lhs, weak = _l2(v), besov(bands, v, 0.0, 2.0, np.inf)
-    if weak <= 1e-14:
+    if weak <= 1e-14 * lhs:
         return lhs, 0.0
     return lhs, weak * np.log(np.e + sobolev(grid, v, 1.0) / weak)
 

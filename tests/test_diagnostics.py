@@ -15,7 +15,6 @@ from bqsim import (
     RECORD_FIELDS,
     SimState,
     SpectralField,
-    build_filter_bank,
     check_energy,
     check_gamma_smoothing,
     check_lipschitz,
@@ -179,8 +178,7 @@ class TestRecordOracle:
         tracker, got = DiagnosticsTracker(), []
         for s in states:
             got.append((tracker.record(s), tracker._prev[1]["energy"]))
-        bands = [mult for _, mult in build_filter_bank(state.grid).bands()]
-        want = oracle.records(state.grid, bands, [(s.t, s.omega_hat.coeffs, s.theta_hat.coeffs)
+        want = oracle.records(state.grid, oracle.bands(state.grid), [(s.t, s.omega_hat.coeffs, s.theta_hat.coeffs)
                                                   for s in states], alpha)
         for (rec, energy), ref in zip(got, want):
             assert energy == ref["energy"] and rec.l2_v == ref["l2_v"]

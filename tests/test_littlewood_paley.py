@@ -63,7 +63,7 @@ class TestFilterBank:
     def test_partition_of_unity_on_coefficients(self):
         g = Grid(128)
         bank = build_filter_bank(g)
-        total = sum(mult for _, mult in bank.bands(homogeneous=False))
+        total = sum(bank.plane(band) for _, band in bank.bands(homogeneous=False))
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_band_count(self):
@@ -130,11 +130,12 @@ class TestFilterBank:
     @pytest.mark.parametrize("n", [16, 48, 98, 128])
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_each_band_is_zero_from_its_column_bound_on(self, n, homogeneous):
-        """`_band_samples` forms band q over the half-spectrum columns below `columns[q]` only."""
+        """The bank stores band q on the half-spectrum columns below `columns[q]` only."""
         bank = build_filter_bank(Grid(n))
-        for q, mult in bank.bands(homogeneous):
+        for (q, band), plane in zip(bank.bands(homogeneous), oracle.bands(Grid(n), homogeneous), strict=True):
             assert bank.columns[q] == min(2 ** (q + 2), n // 2 + 1)
-            assert not mult[:, bank.columns[q] : n // 2 + 1].any(), q
+            assert band.shape == (n, bank.columns[q])
+            assert not plane[:, bank.columns[q] : n // 2 + 1].any(), q
 
     def test_homogeneous_bands_skip_the_mean(self):
         g = Grid(64)
@@ -483,7 +484,7 @@ def oracle_band_samples(f, homogeneous=False):
     """`_band_samples` by the oracle: each band's full-plane product, sampled by numpy's
     `irfft2` of every column 0..n/2."""
     comps = f.components() if isinstance(f, VectorField) else (f,)
-    for q, mult in build_filter_bank(f.grid).bands(homogeneous):
+    for q, mult in enumerate(oracle.bands(f.grid, homogeneous), start=-1):
         bands = tuple(oracle.irfft2(c.coeffs * mult) for c in comps)
         yield q, bands if isinstance(f, VectorField) else bands[0]
 
@@ -512,9 +513,9 @@ class TestBandLayer:
         g, fields = band_fields(n)
         for f in fields:
             qs, norms = band_lp_norms(f, 2, homogeneous)
-            bands = list(build_filter_bank(g).bands(homogeneous))
-            assert qs.tolist() == [q for q, _ in bands]
-            for norm, (_, mult) in zip(norms, bands):
+            bands = oracle.bands(g, homogeneous)
+            assert qs.tolist() == list(range(-1, len(bands) - 1))
+            for norm, mult in zip(norms, bands, strict=True):
                 assert norm == pytest.approx(lp_norm(oracle_band(f, mult), 2), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [16, 48, 96, 256])
@@ -522,9 +523,9 @@ class TestBandLayer:
     def test_half_spectrum_bands_match_the_oracle_transform(self, n, homogeneous):
         g, fields = band_fields(n)
         for f in fields:
-            bands = dict(build_filter_bank(g).bands(homogeneous))
+            bands = oracle.bands(g, homogeneous)
             for q, band in _band_samples(f, homogeneous):
-                expected = oracle_band(f, bands[q])
+                expected = oracle_band(f, bands[q + 1])
                 pairs = zip(band, expected) if isinstance(f, VectorField) else [(band, expected)]
                 for got, want in pairs:
                     err = np.max(np.abs(got - want))

@@ -678,9 +678,9 @@ class TestRealEdge:
         for f in (noise, dealias(noise), random_scalar_field(g, 2.0, 1.0, (83, n)), random_state(n, 1).omega_hat):
             inputs += [(c, c) for c in (f.coeffs, partial_derivative(f, 0).coeffs, riesz(f).coeffs)]
             for homogeneous in (False, True):
-                for q, mult in bank.bands(homogeneous):
-                    cols = np.s_[:, : bank.columns[q]]  # `_band_samples` forms only these
-                    inputs += [(f.coeffs * mult, f.coeffs * mult), (f.coeffs * mult, f.coeffs[cols] * mult[cols])]
+                for (_, band), mult in zip(bank.bands(homogeneous), oracle.bands(g, homogeneous)):
+                    half = f.coeffs[:, : band.shape[1]] * band  # as `_band_samples` forms it
+                    inputs += [(f.coeffs * mult, f.coeffs * mult), (f.coeffs * mult, half)]
         for full, given in inputs:
             got, want = _real_samples(given, g), oracle.irfft2(full)
             if full.any():

@@ -1,19 +1,29 @@
 """Tests for the seeded inequality ensembles and their ratio reports."""
 
+import ast
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bqsim
+import bqsim.dynamics
+import bqsim.verify
 import oracle
 from bqsim import (
     ConfigurationError,
     EnsembleSpec,
     Grid,
+    InvalidInputError,
     RatioReport,
     SUITES,
-    build_filter_bank,
     dealias,
     suite_passes,
     verify_block_commutator,
@@ -163,8 +173,7 @@ def test_suites_match_the_sampled_oracle_formulas(suite, n):
     """Every lhs and rhs, on seeds 0-3, against the oracle's formula for the suite, which samples
     each field on the full plane and takes every L^p norm by quadrature, p = 2 too."""
     grid = Grid(n)
-    bank = build_filter_bank(grid)
-    bands, salt = [bank.chi, *bank.phi], zlib.crc32(suite.encode()) & 0x7FFFFFFF
+    bands, salt = oracle.bands(grid), zlib.crc32(suite.encode()) & 0x7FFFFFFF
     for seed in range(4):
         ens = EnsembleSpec(seed=seed, count=3, n=n)
         report, spectrum = SUITES[suite](ens), (ens.spectrum_gamma, ens.amplitude)
@@ -215,11 +224,118 @@ class TestRatioReport:
         assert float(cells[1]) == 1.0 and float(cells[3]) == 0.5
         assert rows[3].split(",")[3] == "nan"
 
+    def test_floor_is_relative_to_the_largest_rhs(self):
+        report = self.make_report([1e-20, 2e-20, 1e-38], [2e-20, 4e-20, 4e-20 * RHS_FLOOR])
+        assert report.excluded_ids == [2] and report.max_ratio == pytest.approx(0.5)
+        assert self.make_report([1.0, 1.0], [0.0, 0.0]).excluded_count == 2
+        inf = self.make_report([1.0, 1.0, 1.0], [2.0, math.inf, RHS_FLOOR])
+        assert inf.excluded_ids == [2]  # the scale is the largest finite rhs
+
     def test_summary_mentions_exclusions(self):
         report = self.make_report([1.0, 1e-20], [2.0, RHS_FLOOR / 10])
         text = report.summary()
         assert "excluded=1" in text
         assert "demo" in text
+
+
+@pytest.mark.parametrize("amplitude", [1e-6, 1e-8, 1e-15])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verdicts_and_ratios_do_not_depend_on_the_amplitude(suite, amplitude):
+    """Every suite is homogeneous in the draws' amplitude.  An absolute rhs floor excluded every
+    gen-bernstein and power-map sample at amplitude 1e-6, and every product one at 1e-8."""
+    unit = SUITES[suite](EnsembleSpec(seed=5, count=2, n=32))
+    small = SUITES[suite](EnsembleSpec(seed=5, count=2, n=32, amplitude=amplitude))
+    assert suite_passes(small) == suite_passes(unit)
+    assert small.excluded_count == unit.excluded_count == 0
+    np.testing.assert_allclose(small.ratios, unit.ratios, rtol=1e-12, atol=0)
+
+
+def digests(n, count=3):
+    """Each suite's sha256 of its lhs and rhs bytes at size n on seed 9."""
+    reports = (SUITES[name](EnsembleSpec(seed=9, count=count, n=n)) for name in sorted(SUITES))
+    return [hashlib.sha256(r.lhs.tobytes() + r.rhs.tobytes()).hexdigest() for r in reports]
+
+
+def has_worker():
+    return bool(bqsim.dynamics._worker(os.getpid()))
+
+
+class TestSamplePairs:
+    """From `PARALLEL_MIN_N` samples i and i + 1 run on two threads, gathered in index order."""
+
+    def test_paired_samples_equal_one_thread_bit_for_bit(self, monkeypatch):
+        paired = digests(192)
+        monkeypatch.setattr(bqsim.dynamics, "PARALLEL_MIN_N", 10**9)
+        assert paired == digests(192)
+
+    def test_caches_built_by_both_threads_give_the_same_bytes(self, monkeypatch):
+        """A fresh interpreter builds the grid's arrays, the filter bank and the draws' lattice
+        while the first pair of samples runs."""
+        code = "import sys; sys.path[:0] = sys.argv[1:]; import test_verify; print(*test_verify.digests(192))"
+        env = {**os.environ, "PYTHONPATH": ""}
+        paths = [str(Path(bqsim.__file__).parent.parent), str(Path(__file__).parent)]
+        proc = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", code, *paths],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(bqsim.dynamics, "PARALLEL_MIN_N", 10**9)
+        assert proc.stdout.split() == digests(192)
+
+    @pytest.mark.parametrize("n, count", [(192, 2), (192, 3), (128, 2)])
+    def test_the_worker_runs_the_second_sample_of_each_pair(self, monkeypatch, n, count):
+        threads, draw = [], bqsim.verify.random_scalar_field
+
+        def spy(grid, gamma, amplitude, key):
+            threads.append((key[2], threading.get_ident()))
+            return draw(grid, gamma, amplitude, key)
+
+        monkeypatch.setattr(bqsim.verify, "random_scalar_field", spy)
+        verify_kernel_commutator(EnsembleSpec(seed=2, count=count, n=n))
+        caller, paired = threading.get_ident(), n >= bqsim.dynamics.PARALLEL_MIN_N and has_worker()
+        on_worker = {i for i, t in threads if t != caller}
+        assert on_worker == ({1} if paired else set())
+        assert {i for i, t in threads if t == caller} == set(range(count)) - on_worker
+        assert len({t for _, t in threads}) == (2 if paired else 1)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_sample_that_raises_raises_as_on_one_thread(self, monkeypatch, failing):
+        draw, raised_on = bqsim.verify.random_scalar_field, []
+
+        def spy(grid, gamma, amplitude, key):
+            if key[2] == failing:
+                raised_on.append(threading.get_ident())
+                raise InvalidInputError(f"sample {failing} has no draw")
+            return draw(grid, gamma, amplitude, key)
+
+        monkeypatch.setattr(bqsim.verify, "random_scalar_field", spy)
+        ens = EnsembleSpec(seed=2, count=2, n=192)
+        with pytest.raises(InvalidInputError, match=f"^sample {failing} has no draw$"):
+            verify_kernel_commutator(ens)
+        on_worker = failing == 1 and has_worker()
+        assert (raised_on != [threading.get_ident()]) == on_worker
+        monkeypatch.setattr(bqsim.dynamics, "PARALLEL_MIN_N", 10**9)
+        with pytest.raises(InvalidInputError, match=f"^sample {failing} has no draw$"):
+            verify_kernel_commutator(ens)
+
+
+def thread_uses(node, where="<module>"):
+    """The innermost def around each name `submit` or `ThreadPoolExecutor` under an AST node:
+    an attribute, a name or an import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    names = {getattr(node, "attr", None), getattr(node, "id", None)}
+    names |= {getattr(a, "name", a) for a in getattr(node, "names", ())}
+    found = {where} if names & {"submit", "ThreadPoolExecutor"} else set()
+    for child in ast.iter_child_nodes(node):
+        found |= thread_uses(child, where)
+    return found
+
+
+def test_threads_start_only_in_the_one_pair_helper():
+    """Every `submit` and `ThreadPoolExecutor` of the program is in `dynamics._pair` or
+    `dynamics._worker`: one worker thread, and one way to reach it."""
+    found = {(path.stem, where) for path in Path(bqsim.__file__).parent.glob("*.py")
+             for where in thread_uses(ast.parse(path.read_text()))}
+    assert found == {("dynamics", "_pair"), ("dynamics", "_worker")}
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
