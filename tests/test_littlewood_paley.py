@@ -137,6 +137,24 @@ class TestFilterBank:
             assert band.shape == (n, bank.columns[q])
             assert not plane[:, bank.columns[q] : n // 2 + 1].any(), q
 
+    @pytest.mark.parametrize("n", [16, 48, 98, 128, 256])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_each_band_mirrors_to_the_oracle_plane_bit_for_bit(self, n, homogeneous):
+        """A stored band is the oracle's plane on its columns, and `plane` (so `block_multiplier`)
+        gives that whole plane back: column n - j repeats column j, +0.0 beyond the band."""
+        g = Grid(n)
+        bank = build_filter_bank(g)
+        for (q, band), want in zip(bank.bands(homogeneous), oracle.bands(g, homogeneous), strict=True):
+            assert band.tobytes() == np.ascontiguousarray(want[:, : band.shape[1]]).tobytes(), q
+            assert bank.plane(band).tobytes() == want.tobytes(), q
+            if not homogeneous:
+                assert bank.block_multiplier(q).tobytes() == want.tobytes(), q
+
+    def test_the_bank_holds_about_a_megabyte_at_n256(self):
+        """Full planes took 10 x 0.52 MB at n = 256; the half-spectrum bands take 1.05 MB."""
+        bank = build_filter_bank(Grid(256))
+        assert sum(a.nbytes for a in (bank.chi, bank.phi_low_annulus, *bank.phi)) <= 1.1e6
+
     def test_homogeneous_bands_skip_the_mean(self):
         g = Grid(64)
         bank = build_filter_bank(g)
