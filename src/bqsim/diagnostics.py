@@ -16,19 +16,19 @@ import numpy as np
 
 from .dynamics import SimState
 from .errors import ConfigurationError
-from .littlewood_paley import BesovSpec, _check_increasing, _weighted_lr, besov_norm
-from .spectral import SpectralField, _real_samples, biot_savart, dealias, integrate, lp_norm
+from .littlewood_paley import BesovSpec, _check_increasing, besov_norm
+from .spectral import SpectralField, _parseval, _real_samples, biot_savart, dealias, integrate, lp_norm
 
 
 @dataclass
 class DiagnosticsRecord:
     """One cadence sample of the tracked norms and cumulative integrals.
 
-    `hhalf_*_sq_cum` are running integrals of squared homogeneous H^(1/2)
-    norms; `besov_omega_cum` and `V_t` integrate the vorticity B^0_(inf,1)
-    norm and the grid Lipschitz seminorm of the velocity.  The trailing
-    `hhalf_omega_sq_cum` column carries the vorticity analogue of the
-    damped-combination smoothing integral for side-by-side comparison.
+    `hhalf_*_sq_cum` are running integrals of squared homogeneous H^(1/2) norms, taken with
+    `l2_gamma` and the dissipation |||D|^(alpha/2) v||^2 by one `spectral._parseval` per field
+    on the kept blocks; `besov_omega_cum` and `V_t` integrate the vorticity B^0_(inf,1) norm and
+    the grid Lipschitz seminorm of the velocity.  The trailing `hhalf_omega_sq_cum` column carries
+    the vorticity analogue of the damped-combination smoothing integral for side-by-side comparison.
     """
 
     t: float
@@ -67,16 +67,11 @@ STARTUP_FRACTION = 1e-3  # share of the maximum below which envelope fits drop s
 
 
 def _squared(norm: float) -> float:
-    """norm ** 2, or inf where a float's ** 2 raises OverflowError (norms stay finite)."""
+    """norm ** 2 of a float, or inf where that raises OverflowError (a numpy float's warns)."""
     try:
         return norm**2
     except OverflowError:
         return math.inf
-
-
-def _block_norm(c: np.ndarray, weight=1.0) -> float:
-    """2 pi (sum weight |c|^2)^(1/2) over a kept block: an L^2 or Sobolev norm by Parseval."""
-    return 2.0 * np.pi * _weighted_lr(np.abs(c), 2.0, weight)
 
 
 class DiagnosticsTracker:
@@ -93,24 +88,26 @@ class DiagnosticsTracker:
         g, half = state.grid, np.s_[:, : state.grid.kmax + 1]
         omega, theta = dealias(state.omega_hat), dealias(state.theta_hat)
         w, kmag = g.block(omega.coeffs), g.block(g.kmag)  # norms by Parseval on the kept blocks
+        root_k, inv_k = np.sqrt(kmag), np.sqrt(g.block_k[2])  # 1/|k| is 0 at k = 0
         gam = w - g.block(theta.coeffs) * g.block(g.riesz_mult)
         v_phys = state.physical_velocity()  # `energy` keeps its bits: (E1 - E0) / dt magnifies them
         omega_phys, theta_phys = _real_samples(omega.coeffs, g), _real_samples(theta.coeffs, g)
         l2_v = lp_norm(v_phys, 2)
-        hdot_v_sq = {s: _squared(_block_norm(w, kmag ** (2.0 * s) * g.block_k[2]))
-                     for s in {0.5, 0.5 * state.alpha}}  # |v(k)| = |w(k)| / |k|
+        v_mults = [kmag**s * inv_k for s in (0.5, 0.5 * state.alpha)]  # |v(k)| = |w(k)| / |k|
+        hhalf_v, dissipation, hhalf_omega = map(float, _parseval([w], v_mults + [root_k]))
+        hhalf_gamma, l2_gamma = map(float, _parseval([gam], [root_k, None]))
         ik1, ik2 = 1j * g.k1_odd, 1j * g.k2_odd[half]  # lip_v: d1 v1 = -d2 v2, d2 v1 and d1 v2
         v1, v2 = (omega.coeffs[half] * (mult * g.inv_ksq[half]) for mult in (ik2, -1j * g.k1_odd))
         lip_v = max(lp_norm(_real_samples(d, g), math.inf) for d in (v1 * ik1, v1 * ik2, v2 * ik1))
 
         integrands = {
-            "hhalf_v_sq": hdot_v_sq[0.5],
-            "hhalf_gamma_sq": _squared(_block_norm(gam, kmag)),
-            "hhalf_omega_sq": _squared(_block_norm(w, kmag)),
+            "hhalf_v_sq": _squared(hhalf_v),
+            "hhalf_gamma_sq": _squared(hhalf_gamma),
+            "hhalf_omega_sq": _squared(hhalf_omega),
             "besov_omega": besov_norm(omega, BesovSpec(0.0, math.inf, 1.0)),
             "lip_v": lip_v,
             "energy": 0.5 * _squared(l2_v),
-            "dissipation": hdot_v_sq[0.5 * state.alpha],
+            "dissipation": _squared(dissipation),
             "buoyancy_power": integrate(theta_phys * v_phys[1]),
         }
 
@@ -142,7 +139,7 @@ class DiagnosticsTracker:
             linf_theta=lp_norm(theta_phys, math.inf),
             l2_omega=lp_norm(omega_phys, 2),
             lr_omega=lp_norm(omega_phys, self.omega_lr),
-            l2_gamma=_block_norm(gam),
+            l2_gamma=l2_gamma,
             besov_theta=besov_norm(theta, BesovSpec(0.0, math.inf, 1.0)),
             lip_v=lip_v,
             energy_residual=energy_residual,
@@ -382,11 +379,8 @@ def linear_gamma_smoothing_integral(gamma0: SpectralField, t: float) -> float:
     """
     if not t >= 0:  # NaN too
         raise ConfigurationError(f"time t must be nonnegative, got {t}")
-    grid = gamma0.grid
-    power = np.abs(gamma0.coeffs) ** 2
-    nz = grid.kmag > 0
-    terms = (1.0 - np.exp(-2.0 * grid.kmag[nz] * t)) * power[nz] / 2.0
-    return float((2.0 * np.pi) ** 2 * np.sum(terms))
+    weight = np.sqrt((1.0 - np.exp(-2.0 * gamma0.grid.kmag * t)) / 2.0)  # 0 at k = 0
+    return _squared(float(_parseval([gamma0.coeffs], [weight])[0]))
 
 
 def state_difference(s1: SimState, s2: SimState) -> float:

@@ -44,7 +44,7 @@ from .spectral import (
     _parseval,
     _read_only,
     _real_samples,
-    _rescale_by,
+    _weighted_lr,
     _wrap,
     advect,
     dealiased_transform,
@@ -190,19 +190,6 @@ def besov_norm(f, spec: BesovSpec) -> float:
     return _weighted_lr(2.0 ** (qs * spec.s) * norms, spec.r)
 
 
-def _weighted_lr(terms: np.ndarray, r: float, weights=1.0) -> float:
-    """(sum weights * terms^r)^(1/r) of terms >= 0, or max(terms) at r = inf; the terms
-    are scaled by their max first when the power sum leaves the normal doubles."""
-    if r == math.inf:
-        return float(np.max(terms))
-    with np.errstate(over="ignore"):
-        total = np.sum(weights * terms**r)
-    top = _rescale_by(total, terms)
-    if top:
-        return float(top * np.sum(weights * (terms / top) ** r) ** (1.0 / r))
-    return float(total ** (1.0 / r))
-
-
 def mixed_time_besov_norm(
     times: np.ndarray,
     band_norms: np.ndarray,
@@ -264,7 +251,8 @@ def commutator_riesz(v: VectorField, theta: SpectralField) -> VectorField:
     as theta is.  For divergence-free v its divergence equals the transport commutator
     R(v . grad theta) - v . grad(R theta).
     """
-    grid, h = theta.grid, theta.grid.n // 2 + 1
+    grid = v.x1._same_grid(theta)
+    h = grid.n // 2 + 1
     th = inverse_transform(theta)
     rth = _real_samples(theta.coeffs[:, :h] * grid.riesz_mult[:, :h], grid)
     r = grid.block(grid.riesz_mult)

@@ -49,12 +49,13 @@ their products of those arrays per call, and `leray_project` its copy of 1/|k|^2
 Nyquist lines filled.  Random draws are projected on the kept block, by the
 formula `leray_project` applies to the plane (`_leray`).
 
-Norms are torus norms: `lp_norm` uses grid quadrature with cell area (2*pi/n)^2, n the
-samples' own, and the Parseval sum `_parseval` the matching factor 2 pi, so
-``lp_norm(inverse_transform(f), 2) == sobolev_norm(f, 0)`` up to roundoff, with no transform on
-the right.  Every L^2 norm of a field is that sum: `sobolev_norm` (`vector_sobolev_norm`), and
-`gradient_lp_norm` and the bands of `littlewood_paley.band_lp_norms` at p = 2.  The record's
-kinetic energy stays `lp_norm` of the complex-path velocity samples, for its bits (see above).
+Norms are torus norms; two helpers take every power sum, scaled by its max first when it leaves
+the normal doubles (`_rescale_by`).  `_weighted_lr` sums terms >= 0: `lp_norm`'s samples (cell
+area (2*pi/n)^2, n their own) and `littlewood_paley`'s band norms and time series.  `_parseval`
+sums coefficients, with the matching factor 2 pi, so ``lp_norm(inverse_transform(f), 2) ==
+sobolev_norm(f, 0)`` up to roundoff, for every L^2 norm of a field: `sobolev_norm`,
+`gradient_lp_norm` and `band_lp_norms` at p = 2, the record's but its kinetic energy (`lp_norm` of
+the complex-path velocity samples, for its bits) and `linear_gamma_smoothing_integral`.
 """
 
 from __future__ import annotations
@@ -463,19 +464,28 @@ def lp_norm(f, p) -> float:
     """
     if not (p == math.inf or p >= 1):
         raise ConfigurationError(f"Lebesgue exponent p must satisfy p >= 1, got {p}")
-    if isinstance(f, tuple) and len(f) == 2:
-        v1 = _square(f[0])
-        f = np.hypot(v1, _square(f[1], len(v1)))
-    a = np.abs(_square(f))
-    if p == math.inf:
-        return float(np.max(a))
-    area = _cell_area(a)
+    pair = isinstance(f, tuple) and len(f) == 2
+    a = _square(f[0] if pair else f)
+    a = np.hypot(a, _square(f[1], len(a))) if pair else np.abs(a)  # a hypot is >= 0 already
+    return _weighted_lr(a, p, _cell_area(a))
+
+
+def _weighted_lr(terms: np.ndarray, r: float, weight=1.0) -> float:
+    """(sum weight * terms^r)^(1/r) of terms >= 0, or max(terms) at r = inf: a scalar weight
+    multiplies the sum, an array one each term.  The terms are scaled by their max first when
+    the power sum leaves the normal doubles."""
+    if r == math.inf:
+        return float(np.max(terms))
+
+    def power_sum(t):
+        return np.sum(t**r) * weight if np.isscalar(weight) else np.sum(weight * t**r)
+
     with np.errstate(over="ignore"):
-        total = np.sum(a**p) * area
-    top = _rescale_by(total, a)
+        total = power_sum(terms)
+    top = _rescale_by(total, terms)
     if top:
-        return float(top * (np.sum((a / top) ** p) * area) ** (1.0 / p))
-    return float(total ** (1.0 / p))
+        return float(top * power_sum(terms / top) ** (1.0 / r))
+    return float(total ** (1.0 / r))
 
 
 def _rescale_by(total: float, a: np.ndarray) -> float:

@@ -108,6 +108,19 @@ def test_artifact_digest_lists_the_same_bytes_and_the_cost_of_each_pass():
             assert float(wall) > 0 and int(faults) >= 0 and float(rss) > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--seed", "0", "--workload", "solve-n256", "--workload", "verify-ensemble"],
+    ["--seed", "4", "--workload", "diagnose-n128"],
+    ["--seed", "6", "--workload", "diagnose-n128"],
+], ids=["seed0-solve-verify", "seed4-diagnose", "seed6-diagnose"])
+def test_artifact_digest_matches_the_stored_reference(args):
+    """Every workload's ops match `perfbench/reference.json`: solve-n256 is the one that runs
+    the two-thread step, and diagnose-n128 fails at seeds 4 and 6 when `l2_v` moves by 2e-16."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_digest.py"), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_artifact_digest_reads_the_peak_rss_of_its_own_process():
     """`maxrss_mb` is `VmHWM`: a process started from a larger one reads its own peak, where
     `ru_maxrss` would also count the pages of the process it was started from."""

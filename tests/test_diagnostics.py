@@ -405,6 +405,15 @@ class TestClosedFormSmoothing:
         expected = (2 * math.pi) ** 2 * (0.25 + 0.25) / 2.0
         assert closed == pytest.approx(expected, rel=1e-12)
 
+    def test_the_weight_drops_the_zero_mode(self):
+        """(1 - exp(-2 |k| t)) / 2 vanishes at k = 0, so a mean in gamma0 adds nothing."""
+        c = random_scalar_field(grid64(), 2.5, 1.0, (61, 2)).coeffs.copy()
+        c[0, 0] = 0.0
+        mean_free = SpectralField(grid64(), c)
+        c[0, 0] = 0.75
+        for t in (0.0, 0.3, 50.0):
+            want = linear_gamma_smoothing_integral(mean_free, t)
+            assert linear_gamma_smoothing_integral(SpectralField(grid64(), c), t) == want
 
     @pytest.mark.parametrize("t", [-1.0, math.nan])
     def test_rejects_negative_or_nan_time(self, t):

@@ -197,6 +197,14 @@ class TestBankFromGrid:
         with pytest.raises(InvalidInputError, match="different grids"):
             bony_decompose(u, w)
 
+    @pytest.mark.parametrize("nv, ntheta", [(32, 64), (64, 32)])
+    def test_commutator_riesz_rejects_fields_on_different_grids(self, nv, ntheta):
+        """Before, numpy's ValueError: the samples of v and theta could not be broadcast."""
+        v = random_divfree_velocity(Grid(nv), 2.0, 1.0, (25, 3))
+        theta = random_scalar_field(Grid(ntheta), 2.0, 1.0, (25, 4))
+        with pytest.raises(InvalidInputError, match="different grids"):
+            commutator_riesz(v, theta)
+
 
 class TestBesovNorms:
     def test_single_band_besov(self):

@@ -837,6 +837,25 @@ class TestNormRange:
         assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w * w * power)))
         assert sobolev_norm(f, 0.0) == float(2.0 * np.pi * np.sqrt(np.sum(power)))
 
+    def test_two_spectral_helpers_own_every_power_sum(self):
+        """`_weighted_lr` sums nonnegative terms and `_parseval` coefficients: they make the only
+        calls of `_rescale_by`, and no other module defines a power sum of its own."""
+        def rescale_calls(node):
+            return sum(isinstance(call, ast.Call) and "_rescale_by"
+                       == getattr(call.func, "id", getattr(call.func, "attr", None)) for call in ast.walk(node))
+
+        callers, defined, total = {}, [], 0
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            total += rescale_calls(tree)
+            callers.update({(path.name, f.name): rescale_calls(f) for f in tree.body
+                            if isinstance(f, ast.FunctionDef) and rescale_calls(f)})
+            defined += [(path.name, f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                        and f.name in ("_weighted_lr", "_block_norm")]
+        assert callers == {("spectral.py", "_weighted_lr"): 1, ("spectral.py", "_parseval"): 1}
+        assert total == 2
+        assert defined == [("spectral.py", "_weighted_lr")]
+
 
 class TestParsevalNorms:
     """L^2 norms from the coefficients, with no transform: `sobolev_norm` and
@@ -903,8 +922,9 @@ def fft_imports_in(tree):
 class TestTransformLayer:
     def test_runner_and_diagnostics_import_only_the_private_spectral_names_they_sample_by(self):
         """The runner samples theta by `SimState.physical_temperature` and the record samples
-        the state's kept blocks on the real path; neither wraps a field unchecked."""
-        for module, allowed in ((bqsim.runner, []), (bqsim.diagnostics, ["_real_samples"])):
+        the state's kept blocks on the real path and sums their coefficients by `_parseval`;
+        neither wraps a field unchecked."""
+        for module, allowed in ((bqsim.runner, []), (bqsim.diagnostics, ["_parseval", "_real_samples"])):
             tree = ast.parse(Path(module.__file__).read_text(), module.__file__)
             private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                        and (node.module or "").endswith("spectral")
