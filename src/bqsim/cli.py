@@ -16,6 +16,7 @@ file.  BQ_OUTPUT_DIR overrides the configured output directory unless
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -37,6 +38,7 @@ from .spectral import biot_savart, inverse_transform, lp_norm
 from .verify import SUITES, EnsembleSpec, suite_passes
 
 
+@functools.cache  # one per process: parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bqsim",

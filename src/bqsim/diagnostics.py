@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .dynamics import SimState
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidInputError
 from .littlewood_paley import BesovSpec, _check_increasing, besov_norm
 from .spectral import SpectralField, _parseval, _real_samples, biot_savart, dealias, integrate, lp_norm
 
@@ -180,6 +180,14 @@ def _log_linear_fit(t, logy):
     return rate, intercept, r2
 
 
+def _series_pair(times, values) -> tuple:
+    """times and values as float arrays of one shape."""
+    t, y = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    if t.shape != y.shape:
+        raise InvalidInputError(f"times of shape {t.shape} do not match values of shape {y.shape}")
+    return t, y
+
+
 def fit_exponential_envelope(times, values) -> BoundProfile:
     """Least-squares fit of scale * exp(rate t) to the growth of a series.
 
@@ -187,8 +195,7 @@ def fit_exponential_envelope(times, values) -> BoundProfile:
     under any single-exponential envelope and are excluded from the fit; the
     scale is then inflated so the profile upper-bounds every sample.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t, y = _series_pair(times, values)
     top = float(np.max(y[np.isfinite(y)], initial=0.0))
     if top <= 0.0:
         return BoundProfile("exponential", {"scale": 0.0, "rate": 0.0}, 1.0)
@@ -206,8 +213,7 @@ def fit_exponential_envelope(times, values) -> BoundProfile:
 
 def fit_double_exponential_envelope(times, values) -> BoundProfile:
     """Fit exp(exp(a + b t)) - e to a positive series via log(log(e + y))."""
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t, y = _series_pair(times, values)
     keep = np.isfinite(y)
     if np.count_nonzero(keep) < 2:
         return BoundProfile("double-exponential", {"inner_intercept": 0.0, "inner_rate": 0.0}, 0.0)
@@ -349,10 +355,7 @@ def osgood_bound(a: float, times, gamma_values, mu: str = "gronwall") -> np.ndar
     """
     if not a >= 0:  # NaN too
         raise ConfigurationError(f"initial size a must be nonnegative, got {a}")
-    t = np.asarray(times, dtype=float)
-    g = np.asarray(gamma_values, dtype=float)
-    if t.shape != g.shape:
-        raise ConfigurationError("times and gamma series must have matching shapes")
+    t, g = _series_pair(times, gamma_values)
     _check_increasing(t)
     running = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(t) * (g[:-1] + g[1:]))]

@@ -19,6 +19,7 @@ import functools
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .spectral import (
     Grid,
     SpectralField,
@@ -59,7 +60,11 @@ def _block_draw(grid: Grid, spectrum_gamma: float, amplitude: float, key) -> np.
     """The kept block of a `random_scalar_field` draw."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
         modes, mirrors, envelope = _scatter(grid.kmax, spectrum_gamma)
-        c = np.random.default_rng(key).standard_normal((len(envelope), 2)).view(complex)[:, 0]
+        try:
+            rng = np.random.default_rng(key)
+        except (TypeError, ValueError) as err:
+            raise InvalidInputError(f"random key {key!r}: {err}") from None
+        c = rng.standard_normal((len(envelope), 2)).view(complex)[:, 0]
         c *= amplitude
         c /= np.sqrt(2.0)
         c *= envelope

@@ -19,9 +19,8 @@ grid.  A band index q is an integer (`_check_band_index`).  A band is stored on 
 columns it can occupy (`DyadicFilterBank.columns`), all n rows: 1.05 MB at n = 256, not 5.2.
 Bands are even in k2, so `DyadicFilterBank.plane` mirrors column j onto n - j for whole-plane use.
 
-Band L^p norms take p = 2 from Parseval (`spectral._parseval`), with no transform, the power
-folded onto columns 0..n/2 (column n - j added onto column j, 0 < j < n/2); other p sample one
-band at a time, formed over its stored columns only, by `spectral._real_samples`.
+Band L^p norms take p = 2 from Parseval (`spectral._parseval`, on the half spectrum), with no
+transform; other p sample one band at a time, over its stored columns only (`_real_samples`).
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ def band_lp_norms(f, p: float, homogeneous: bool = False):
     """Per-band L^p norms (q indices, norms of Delta_q f): Parseval at p = 2, else sampled."""
     if p == 2:
         qs, mults = zip(*build_filter_bank(f.grid).bands(homogeneous))
-        return np.array(qs), _parseval([c.coeffs for c in _components(f)], mults, half=True)
+        return np.array(qs), _parseval([c.coeffs for c in _components(f)], mults)
     qs, norms = zip(*((q, lp_norm(band, p)) for q, band in _band_samples(f, homogeneous)))
     return np.array(qs), np.array(norms)
 

@@ -10,52 +10,48 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
 
     f(x) = sum_k  coeff(k) * exp(i k . x)
 
-Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k)) (indices
-taken modulo n).  Samples are plain (n, n) float arrays, a vector's a pair (v1, v2) of them;
-`VectorField` holds two spectral components on one grid, checked when it is built.  Samples
-from outside (the forward transforms, `lp_norm`, `integrate`) are checked for that shape once,
-where they enter (`_square`).  The
-`SpectralField` constructor checks finiteness and this symmetry once
-(`_check_real`) on a read-only copy of its coefficients; operators trust every field and wrap
-what they derive unchecked (`_wrap`): sums, real scalars, transforms of real samples, real
-even multipliers (bands, |k|^s) and odd ones (d/dx_j, Riesz, Biot-Savart), which vanish on
-their Nyquist line k_j = -n/2 (`Grid.k1_odd`, `Grid.k2_odd`).  `read_checkpoint` and random
-draws check finiteness only (`simio._read_checked` adds the symmetry).  `advect` takes the
-velocity samples, made once per state (`SimState.physical_velocity`) or caller.  Operators that
-divide by |k| map k = 0 to 0.  Sampling runs the two passes of a half-spectrum `irfft2`
-(`_real_samples`), the `ifft` over columns 0..kmax alone when those beyond are zero and none
-for a zero field: numpy's bytes but for the sign of a zero sample.  The complex path stays
-where the last bits feed the trajectory or the energy residual (E1 - E0) / dt, which
-magnifies them about 10^7-fold: `advect` and the step, `SimState.physical_velocity`,
-`grid_max_velocity` (it sets the benchmark's run amplitudes), `SimState.physical_temperature`
-(`adaptive_dt`'s max|theta|: the buoyant limit can set dt), and the forward transforms.  Bar
-`forward_transform`, it works on plain arrays of the kept block, the coefficients |k_j| <= kmax
-in FFT layout of size 2 kmax + 1 (`Grid.block`), so it reads the dealiased part of its input:
-one sampler, `_samples`, takes a block, `_forward` returns one (or the plane), `_advect` maps
-blocks to a block, and `Grid.plane` scatters one into +0.0, as `dealias` does.  They run the
-1-D passes of `ifft2`/`fft2` in numpy's order (axis 1, then axis 0 in place), so every bit is
-numpy's, and skip the lines |k_j| > kmax.  From n = 160 (`dynamics.PARALLEL_MIN_N`) the step's
-stage halves and the verifier's sample pairs run on two threads (`dynamics._pair`), same bytes.
+Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k)) (indices taken modulo
+n).  Samples are plain (n, n) float arrays, a vector's a pair (v1, v2) of them; `VectorField` holds
+two spectral components on one grid, checked when it is built.  Samples from outside (the forward
+transforms, `lp_norm`, `integrate`) are checked for that shape once, where they enter (`_square`).
+The `SpectralField` constructor checks finiteness and this symmetry once (`_check_real`) on a
+read-only copy of its coefficients; operators trust every field and wrap what they derive unchecked
+(`_wrap`): sums, real scalars, transforms of real samples, real even multipliers (bands, |k|^s) and
+odd ones (d/dx_j, Riesz, Biot-Savart), which vanish on their Nyquist line k_j = -n/2
+(`Grid.k1_odd`, `Grid.k2_odd`).  `read_checkpoint` and random draws check finiteness only
+(`simio._read_checked` adds the symmetry).  Operators that divide by |k| map k = 0 to 0.
 
-`Grid(n)` returns the live grid of size n when there is one (a weak table finds it), so all
-callers share one grid per n while any of them holds it; each grid's cached filter bank
-(`littlewood_paley.build_filter_bank`), home of the dyadic bands, holds it for the process.
-A grid builds its lattice and kept lines at once and its n-by-n multipliers (|k|, 1/|k|^2,
-Riesz) and the kept block's k_j, 1/|k|^2, i k_j and Biot-Savart multipliers on first read,
-keeping each: they are built once per n.  As every user of n shares them, every array a grid
-holds is read-only.  `kmag_power` and `forcing_mult` build the alpha ones on request
-(`kmag_power` returns `kmag` itself at alpha = 1); `partial_derivative` and `biot_savart` form
-their products of those arrays per call, and `leray_project` its copy of 1/|k|^2 with the
-Nyquist lines filled.  Random draws are projected on the kept block, by the
-formula `leray_project` applies to the plane (`_leray`).
+Transforms run on the real path: `_real_samples` runs `irfft2`'s two passes, the `ifft` over
+columns 0..kmax alone when those beyond are zero and none for a zero field (numpy's bytes but for
+the sign of a zero sample), and `_forward` runs `rfft2`'s, the `fft` over columns 0..n/2 (0..kmax
+for the kept block alone), and fills the other columns by conjugate symmetry.  The complex path
+runs `ifft2`'s and `fft2`'s passes on the kept block, the coefficients |k_j| <= kmax in FFT layout
+of size 2 kmax + 1 (`Grid.block`, scattered into +0.0 by `Grid.plane`, as `dealias` does).  It is
+the trajectory's alone, as the energy residual (E1 - E0) / dt magnifies its last bits about
+10^7-fold: the step's `_advect`, and `_samples` for `SimState.physical_velocity`,
+`SimState.physical_temperature` (the buoyant limit of `adaptive_dt`) and `grid_max_velocity` (the
+benchmark's run amplitudes).  From n = 160 (`dynamics.PARALLEL_MIN_N`) the step's stage halves and
+the verifier's sample pairs run on two threads (`dynamics._pair`), same bytes.
 
-Norms are torus norms; two helpers take every power sum, scaled by its max first when it leaves
-the normal doubles (`_rescale_by`).  `_weighted_lr` sums terms >= 0: `lp_norm`'s samples (cell
-area (2*pi/n)^2, n their own) and `littlewood_paley`'s band norms and time series.  `_parseval`
-sums coefficients, with the matching factor 2 pi, so ``lp_norm(inverse_transform(f), 2) ==
-sobolev_norm(f, 0)`` up to roundoff, for every L^2 norm of a field: `sobolev_norm`,
-`gradient_lp_norm` and `band_lp_norms` at p = 2, the record's but its kinetic energy (`lp_norm` of
-the complex-path velocity samples, for its bits) and `linear_gamma_smoothing_integral`.
+`Grid(n)` returns the live grid of size n when there is one (a weak table finds it), so all callers
+share one grid per n while any of them holds it; each grid's cached filter bank
+(`littlewood_paley.build_filter_bank`), home of the dyadic bands, holds it for the process, as do
+its Sobolev weights' cache.  A grid builds its lattice and kept lines at once, and its n-by-n
+multipliers (|k|, 1/|k|^2, Riesz), the kept block's k_j, 1/|k|^2, i k_j and Biot-Savart
+multipliers and its Sobolev weights on first read, keeping each: they are built once per n (a
+weight once per n, s and kind).  As every user of n shares them, every array a grid holds is
+read-only.  `kmag_power` and `forcing_mult` build the alpha ones on request, and operators form
+their products of those arrays per call.
+
+Norms are torus norms; two helpers take every power sum, scaled by its max first when it leaves the
+normal doubles (`_rescale_by`).  `_weighted_lr` sums terms >= 0: `lp_norm`'s samples (cell area
+(2*pi/n)^2, n their own) and `littlewood_paley`'s band norms and time series.  `_parseval` sums
+coefficients on the half spectrum, with the matching factor 2 pi, so
+``lp_norm(inverse_transform(f), 2) == sobolev_norm(f, 0)`` up to roundoff, for every L^2 norm of a
+field: `sobolev_norm`, `gradient_lp_norm` and `band_lp_norms` at p = 2, the record's but its
+kinetic energy (`lp_norm` of the complex-path velocity samples) and
+`linear_gamma_smoothing_integral`.  Of a plane or kept block W columns wide it reads columns
+0..W/2, each column 0 < j < W/2 counted twice for its mirror W - j (a plane's Nyquist column once).
 """
 
 from __future__ import annotations
@@ -93,8 +89,8 @@ class Grid(metaclass=_OnePerSize):
     """Uniform n-by-n collocation grid with its wavevector arrays; one live instance per n."""
 
     def __init__(self, n: int):
-        if n % 2 != 0 or n < 16:
-            raise ConfigurationError(f"grid size n must be an even integer >= 16, got {n}")
+        if not isinstance(n, numbers.Real) or n % 2 != 0 or n < 16:
+            raise ConfigurationError(f"grid size n must be an even integer >= 16, got {n!r}")
         self.n = n = int(n)
         # exact integers, FFT layout
         k = _read_only(np.r_[0 : n // 2, -(n // 2) : 0].astype(float))
@@ -105,9 +101,9 @@ class Grid(metaclass=_OnePerSize):
         # 2/3 rule: keep max(|k1|, |k2|) <= kmax, the lines `kept` along each axis.
         self.kmax = m = n // 3
         self.kept = (slice(None, m + 1), slice(n - m, None))
-        # (plane, block) slices of the kept block's quadrants, FFT layout of size 2m + 1
+        # (plane, block) slices of the kept block's quadrants (size 2m + 1), columns 0..m first
         lines = list(zip(self.kept, (slice(None, m + 1), slice(m + 1, None))))
-        self.quadrants = [((r, k), (br, bk)) for r, br in lines for k, bk in lines]
+        self.quadrants = [((r, k), (br, bk)) for k, bk in lines for r, br in lines]
         self.x = _read_only(2.0 * np.pi * np.arange(n) / n)
 
     @functools.cached_property
@@ -141,10 +137,10 @@ class Grid(metaclass=_OnePerSize):
             b[block] = c[plane]
         return b
 
-    def plane(self, b: np.ndarray) -> np.ndarray:
-        """The (n, n) array that holds the block b on the kept lines and +0.0 elsewhere."""
-        a = np.zeros((self.n, self.n), b.dtype)
-        for plane, block in self.quadrants:
+    def plane(self, b: np.ndarray, half: bool = False) -> np.ndarray:
+        """The (n, n) array (or its columns 0..kmax) with block b on the kept lines, else +0.0."""
+        a = np.zeros((self.n, self.kmax + 1 if half else self.n), b.dtype)
+        for plane, block in self.quadrants[: 2 if half else 4]:
             a[plane] = b[block]
         return a
 
@@ -164,6 +160,15 @@ class Grid(metaclass=_OnePerSize):
             mult = 1j * self.k1_odd / self.kmag_power(alpha)
         mult[0, 0] = 0.0
         return mult
+
+    @functools.lru_cache(maxsize=32)
+    def sobolev_weight(self, s: float, homogeneous: bool) -> np.ndarray:
+        """`sobolev_norm`'s weight (1 + |k|^2)^(s/2), or |k|^s but 0 at k = 0, on columns 0..n/2."""
+        k = self.kmag[:, : self.n // 2 + 1]
+        with np.errstate(divide="ignore"):
+            w = k**s if homogeneous else (1.0 + k**2) ** (0.5 * s)
+        w[0, 0] = 0.0 if homogeneous else 1.0
+        return _read_only(w)
 
     def nodes(self):
         """Return coordinate arrays X1, X2 of shape (n, n), 'ij' indexed."""
@@ -271,19 +276,18 @@ def _cell_area(a: np.ndarray) -> float:
 
 
 def _forward(grid: Grid, samples, block=False) -> np.ndarray:
-    """Coefficients of (n, n) real samples by `fft2`'s passes, or their kept block alone."""
-    samples = _square(samples, grid.n)
+    """Coefficients of (n, n) real samples by `rfft2`'s passes, the second over columns 0..n/2,
+    or 0..kmax for the kept block alone, the other columns by conjugate symmetry."""
+    samples, m = _square(samples, grid.n), grid.kmax
     if not np.all(np.isfinite(samples)):
         raise NonFiniteError("physical samples contain non-finite values")
-    a = samples.astype(complex)  # cast once: the row pass casting row by row is slower
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail a finiteness check later
-        np.fft.fft(a, axis=1, out=a)
-        for cols in grid.kept if block else (slice(None),):
-            np.fft.fft(a[:, cols], axis=0, out=a[:, cols])
-    if block:
-        a = grid.block(a)
+        a = np.fft.rfft(samples, axis=1)[:, : m + 1 if block else None]
+        a = np.fft.fft(a, axis=0, out=a)
+    a = np.concatenate([a[rows] for rows in grid.kept]) if block else a
     a /= grid.n * grid.n
-    return a
+    mirrored = a[-np.arange(len(a)), (m if block else grid.n // 2 - 1) : 0 : -1]
+    return np.concatenate([a, np.conj(mirrored)], axis=1)
 
 
 def forward_transform(grid: Grid, samples) -> SpectralField:
@@ -436,24 +440,36 @@ def advect(v: tuple, f: SpectralField) -> SpectralField:
     """Dealiased advection term v . grad f of f's dealiased part, for a divergence-free velocity.
 
     v is the pair of velocity samples (`to_physical`, `SimState.physical_velocity`), so it
-    is transformed once for all the fields it advects.  The spectral gradient of f goes to
-    physical space, times v, transformed back and dealiased (`_advect` on f's kept block).
+    is transformed once for all the fields it advects.  The spectral gradient of f's kept block
+    is sampled (`_real_samples`), times v, transformed back (`_forward`) and dealiased.
     """
     g = f.grid
     if not (isinstance(v, tuple) and len(v) == 2
             and all(isinstance(c, np.ndarray) and c.shape == (g.n, g.n) for c in v)):
         raise InvalidInputError("advect needs velocity samples (v1, v2) on the grid of f")
-    return _wrap(g, g.plane(_advect(g, v, g.block(f.coeffs))))
+    b = g.block(f.coeffs)
+    d = [_real_samples(g.plane(b * ik, True), g) for ik in g.block_mults[:2]]
+    return _wrap(g, g.plane(_forward(g, _dot(v, *d), True)))
 
 
 def _advect(g: Grid, v: tuple, b: np.ndarray) -> np.ndarray:
-    """The kept block of the dealiased v . grad f, from velocity samples v and f's kept block b."""
-    ik1, ik2 = g.block_mults[:2]
-    p, f2 = _samples(b * ik1, g), _samples(b * ik2, g)
-    p *= v[0]  # v1 d1f + v2 d2f in place: IEEE products commute, so the bits are the same
-    f2 *= v[1]
-    p += f2
-    return _forward(g, p, True)
+    """The step's `advect` on the complex path, from f's kept block b to that of v . grad f."""
+    a = _dot(v, *(_samples(b * ik, g) for ik in g.block_mults[:2]))
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("physical samples contain non-finite values")
+    a = a.astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.fft.fft(a, axis=1, out=a)
+        for cols in g.kept:
+            np.fft.fft(a[:, cols], axis=0, out=a[:, cols])
+    a = g.block(a)
+    a /= g.n * g.n
+    return a
+
+
+def _dot(v: tuple, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """v1 d1 + v2 d2, formed in place of d1 and d2: IEEE products commute, so d1 * v1 is v1 * d1."""
+    return np.add(np.multiply(d1, v[0], out=d1), np.multiply(d2, v[1], out=d2), out=d1)
 
 
 def lp_norm(f, p) -> float:
@@ -502,25 +518,21 @@ def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
     zero mode dropped.  At s = 0 it is `lp_norm` of the samples (the 2 pi box factor)."""
     if not math.isfinite(s):
         raise ConfigurationError(f"Sobolev index s must be finite, got {s}")
-    g = f.grid
-    if homogeneous:
-        with np.errstate(divide="ignore"):
-            w = g.kmag**s
-        w[0, 0] = 0.0
-    else:
-        w = None if s == 0 else (1.0 + g.kmag**2) ** (0.5 * s)
+    w = None if s == 0 and not homogeneous else f.grid.sobolev_weight(s, homogeneous)
     return float(_parseval([c.coeffs for c in _components(f)], [w])[0])
 
 
 vector_sobolev_norm = sobolev_norm
 
 
-def _parseval(cs: list, mults: list, half: bool = False) -> np.ndarray:
+def _parseval(cs: list, mults: list) -> np.ndarray:
     """The L^2 norms 2 pi (sum_k m(k)^2 sum_c |c(k)|^2)^(1/2) of m(D) f, f the field (or vector)
-    of the coefficient arrays cs, for each m in mults (None for 1), with |c|^2 = re^2 + im^2;
-    scaled by max |c| first only when the largest sum leaves the normal doubles.  With `half`,
-    each m is even in k2 and given on half-spectrum columns 0..w-1 (a filter bank's band), so
-    the power is folded onto columns 0..n/2 first: column n - j added onto column j, 0 < j < n/2."""
+    of the coefficient arrays cs, for each m (even in k) in mults (None for 1), with |c|^2 = re^2
+    + im^2, on the half spectrum, each m read on its columns (a narrower band is 0 beyond); scaled
+    by max |c| first only when the largest sum leaves the normal doubles."""
+    width = cs[0].shape[1]
+    cs = [c[:, : width // 2 + 1] for c in cs]
+
     def sums(cs):
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: rescaled below
             power = cs[0].real**2  # each |c|^2 and m^2 |c|^2 in one array, in the plain order
@@ -529,13 +541,12 @@ def _parseval(cs: list, mults: list, half: bool = False) -> np.ndarray:
                 square = c.real**2
                 square += c.imag**2
                 power += square
-            if half:
-                h = power.shape[1] // 2
-                power[:, 1:h] += power[:, :h:-1]
+            power[:, 1 : (width + 1) // 2] *= 2.0
 
             def weighted(m):
-                out = np.multiply(m, m, out=np.empty(m.shape if half else power.shape))
-                return np.multiply(out, power[:, : m.shape[1]] if half else power, out=out)
+                m = m[:, : power.shape[1]]
+                out = np.multiply(m, m, out=np.empty((len(power), m.shape[1])))
+                return np.multiply(out, power[:, : m.shape[1]], out=out)
             return np.array([np.sum(power if m is None else weighted(m)) for m in mults])
 
     totals = sums(cs)
@@ -565,8 +576,8 @@ def gradient_lp_norm(v: VectorField, p) -> float:
     """L^p norm of the pointwise Frobenius magnitude of the velocity gradient; at p = 2 by
     Parseval, (sum_j ||k_j v||^2)^(1/2) with k_j zero on its Nyquist line, as the samples have it."""
     if p == 2:
-        g = v.grid
-        return float(np.hypot(*_parseval([c.coeffs for c in v.components()], [g.k1_odd, g.k2_odd])))
+        g, cs = v.grid, [c.coeffs for c in v.components()]
+        return float(np.hypot(*_parseval(cs, [np.broadcast_to(g.k1_odd, g.kmag.shape), g.k2_odd])))
     acc = sum(d * d for d in _gradient_samples(v))
     return lp_norm(np.sqrt(acc), p)
 

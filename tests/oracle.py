@@ -3,7 +3,8 @@
 It uses numpy and a `Grid`'s multiplier arrays (`k1`, `k2`, `k1_odd`, `k2_odd`, `kmag`,
 `inv_ksq`) and nothing else of bqsim (a random draw takes its ring-ordered lattice as given);
 the 2/3 rule it builds from n alone (`keep_mask`), so a wrong `Grid` truncation parts bqsim
-from the oracle.  It is the one test module that calls `numpy.fft`
+from the oracle.  Forward transforms come in two kinds: the complex `fft2` of the step and the
+real `rfft2` of everything else.  It is the one test module that calls `numpy.fft`
 (test_spectral.py's `TestTransformLayer` keeps it so).
 """
 
@@ -29,6 +30,13 @@ def fft2(samples):
     return np.fft.fft2(samples) / (n * n)
 
 
+def rfft2(samples):
+    """Fourier-series coefficients of real samples by numpy's `rfft2` (columns 0..n/2), the
+    other columns by conjugate symmetry (`hermitian_completion`)."""
+    n = samples.shape[0]
+    return hermitian_completion(np.fft.rfft2(samples) / (n * n))
+
+
 def keep_mask(n):
     """The 2/3 rule on the integer lattice in FFT layout: True where max(|k1|, |k2|) <= n // 3."""
     k = np.minimum(np.arange(n), n - np.arange(n))  # |k| of each index
@@ -43,6 +51,11 @@ def dealias(c):
 def dealiased_fft2(samples):
     """`fft2` with the 2/3 rule."""
     return dealias(fft2(samples))
+
+
+def dealiased_rfft2(samples):
+    """`rfft2` with the 2/3 rule."""
+    return dealias(rfft2(samples))
 
 
 def hermitian_completion(c):
@@ -98,9 +111,11 @@ def velocity(grid, omega):
             ifft2(omega * (-1j * grid.k1_odd * grid.inv_ksq)))
 
 
-def advect(grid, v, f):
-    """Dealiased v . grad f of velocity samples v and coefficients f."""
-    return dealiased_fft2(v[0] * ifft2(f * (1j * grid.k1_odd)) + v[1] * ifft2(f * (1j * grid.k2_odd)))
+def advect(grid, v, f, real=False):
+    """Dealiased v . grad f of velocity samples v and coefficients f, on the complex path (the
+    step's) or, with `real`, by `irfft2` and `rfft2` (`bqsim.advect`'s)."""
+    sample, forward = (irfft2, dealiased_rfft2) if real else (ifft2, dealiased_fft2)
+    return forward(v[0] * sample(f * (1j * grid.k1_odd)) + v[1] * sample(f * (1j * grid.k2_odd)))
 
 
 def rhs(grid, w, th):

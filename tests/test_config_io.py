@@ -383,6 +383,19 @@ class TestCli:
         assert code == 0
         assert "besov(0,inf,1)_omega" in capsys.readouterr().out
 
+    def test_the_parser_is_built_once_and_parses_alike_after_a_usage_error(self, tmp_path, capsys):
+        """`main` builds its parser once per process: a verify op, a usage error and the same op
+        again print the same, and only the first call builds one."""
+        bqsim.cli._build_parser.cache_clear()
+        argv = ["verify", "--suite", "power-map", "--n", "16", "--count", "2",
+                "--output-dir", str(tmp_path)]
+        outputs = []
+        for args in (argv, ["verify", "--suite", "no-such-suite"], argv):
+            outputs.append((main(args), *capsys.readouterr()))
+        assert outputs[0] == outputs[2] and outputs[0][0] == 0 and outputs[0][2] == ""
+        assert outputs[1][:2] == (2, "") and "invalid choice: 'no-such-suite'" in outputs[1][2]
+        assert bqsim.cli._build_parser.cache_info().misses == 1
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("n = 99\nt_end = 1\npreset = zero\n")

@@ -223,6 +223,15 @@ class TestEnvelopeFits:
         assert profile.constants["scale"] == 0.0
         assert profile.r_squared == 1.0
 
+    @pytest.mark.parametrize("fit", [fit_exponential_envelope, fit_double_exponential_envelope,
+                                     lambda t, y: osgood_bound(1.0, t, y)],
+                             ids=["exponential", "double-exponential", "osgood"])
+    def test_a_series_of_another_shape_is_bad_input(self, fit):
+        """Before, the two fits raised numpy's IndexError and `osgood_bound` a ConfigurationError."""
+        shapes = r"times of shape \(3,\) do not match values of shape \(2,\)"
+        with pytest.raises(InvalidInputError, match=shapes):
+            fit([0.0, 1.0, 2.0], [1.0, 2.0])
+
     def test_double_exponential_recovery(self):
         t = np.linspace(0.0, 1.5, 30)
         y = np.exp(np.exp(0.5 + 1.2 * t)) - math.e

@@ -110,6 +110,9 @@ class TestGrid:
     def test_rejects_non_integer_size_and_takes_numpy_integers(self):
         with pytest.raises(ConfigurationError):
             Grid(64.5)
+        for bad in ("32", None, [32]):  # before, "32" raised TypeError from string formatting
+            with pytest.raises(ConfigurationError, match="grid size n must be an even integer"):
+                Grid(bad)
         g = Grid(np.int64(64))
         assert g.n == 64 and type(g.n) is int
 
@@ -277,18 +280,38 @@ class TestTransforms:
     @pytest.mark.parametrize("n", PASS_SIZES)
     @pytest.mark.parametrize("case", PASS_CASES)
     def test_passes_give_the_bytes_of_the_2d_transforms(self, n, case):
-        """Each 1-D pass is the one `ifft2`/`fft2` runs, in its order, so no bit moves; the
-        sampler reads the kept block alone and skips the rows |k1| > n/3, which hold zeros
-        (rows `samples-*` of `FFT_COUNTS`)."""
+        """Each 1-D pass is the one `ifft2` (the step's sampler) or `rfft2` (the forward
+        transforms) runs, in its order, so no bit moves; the sampler reads the kept block alone
+        and skips the rows |k1| > n/3, which hold zeros (rows `samples-*` of `FFT_COUNTS`), and
+        the forward transforms' second pass skips the columns past n/2, or past n/3 when
+        dealiased, whose conjugates fill the rest."""
         g = Grid(n)
         c = pass_coeffs(g, case)
         assert _samples(g.block(c), g).tobytes() == oracle.ifft2(oracle.dealias(c)).tobytes()
         samples = oracle.ifft2(c)
-        assert forward_transform(g, samples).coeffs.tobytes() == oracle.fft2(samples).tobytes()
+        assert forward_transform(g, samples).coeffs.tobytes() == oracle.rfft2(samples).tobytes()
         got = dealiased_transform(g, samples).coeffs
-        assert got.tobytes() == oracle.dealiased_fft2(samples).tobytes()
+        assert got.tobytes() == oracle.dealiased_rfft2(samples).tobytes()
         # dealias multiplies by 0 + 0j, which can leave -0.0 outside the band: same values
         assert np.array_equal(got, dealias(forward_transform(g, samples)).coeffs)
+
+    @pytest.mark.parametrize("n", PASS_SIZES)
+    @pytest.mark.parametrize("case", PASS_CASES)
+    def test_real_forward_transforms_stay_within_an_ulp_of_the_complex(self, n, case):
+        """The real path moves a coefficient of the samples of c by at most 1e-15 max|c| from
+        the complex `fft2`, and `advect` by as much of its largest from the step's complex
+        advection.  The worst measured: 5.5e-16, `forward_transform` of white noise at n = 50
+        and `advect` by white noise there."""
+        g = Grid(n)
+        c = pass_coeffs(g, case)
+        samples = oracle.ifft2(c)
+        for got, want in ((forward_transform(g, samples), oracle.fft2(samples)),
+                          (dealiased_transform(g, samples), oracle.dealiased_fft2(samples))):
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(c))
+        f = SpectralField(g, c)
+        v = tuple(oracle.ifft2(w.coeffs) for w in random_divfree_velocity(g, 2.0, 1.0, (n,)).components())
+        want = oracle.advect(g, v, oracle.dealias(c))
+        assert np.max(np.abs(advect(v, f).coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_hermitian_defect_zero_field(self):
         g = grid64()
@@ -482,7 +505,7 @@ class TestLerayAndAdvection:
         v = random_divfree_velocity(g, 2.0, 1.0, (11,))
         f = random_scalar_field(g, 2.0, 1.0, (12,))
         v1, v2 = (oracle.ifft2(c.coeffs) for c in v.components())
-        assert np.array_equal(advect((v1, v2), f).coeffs, oracle.advect(g, (v1, v2), f.coeffs))
+        assert np.array_equal(advect((v1, v2), f).coeffs, oracle.advect(g, (v1, v2), f.coeffs, real=True))
         assert grid_max_velocity(v) == float(np.max(np.hypot(v1, v2)))
         # each derivative is sampled by the one half-spectrum transform of `inverse_transform`
         derivs = [inverse_transform(partial_derivative(c, a)) for c in v.components() for a in (0, 1)]
@@ -571,6 +594,30 @@ class TestNorms:
         f = spectral_sin(g, 3)
         assert sobolev_norm(f, 1.0, homogeneous=True) == pytest.approx(3 * L2_SIN, rel=1e-12)
         assert sobolev_norm(f, 1.0) == pytest.approx(math.sqrt(10) * L2_SIN, rel=1e-12)
+
+    def test_sobolev_weights_are_built_once_on_the_half_spectrum(self):
+        """One read-only weight per grid, s and kind, on the columns 0..n/2 that the sum reads,
+        and none at s = 0; the norms keep the values of the full-plane weights."""
+        g = Grid(48)
+        weight = Grid.sobolev_weight
+        weight.cache_clear()
+        v = random_divfree_velocity(g, 2.0, 1.0, (13,))
+        kinds = ((0.5, False), (0.5, True), (0.0, False), (1.0, False), (0.0, True))
+        for _ in range(3):
+            for s, homogeneous in kinds:
+                sobolev_norm(v.x1, s, homogeneous)
+                vector_sobolev_norm(v, s, homogeneous)
+        assert weight.cache_info().misses == 4
+        for s, homogeneous in kinds:
+            w = g.sobolev_weight(s, homogeneous)
+            assert w is g.sobolev_weight(s, homogeneous) and w.shape == (48, 25) and not w.flags.writeable
+        assert weight.cache_info().misses == 5  # (0, False) only here: the norm takes no weight
+        for s, homogeneous in ((0.5, False), (-0.5, True), (1.0, True)):
+            w2s = (1 + g.kmag**2) ** s
+            if homogeneous:
+                w2s = np.where(g.kmag > 0, g.kmag, 1.0) ** (2 * s) * (g.kmag > 0)
+            want = 2.0 * np.pi * np.sqrt(np.sum(w2s * np.abs(v.x1.coeffs) ** 2))
+            assert sobolev_norm(v.x1, s, homogeneous) == pytest.approx(want, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("homogeneous", [False, True])
@@ -761,6 +808,13 @@ class TestRealEdge:
         assert calls == [(3, 0), 0, 1, (3, 3), (5, n)]  # every old array took the full-k path
         assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
+    @pytest.mark.parametrize("key", [(-1,), (3, -2), (1.5,), ("a",)])
+    def test_a_key_numpy_cannot_seed_is_bad_input(self, key):
+        """Before, a negative key raised numpy's ValueError and a non-integer one its TypeError."""
+        for draw in (random_scalar_field, random_divfree_velocity):
+            with pytest.raises(InvalidInputError, match=r"^random key \("):
+                draw(Grid(32), 2.0, 1.0, key)
+
     @pytest.mark.parametrize("n", [16, 48, 98, 128, 256])
     @pytest.mark.parametrize("gamma", [2.5, 1.0, 0.0, -1.0])
     def test_block_draws_are_the_whole_plane_draws(self, n, gamma):
@@ -832,8 +886,10 @@ class TestNormRange:
         cell_area = (2.0 * math.pi / f.grid.n) ** 2
         for p in (2, 3, 4):
             assert lp_norm(inverse_transform(f), p) == float((np.sum(a**p) * cell_area) ** (1.0 / p))
-        power = f.coeffs.real**2 + f.coeffs.imag**2
-        w = (1.0 + f.grid.kmag**2) ** 0.25
+        h = f.grid.n // 2 + 1  # the half-spectrum sum: columns 0..n/2, each 0 < j < n/2 twice
+        power = f.coeffs[:, :h].real ** 2 + f.coeffs[:, :h].imag ** 2
+        power[:, 1 : h - 1] *= 2.0
+        w = (1.0 + f.grid.kmag[:, :h] ** 2) ** 0.25
         assert sobolev_norm(f, 0.5) == float(2.0 * np.pi * np.sqrt(np.sum(w * w * power)))
         assert sobolev_norm(f, 0.0) == float(2.0 * np.pi * np.sqrt(np.sum(power)))
 
@@ -901,7 +957,11 @@ class TestParsevalNorms:
                 assert vector_sobolev_norm(big, s, homogeneous) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-TRANSFORM_HELPERS = {"_forward": ["fft", "fft"], "_samples": ["ifft", "ifft"], "_real_samples": ["irfft", "ifft"]}
+#: The functions that call `numpy.fft`, and their calls: the real pair everywhere, and the step's
+#: complex sampler and forward transform (inside `_advect`).
+TRANSFORM_HELPERS = {"_forward": ["rfft", "fft"], "_advect": ["fft", "fft"], "_samples": ["ifft", "ifft"],
+                     "_real_samples": ["irfft", "ifft"]}
+COMPLEX_HELPERS = ("_samples", "_advect")
 
 
 def fft_calls_in(node):
@@ -931,7 +991,7 @@ class TestTransformLayer:
                        for alias in node.names if alias.name.startswith("_")]
             assert private == allowed, module.__name__
 
-    def test_every_fft_call_sits_in_the_three_spectral_helpers(self):
+    def test_every_fft_call_sits_in_the_spectral_helpers(self):
         """A new caller of `numpy.fft` (a complex inverse, say) must go through spectral.py."""
         in_functions, total = {}, []
         for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
@@ -939,9 +999,9 @@ class TestTransformLayer:
             assert fft_imports_in(tree) == [], path.name
             for node in ast.walk(tree):
                 if isinstance(node, ast.FunctionDef) and fft_calls_in(node):
-                    in_functions[(path.name, node.name)] = fft_calls_in(node)
+                    in_functions[(path.name, node.name)] = sorted(fft_calls_in(node))
             total += fft_calls_in(tree)
-        assert in_functions == {("spectral.py", name): calls for name, calls in TRANSFORM_HELPERS.items()}
+        assert in_functions == {("spectral.py", name): sorted(c) for name, c in TRANSFORM_HELPERS.items()}
         assert sorted(total) == sorted(sum(TRANSFORM_HELPERS.values(), []))  # none at module level
 
     def test_no_test_module_but_the_oracle_calls_numpy_fft(self):
@@ -952,7 +1012,46 @@ class TestTransformLayer:
             assert fft_imports_in(tree) == [], path.name
             if fft_calls_in(tree):
                 callers[path.name] = sorted(set(fft_calls_in(tree)))
-        assert callers == {"oracle.py": ["fft2", "ifft2", "irfft2"]}
+        assert callers == {"oracle.py": ["fft2", "ifft2", "irfft2", "rfft2"]}
+
+    def test_only_the_trajectory_reaches_the_complex_transforms(self):
+        """Outside `dynamics` and `grid_max_velocity`, every `numpy.fft` call that a function
+        reaches, through the names it references (its module's own and those it imports from
+        bqsim), is made by `_real_samples` or the real `_forward`: the complex `_samples` and
+        `_advect` serve the step, `SimState`'s samples and `grid_max_velocity` alone."""
+        refs, trajectory = {}, {("spectral.py", name) for name in (*COMPLEX_HELPERS, "grid_max_velocity")}
+        for path in sorted(Path(bqsim.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            names = {node.name: (path.name, node.name) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            names.update({a.asname or a.name: (f"{node.module}.py", a.name) for node in tree.body
+                          if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names})
+            scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+            scopes += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                       for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+            for name, node in scopes:
+                refs[(path.name, name)] = {names[n.id] for n in ast.walk(node)
+                                           if isinstance(n, ast.Name) and n.id in names}
+                if path.name == "dynamics.py":
+                    trajectory.add((path.name, name))
+
+        def helpers_reached(start, stop=trajectory):
+            """The transform helpers that start reaches, not walking on from a name in stop."""
+            seen, todo = set(), [start]
+            while todo:
+                for ref in refs.get(todo.pop(), set()) - seen:
+                    seen.add(ref)
+                    todo += [] if ref in stop else [ref]
+            return {name for module, name in seen if module == "spectral.py" and name in TRANSFORM_HELPERS}
+
+        reach = {f: helpers_reached(f) for f in refs if f not in trajectory}
+        assert {f: h for f, h in reach.items() if h - {"_forward", "_real_samples"}} == {}
+        want = {"forward_transform": {"_forward"}, "inverse_transform": {"_real_samples"},
+                "advect": {"_forward", "_real_samples"}, "commutator_riesz": {"_forward", "_real_samples"},
+                "verify_product_transport": {"_forward", "_real_samples"}, "gaussian_blob": {"_forward"}}
+        assert {name: h for (_, name), h in reach.items() if name in want} == want
+        # the trajectory reaches the complex ones, so the walk sees through every module
+        assert helpers_reached(("dynamics.py", "step"), set()) == set(COMPLEX_HELPERS)
 
     def test_only_grid_reads_the_raw_wavevectors(self):
         """Operators take odd factors from `k1_odd`/`k2_odd`, which vanish on the Nyquist line,
@@ -1149,26 +1248,43 @@ FFT_COUNTS = {
                                    if p == math.inf else {})
        for kind, field, comps in (("scalar", lambda s: s.theta_hat, 1), ("vector", SimState.velocity, 2))
        for p in (2.0, math.inf) for r in (1.0, math.inf)},
+    # Every forward transform outside the step is real: an `rfft` over the n rows, then an `fft`
+    # over the columns 0..n/2 (33 at n = 64), or 0..kmax (22) for the kept block alone.
+    **{f"{transform.__name__}": (lambda: Grid(64), lambda g, transform=transform: transform(
+        g, np.random.default_rng(1).standard_normal((64, 64))), {"rfft": (1, 64), "fft": (1, cols)})
+       for transform, cols in ((forward_transform, 33), (dealiased_transform, 22))},
+    # two real gradient samples over the kept columns and a dealiased forward transform; the
+    # velocity samples are those a stepped state kept
+    "advect": (lambda: random_state(64, 1), lambda s: advect(s.physical_velocity(), s.theta_hat),
+               {"ifft": (2, 2 * 22), "irfft": (2, 2 * 64), "rfft": (1, 64), "fft": (1, 22)}),
+    # theta, R theta, v1 and v2 sampled, and four dealiased forward transforms
+    "commutator-riesz": (lambda: random_divfree_velocity(Grid(64), 2.0, 1.0, (3,)),
+                         lambda v: commutator_riesz(v, v.x1),
+                         {"ifft": (4, 4 * 22), "irfft": (4, 4 * 64),
+                          "rfft": (4, 4 * 64), "fft": (4, 4 * 22)}),
     # One sample of each verify suite (count 1): L^2 norms are Parseval sums, so what is left
     # feeds a product, a nonlinear map or a norm with p != 2.  A real sample of a draw is an
     # `ifft` over kmax + 1 = 22 columns; a B^0_{inf,r} norm samples 6 bands (74 columns, as
-    # above), a complex sample (in `advect`) and a forward transform are `dealiased_lines(64)`.
+    # above); forward transforms are as above.
     # commutator-*: theta, R theta, v1, v2 and the bands of theta; 4 forward transforms
     **{f"verify-{suite}": (lambda: EnsembleSpec(seed=0, count=1, n=64),
                            lambda ens, suite=suite: SUITES[suite](ens), want)
        for suite, want in (
-           ("commutator-hs", {"ifft": (10, 4 * 22 + 74), "irfft": (10, 10 * 64), "fft": (12, 4 * 107)}),
-           ("commutator-bp", {"ifft": (10, 4 * 22 + 74), "irfft": (10, 10 * 64), "fft": (12, 4 * 107)}),
+           ("commutator-hs", {"ifft": (10, 4 * 22 + 74), "irfft": (10, 10 * 64),
+                              "rfft": (4, 4 * 64), "fft": (4, 4 * 22)}),
+           ("commutator-bp", {"ifft": (10, 4 * 22 + 74), "irfft": (10, 10 * 64),
+                              "rfft": (4, 4 * 64), "fft": (4, 4 * 22)}),
            # f, g and Delta_3 g; the suite's band kernel is one sample over the 33 columns 0..n/2
-           ("kernel", {"ifft": (4, 3 * 22 + 33), "irfft": (4, 4 * 64), "fft": (6, 2 * 107)}),
-           ("power-map", {"ifft": (1, 22), "irfft": (1, 64), "fft": (2, 2 * 64)}),  # u, forward of u^3
+           ("kernel", {"ifft": (4, 3 * 22 + 33), "irfft": (4, 4 * 64),
+                       "rfft": (2, 2 * 64), "fft": (2, 2 * 22)}),
+           ("power-map", {"ifft": (1, 22), "irfft": (1, 64), "rfft": (1, 64), "fft": (1, 33)}),  # u, u^3's
            ("log-interp", {}),
            ("gen-bernstein", {"ifft": (2, 2 * 22), "irfft": (2, 2 * 64)}),  # Delta_3 u and |D| Delta_3 u
-           # v1, v2, one `advect` (2 complex samples) and the bands of f
-           ("product", {"ifft": (14, 2 * 22 + 2 * 107 + 74), "irfft": (8, 8 * 64), "fft": (3, 107)}),
+           # v1, v2, one `advect` (2 gradient samples) and the bands of f
+           ("product", {"ifft": (10, 4 * 22 + 74), "irfft": (10, 10 * 64), "rfft": (1, 64), "fft": (1, 22)}),
            # v1, v2, two `advect` calls and the bands of f
-           ("block-commutator", {"ifft": (20, 2 * 22 + 4 * 107 + 74), "irfft": (8, 8 * 64),
-                                 "fft": (6, 2 * 107)}),
+           ("block-commutator", {"ifft": (12, 6 * 22 + 74), "irfft": (12, 12 * 64),
+                                 "rfft": (2, 2 * 64), "fft": (2, 2 * 22)}),
        )},
 }
 
