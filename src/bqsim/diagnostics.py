@@ -24,11 +24,11 @@ from .spectral import SpectralField, _parseval, _real_samples, biot_savart, deal
 class DiagnosticsRecord:
     """One cadence sample of the tracked norms and cumulative integrals.
 
-    `hhalf_*_sq_cum` are running integrals of squared homogeneous H^(1/2) norms, taken with
-    `l2_gamma` and the dissipation |||D|^(alpha/2) v||^2 by one `spectral._parseval` per field
-    on the kept blocks; `besov_omega_cum` and `V_t` integrate the vorticity B^0_(inf,1) norm and
-    the grid Lipschitz seminorm of the velocity.  The trailing `hhalf_omega_sq_cum` column carries
-    the vorticity analogue of the damped-combination smoothing integral for side-by-side comparison.
+    `hhalf_*_sq_cum` integrate squared homogeneous H^(1/2) norms, taken with the L^2 norms but
+    `l2_v` and the dissipation |||D|^(alpha/2) v||^2 by `spectral._parseval` on the half spectrum,
+    weighted by `Grid.sobolev_weight`; `besov_omega_cum` and `V_t` integrate the vorticity
+    B^0_(inf,1) norm and the grid Lipschitz seminorm of the velocity.  The trailing
+    `hhalf_omega_sq_cum` column is the vorticity analogue of the smoothing integral of gamma.
     """
 
     t: float
@@ -85,20 +85,20 @@ class DiagnosticsTracker:
 
     def record(self, state: SimState) -> DiagnosticsRecord:
         """Compute all tracked quantities for this state's dealiased part and append integrals."""
-        g, half = state.grid, np.s_[:, : state.grid.kmax + 1]
+        g, half = state.grid, np.s_[:, : state.grid.n // 2 + 1]
         omega, theta = dealias(state.omega_hat), dealias(state.theta_hat)
-        w, kmag = g.block(omega.coeffs), g.block(g.kmag)  # norms by Parseval on the kept blocks
-        root_k, inv_k = np.sqrt(kmag), np.sqrt(g.block_k[2])  # 1/|k| is 0 at k = 0
-        gam = w - g.block(theta.coeffs) * g.block(g.riesz_mult)
+        hs = [g.sobolev_weight(s, True) for s in (-0.5, 0.5 * state.alpha - 1.0, 0.5)]
+        norms = _parseval([omega.coeffs], hs + [None])  # |v(k)| = |w(k)| / |k|
+        hhalf_v, dissipation, hhalf_omega, l2_omega = map(float, norms)
+        gam = omega.coeffs[half] - theta.coeffs[half] * g.riesz_mult[half]
+        hhalf_gamma, l2_gamma = map(float, _parseval([gam], [hs[2], None]))
         v_phys = state.physical_velocity()  # `energy` keeps its bits: (E1 - E0) / dt magnifies them
         omega_phys, theta_phys = _real_samples(omega.coeffs, g), _real_samples(theta.coeffs, g)
         l2_v = lp_norm(v_phys, 2)
-        v_mults = [kmag**s * inv_k for s in (0.5, 0.5 * state.alpha)]  # |v(k)| = |w(k)| / |k|
-        hhalf_v, dissipation, hhalf_omega = map(float, _parseval([w], v_mults + [root_k]))
-        hhalf_gamma, l2_gamma = map(float, _parseval([gam], [root_k, None]))
-        ik1, ik2 = 1j * g.k1_odd, 1j * g.k2_odd[half]  # lip_v: d1 v1 = -d2 v2, d2 v1 and d1 v2
-        v1, v2 = (omega.coeffs[half] * (mult * g.inv_ksq[half]) for mult in (ik2, -1j * g.k1_odd))
-        lip_v = max(lp_norm(_real_samples(d, g), math.inf) for d in (v1 * ik1, v1 * ik2, v2 * ik1))
+        ik1, ik2, *v_mults = g.block_mults  # lip_v: d1 v1 = -d2 v2, d2 v1 and d1 v2
+        v1, v2 = (g.block(omega.coeffs) * mult for mult in v_mults)
+        d = (v1 * ik1, v1 * ik2, v2 * ik1)
+        lip_v = max(lp_norm(_real_samples(g.plane(b, True), g), math.inf) for b in d)
 
         integrands = {
             "hhalf_v_sq": _squared(hhalf_v),
@@ -134,10 +134,10 @@ class DiagnosticsTracker:
         rec = DiagnosticsRecord(
             t=state.t,
             l2_v=l2_v,
-            l2_theta=lp_norm(theta_phys, 2),
+            l2_theta=float(_parseval([theta.coeffs], [None])[0]),
             l4_theta=lp_norm(theta_phys, 4),
             linf_theta=lp_norm(theta_phys, math.inf),
-            l2_omega=lp_norm(omega_phys, 2),
+            l2_omega=l2_omega,
             lr_omega=lp_norm(omega_phys, self.omega_lr),
             l2_gamma=l2_gamma,
             besov_theta=besov_norm(theta, BesovSpec(0.0, math.inf, 1.0)),
@@ -324,9 +324,7 @@ def check_lipschitz(records) -> CheckReport:
     besov_cum = _series(records, "besov_omega_cum")
     lr = _series(records, "lr_omega")
     lip = _series(records, "lip_v")
-    finite = bool(
-        np.all(np.isfinite(besov_cum)) and np.all(np.isfinite(lr)) and np.all(np.isfinite(lip))
-    )
+    finite = all(np.all(np.isfinite(series)) for series in (besov_cum, lr, lip))
     return CheckReport(
         name="lipschitz-velocity",
         passed=finite,
@@ -378,11 +376,12 @@ def linear_gamma_smoothing_integral(gamma0: SpectralField, t: float) -> float:
 
     With gamma(tau) = exp(-|k| tau) gamma0 per mode, the time integral of the
     squared homogeneous H^(1/2) norm is
-    (2 pi)^2 sum_k (1 - exp(-2 |k| t)) |gamma0(k)|^2 / 2, for t >= 0.
+    (2 pi)^2 sum_k (1 - exp(-2 |k| t)) |gamma0(k)|^2 / 2, for finite t >= 0.
     """
-    if not t >= 0:  # NaN too
-        raise ConfigurationError(f"time t must be nonnegative, got {t}")
-    weight = np.sqrt((1.0 - np.exp(-2.0 * gamma0.grid.kmag * t)) / 2.0)  # 0 at k = 0
+    if not 0 <= t < math.inf:  # NaN too
+        raise ConfigurationError(f"time t must be nonnegative and finite, got {t}")
+    k = gamma0.grid.kmag[:, : gamma0.grid.n // 2 + 1]  # the columns `_parseval` reads
+    weight = np.sqrt((1.0 - np.exp(-2.0 * k * t)) / 2.0)  # 0 at k = 0
     return _squared(float(_parseval([gamma0.coeffs], [weight])[0]))
 
 

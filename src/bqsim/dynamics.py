@@ -261,8 +261,10 @@ def linear_exact_solution(
     Per mode: theta is constant and
     w(t) = exp(-|k|^alpha t) w0 + (i k1 / |k|^alpha)(1 - exp(-|k|^alpha t)) theta0.
     For alpha = 1 this is exactly the statement that gamma = w - R theta
-    decays by the factor exp(-|k| t) while theta stands still.
+    decays by the factor exp(-|k| t) while theta stands still; t must be finite and >= 0.
     """
+    if not 0 <= t < np.inf:  # NaN too, as `linear_gamma_smoothing_integral` checks it
+        raise ConfigurationError(f"time t must be nonnegative and finite, got {t}")
     grid = omega0.grid
     decay = np.exp(-grid.kmag_power(alpha) * t)
     w_t = omega0.coeffs * decay + grid.forcing_mult(alpha) * (1.0 - decay) * theta0.coeffs

@@ -13,7 +13,7 @@ divides by n^2, so spectral coefficients are Fourier-series coefficients:
 Real fields therefore carry the conjugate symmetry coeff(-k) = conj(coeff(k)) (indices taken modulo
 n).  Samples are plain (n, n) float arrays, a vector's a pair (v1, v2) of them; `VectorField` holds
 two spectral components on one grid, checked when it is built.  Samples from outside (the forward
-transforms, `lp_norm`, `integrate`) are checked for that shape once, where they enter (`_square`).
+transforms, `lp_norm`, `integrate`) are checked where they enter: shape (`_square`), finiteness.
 The `SpectralField` constructor checks finiteness and this symmetry once (`_check_real`) on a
 read-only copy of its coefficients; operators trust every field and wrap what they derive unchecked
 (`_wrap`): sums, real scalars, transforms of real samples, real even multipliers (bands, |k|^s) and
@@ -50,8 +50,8 @@ coefficients on the half spectrum, with the matching factor 2 pi, so
 ``lp_norm(inverse_transform(f), 2) == sobolev_norm(f, 0)`` up to roundoff, for every L^2 norm of a
 field: `sobolev_norm`, `gradient_lp_norm` and `band_lp_norms` at p = 2, the record's but its
 kinetic energy (`lp_norm` of the complex-path velocity samples) and
-`linear_gamma_smoothing_integral`.  Of a plane or kept block W columns wide it reads columns
-0..W/2, each column 0 < j < W/2 counted twice for its mirror W - j (a plane's Nyquist column once).
+`linear_gamma_smoothing_integral`.  Of arrays of n rows (a plane, or its columns 0..n/2 alone) it
+reads columns 0..n/2, each column 0 < j < n/2 counted twice for its mirror n - j (Nyquist once).
 """
 
 from __future__ import annotations
@@ -279,8 +279,7 @@ def _forward(grid: Grid, samples, block=False) -> np.ndarray:
     """Coefficients of (n, n) real samples by `rfft2`'s passes, the second over columns 0..n/2,
     or 0..kmax for the kept block alone, the other columns by conjugate symmetry."""
     samples, m = _square(samples, grid.n), grid.kmax
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteError("physical samples contain non-finite values")
+    _check_samples(samples)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail a finiteness check later
         a = np.fft.rfft(samples, axis=1)[:, : m + 1 if block else None]
         a = np.fft.fft(a, axis=0, out=a)
@@ -311,6 +310,13 @@ def hermitian_defect(c: np.ndarray) -> float:
     minus = -np.arange(n)  # the index of -k in FFT layout
     mirrored = c.take(minus[: n // 2 + 1], axis=0).take(minus, axis=1)
     return float(np.max(np.abs(c[: n // 2 + 1] - np.conj(mirrored)))) / scale
+
+
+def _check_samples(*samples, result: float = math.nan) -> float:
+    """result, or NonFiniteError when it is not finite (none is given) and a sample is not."""
+    if not (math.isfinite(result) or all(np.all(np.isfinite(a)) for a in samples)):
+        raise NonFiniteError("physical samples contain non-finite values")
+    return result
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -455,8 +461,7 @@ def advect(v: tuple, f: SpectralField) -> SpectralField:
 def _advect(g: Grid, v: tuple, b: np.ndarray) -> np.ndarray:
     """The step's `advect` on the complex path, from f's kept block b to that of v . grad f."""
     a = _dot(v, *(_samples(b * ik, g) for ik in g.block_mults[:2]))
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("physical samples contain non-finite values")
+    _check_samples(a)
     a = a.astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
         np.fft.fft(a, axis=1, out=a)
@@ -476,14 +481,15 @@ def lp_norm(f, p) -> float:
     """Lebesgue norm by grid quadrature of (n, n) samples, or of a pair (v1, v2) of them.
 
     For p = inf this is the grid max of |f|; otherwise (sum |f|^p * cell area)^(1/p)
-    with cell area (2 pi / n)^2.  A pair uses the pointwise Euclidean magnitude.
+    with cell area (2 pi / n)^2.  A pair uses the pointwise Euclidean magnitude.  Non-finite samples
+    raise NonFiniteError, looked for only when the norm is not finite (an overflow gives inf).
     """
     if not (p == math.inf or p >= 1):
         raise ConfigurationError(f"Lebesgue exponent p must satisfy p >= 1, got {p}")
     pair = isinstance(f, tuple) and len(f) == 2
     a = _square(f[0] if pair else f)
     a = np.hypot(a, _square(f[1], len(a))) if pair else np.abs(a)  # a hypot is >= 0 already
-    return _weighted_lr(a, p, _cell_area(a))
+    return _check_samples(*(f if pair else [a]), result=_weighted_lr(a, p, _cell_area(a)))
 
 
 def _weighted_lr(terms: np.ndarray, r: float, weight=1.0) -> float:
@@ -528,20 +534,19 @@ vector_sobolev_norm = sobolev_norm
 def _parseval(cs: list, mults: list) -> np.ndarray:
     """The L^2 norms 2 pi (sum_k m(k)^2 sum_c |c(k)|^2)^(1/2) of m(D) f, f the field (or vector)
     of the coefficient arrays cs, for each m (even in k) in mults (None for 1), with |c|^2 = re^2
-    + im^2, on the half spectrum, each m read on its columns (a narrower band is 0 beyond); scaled
-    by max |c| first only when the largest sum leaves the normal doubles."""
-    width = cs[0].shape[1]
-    cs = [c[:, : width // 2 + 1] for c in cs]
+    + im^2, on columns 0..n/2 of arrays of n rows (0 < j < n/2 twice), each m read on its columns
+    (a narrower band is 0 beyond); scaled by max |c| first only when the largest sum leaves the
+    normal doubles."""
+    h = len(cs[0]) // 2 + 1
+    cs = [c[:, :h] for c in cs]
 
     def sums(cs):
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: rescaled below
             power = cs[0].real**2  # each |c|^2 and m^2 |c|^2 in one array, in the plain order
             power += cs[0].imag**2
             for c in cs[1:]:
-                square = c.real**2
-                square += c.imag**2
-                power += square
-            power[:, 1 : (width + 1) // 2] *= 2.0
+                power += c.real**2 + c.imag**2
+            power[:, 1 : h - 1] *= 2.0
 
             def weighted(m):
                 m = m[:, : power.shape[1]]
@@ -583,6 +588,6 @@ def gradient_lp_norm(v: VectorField, p) -> float:
 
 
 def integrate(samples) -> float:
-    """Box integral of (n, n) samples by grid quadrature."""
+    """Box integral of (n, n) samples by grid quadrature; non-finite samples as in `lp_norm`."""
     a = _square(samples)
-    return float(np.sum(a) * _cell_area(a))
+    return _check_samples(a, result=float(np.sum(a) * _cell_area(a)))

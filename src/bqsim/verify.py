@@ -108,20 +108,14 @@ class RatioReport:
         inc = self.included
         return self.lhs[inc] / self.rhs[inc]
 
-    @property
-    def max_ratio(self) -> float:
+    def _ratio_stat(self, reduce) -> float:
+        """reduce of the included ratios, or NaN when no sample is included."""
         r = self.ratios
-        return float(np.max(r)) if r.size else math.nan
+        return float(reduce(r)) if r.size else math.nan
 
-    @property
-    def median_ratio(self) -> float:
-        r = self.ratios
-        return float(np.median(r)) if r.size else math.nan
-
-    @property
-    def min_ratio(self) -> float:
-        r = self.ratios
-        return float(np.min(r)) if r.size else math.nan
+    max_ratio = property(lambda self: self._ratio_stat(np.max))
+    median_ratio = property(lambda self: self._ratio_stat(np.median))
+    min_ratio = property(lambda self: self._ratio_stat(np.min))
 
     @property
     def excluded_count(self) -> int:

@@ -112,10 +112,15 @@ def test_artifact_digest_lists_the_same_bytes_and_the_cost_of_each_pass():
     ["--seed", "0", "--workload", "solve-n256", "--workload", "verify-ensemble"],
     ["--seed", "4", "--workload", "diagnose-n128"],
     ["--seed", "6", "--workload", "diagnose-n128"],
-], ids=["seed0-solve-verify", "seed4-diagnose", "seed6-diagnose"])
+    ["--seed", "34", "--workload", "diagnose-n128"],
+    ["--seed", "36", "--workload", "diagnose-n128"],
+], ids=["seed0-solve-verify", "seed4-diagnose", "seed6-diagnose", "seed34-diagnose", "seed36-diagnose"])
 def test_artifact_digest_matches_the_stored_reference(args):
     """Every workload's ops match `perfbench/reference.json`: solve-n256 is the one that runs
-    the two-thread step, and diagnose-n128 fails at seeds 4 and 6 when `l2_v` moves by 2e-16."""
+    the two-thread step, and diagnose-n128 fails at seeds 4 and 6 when `l2_v` moves by 2e-16.
+    Seed 34's energy residual failed the 1e-9 gate under a last-bit change of the step's
+    sampler, and seed 36's moved the most when the record's Parseval sums took the half
+    spectrum."""
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_digest.py"), *args],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

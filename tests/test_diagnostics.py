@@ -1,6 +1,9 @@
 """Tests for diagnostics records, envelope fits, trajectory checks, Osgood."""
 
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -167,10 +170,10 @@ class TestRecordOracle:
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("preset, seed, alpha", RECORD_CASES)
     def test_record_matches_the_full_plane_oracle(self, preset, seed, alpha, n):
-        """The record works on the kept blocks: Parseval norms, three gradient samples and
-        theta on the real path.  The kinetic energy keeps every bit, as (E1 - E0) / dt
-        magnifies them; every other column stays within 1e-12, the energy residual in absolute
-        terms."""
+        """The record works on the dealiased state: Parseval norms on the half spectrum, three
+        gradient samples and theta on the real path.  The kinetic energy keeps every bit, as
+        (E1 - E0) / dt magnifies them; every other column stays within 1e-12, the energy residual
+        in absolute terms."""
         state = make_initial_data(RunConfig(n=n, t_end=1.0, preset=preset, seed=seed, alpha=alpha))
         states = [state]
         for _ in range(2):
@@ -185,6 +188,14 @@ class TestRecordOracle:
             assert rec.energy_residual == pytest.approx(ref["energy_residual"], rel=0, abs=1e-12)
             for name in set(RECORD_FIELDS) - {"energy_residual"}:
                 assert getattr(rec, name) == pytest.approx(ref[name], rel=1e-12, abs=0), name
+
+    def test_record_builds_no_fourier_weight(self):
+        """The record reads its weights from the grid (`sobolev_weight`, `riesz_mult`,
+        `block_mults`): it names no lattice array and takes no power."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(DiagnosticsTracker.record)))
+        names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+        assert names.isdisjoint({"kmag", "inv_ksq", "k1_odd", "k2_odd", "block_k"})
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Pow)]
 
     def test_a_state_that_is_not_dealiased_records_as_its_dealias_does(self):
         """The record reads the state's dealiased part, as its velocity samples do."""
@@ -428,6 +439,11 @@ class TestClosedFormSmoothing:
     def test_rejects_negative_or_nan_time(self, t):
         with pytest.raises(ConfigurationError, match="time t must be nonnegative"):
             linear_gamma_smoothing_integral(spectral_sin(grid64(), 2), t)
+
+    def test_rejects_an_infinite_time(self):
+        """t = inf gave nan: the weight's 0 * inf at k = 0."""
+        with pytest.raises(ConfigurationError, match="time t must be nonnegative and finite"):
+            linear_gamma_smoothing_integral(spectral_sin(grid64(), 2), math.inf)
 
 
 class TestStateDifference:

@@ -463,6 +463,14 @@ class TestLinearExact:
         expected = decay * w0[2, 1] + (1j * 2 / kmag**alpha) * (1 - decay) * th0[2, 1]
         assert out.omega_hat.coeffs[2, 1] == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("t", [-1e3, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_time(self, t):
+        """t = -1e3 and inf gave a state with non-finite vorticity, t = nan a state at t = nan."""
+        g = grid64()
+        x1, x2 = g.nodes()
+        with pytest.raises(ConfigurationError, match="time t must be nonnegative and finite"):
+            linear_exact_solution(spectral(g, np.sin(x1)), spectral(g, np.cos(x2)), 1.0, t)
+
     def test_vorticity_decay_without_forcing(self):
         g = grid64()
         x1, _ = g.nodes()

@@ -52,9 +52,10 @@ from bqsim import (
     to_physical,
     vector_sobolev_norm,
 )
+from bqsim.errors import NonFiniteError
 from bqsim.fields import _half_lattice, _scatter, random_divfree_velocity, random_scalar_field
 from bqsim.runner import adaptive_dt
-from bqsim.spectral import _real_samples, _samples, dealiased_transform, hermitian_defect
+from bqsim.spectral import _components, _parseval, _real_samples, _samples, dealiased_transform, hermitian_defect
 from bqsim.verify import SUITES, EnsembleSpec, _lp
 
 # ||sin x1||_{L^2([0,2pi)^2)} = sqrt(2 pi^2) = pi sqrt(2)
@@ -569,6 +570,31 @@ class TestNorms:
         with pytest.raises(InvalidInputError, match="samples must be an"):
             lp_norm(pair, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("p", [2, 3, math.inf])
+    def test_lp_norm_rejects_non_finite_samples(self, p, bad):
+        """As the forward transforms do: a single sample array, and a pair with one bad component
+        (a hypot of inf and nan is inf, so a pair is not judged by its magnitude)."""
+        a = np.ones((16, 16))
+        a[3, 5] = bad
+        for samples in (a, (np.ones((16, 16)), a), (a, np.full((16, 16), math.nan))):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                lp_norm(samples, p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    def test_integrate_rejects_non_finite_samples(self, bad):
+        a = np.ones((16, 16))
+        a[3, 5] = bad
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            integrate(a)
+
+    def test_finite_samples_whose_norm_overflows_give_inf(self):
+        """Finiteness is looked for only when the result is not finite: finite samples whose
+        norm or integral overflows still give inf (with numpy's overflow warning)."""
+        a = np.full((16, 16), 1e308)
+        with np.errstate(over="ignore"):
+            assert [lp_norm(a, 2), lp_norm(a, 3), lp_norm((a, a), 2), integrate(a)] == [math.inf] * 4
+
     def test_norms_read_n_off_the_samples(self):
         """Cell area (2 pi / n)^2 for any n, and integer samples are taken as floats."""
         for n in (3, 16, 64):
@@ -940,6 +966,18 @@ class TestParsevalNorms:
         for f, v in (smooth, noise):
             for got, want in zip(self.norms(f, v), self.sampled(f, v)):
                 assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [16, 48, 128])
+    def test_parseval_reads_a_plane_and_its_columns_to_n_over_2_alike(self, n):
+        """One layout: of arrays of n rows `_parseval` reads columns 0..n/2, so a plane's
+        columns 0..n/2 alone give its bits, with and without weights, for a field and a vector
+        with the Nyquist lines filled."""
+        g, h = Grid(n), n // 2 + 1
+        mults = [None, g.sobolev_weight(0.5, True), g.sobolev_weight(-1.0, False), g.kmag]
+        for f in (white_noise(g, n), VectorField(white_noise(g, n + 1), white_noise(g, n + 2))):
+            cs = [c.coeffs for c in _components(f)]
+            for m in ([None], mults):
+                assert _parseval([c[:, :h] for c in cs], m).tolist() == _parseval(cs, m).tolist()
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
     @pytest.mark.parametrize("n", [16, 96])
